@@ -30,8 +30,7 @@ from .groups import (
     ravel_coords,
     translate_indices,
 )
-from .harmonic import DenseFn, indicator, zero_sum_count
-from .reg_f2 import wht_last_axis
+from .harmonic import DenseFn, indicator, wht_last_axis, zero_sum_count
 from .reg_general import RegPair, zero_sum_removal
 
 

@@ -449,7 +449,7 @@ def cmd_selfcheck(args) -> dict:
     run("tower-dims", tower_dims)
     run("pair-constants", pair_constants)
     for name, status in suites.items():
-        print(f"{name}: {status}")
+        print(f"{name}: {status}", file=sys.stderr)
     failed = [n for n, s in suites.items() if s != "pass"]
     return {"suites": suites, "failed": failed, "exit_code": 1 if failed else 0}
 

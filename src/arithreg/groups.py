@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -134,10 +135,6 @@ class Character:
         for c, m in zip(self.freqs, self.group.factors):
             idx = idx * m + c
         return idx
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.freqs)
 
     def f2_mask(self) -> int:
         if not self.group.is_f2:
@@ -303,6 +300,77 @@ def neg_index(group: GroupSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def index_digits(group: GroupSpec) -> tuple[tuple[int, int, bool], ...]:
+    """(size, stride, is_2_run) per digit of the index, most significant first.
+
+    A maximal run of 2-factors is one digit, on which addition is XOR; every
+    other factor is one digit with addition mod its size.  Factors 1 drop out.
+    """
+    digits = []
+    stride = group.order
+    for m, same in groupby(m for m in group.factors if m > 1):
+        count = len(list(same))
+        for size in [1 << count] if m == 2 else [m] * count:
+            stride //= size
+            digits.append((size, stride, m == 2))
+    return tuple(digits)
+
+
+def _is_cyclic(group: GroupSpec) -> bool:
+    digits = index_digits(group)
+    return len(digits) <= 1 and not any(is_run for _, _, is_run in digits)
+
+
+def _window(values: np.ndarray) -> np.ndarray:
+    """(m, m) read-only view whose row x is values[x], ..., values[x+m-1 mod m]."""
+    m = values.size
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([values, values]), m)[:m]
+
+
+@lru_cache(maxsize=64)
+def _cyclic_window(m: int) -> np.ndarray:
+    return _window(np.arange(m))
+
+
+def _window_rows(window: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    if isinstance(xs, range) and xs.step == 1:
+        return window[xs.start : xs.stop]
+    return window[np.asarray(xs, dtype=np.int64)]
+
+
+def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
+    """(len(xs), N) index rows; row i lists the index of x_i + n over all n.
+
+    Built digit by digit: XOR on each run of 2-factors, addition mod m on
+    every other factor.  On a cyclic group the rows come from a window over
+    a doubled arange, zero-copy and read-only when xs is a step-1 range.
+    """
+    if _is_cyclic(group):
+        return _window_rows(_cyclic_window(group.order), xs)
+    xs = np.asarray(xs, dtype=np.int64)
+    rows = None
+    for size, stride, is_run in index_digits(group):
+        d = xs // stride % size
+        part = d[:, None] ^ np.arange(size) if is_run else _cyclic_window(size)[d]
+        if rows is None:
+            rows = part
+        else:
+            rows = (rows[:, :, None] * size + part[:, None, :]).reshape(xs.size, -1)
+    return rows
+
+
+def translate_values(group: GroupSpec, values: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """values[translate_rows(group, xs)]: row i holds n -> values(x_i + n).
+
+    On a cyclic group the rows are copied out of a window over the doubled
+    values, with no index gather.
+    """
+    if _is_cyclic(group):
+        return np.ascontiguousarray(_window_rows(_window(values), xs))
+    return values[translate_rows(group, xs)]
+
+
 @lru_cache(maxsize=16)
 def add_index_table(group: GroupSpec) -> np.ndarray:
     """Dense (N, N) table with table[i, j] = index of x_i + x_j."""
@@ -310,12 +378,7 @@ def add_index_table(group: GroupSpec) -> np.ndarray:
         raise ResourceBudgetError(
             f"dense addition table refused for order {group.order} > {_TABLE_MAX_ORDER}"
         )
-    c = coords_table(group)
-    m = np.asarray(group.factors, dtype=np.int64)
-    out = np.zeros((group.order, group.order), dtype=np.int64)
-    for j in range(group.rank):
-        out *= m[j]
-        out += (c[:, None, j] + c[None, :, j]) % m[j]
+    out = translate_rows(group, range(group.order))
     out.setflags(write=False)
     return out
 
@@ -324,9 +387,8 @@ def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
     """Row of indices of x + n over all n, i.e. f.values[row][n] = f(x + n)."""
     if group.order <= _TABLE_MAX_ORDER:
         return add_index_table(group)[x_index]
-    c = coords_table(group)
-    m = np.asarray(group.factors, dtype=np.int64)
-    return ravel_coords(group, (c[x_index] + c) % m)
+    x = int(x_index) % group.order
+    return translate_rows(group, range(x, x + 1))[0]
 
 
 def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
@@ -383,10 +445,6 @@ def f2_rref(rows: Iterable[int]) -> tuple[int, ...]:
             basis.append(r)
             basis.sort(reverse=True)
     return tuple(basis)
-
-
-def f2_rank(rows: Iterable[int]) -> int:
-    return len(f2_rref(rows))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Fourier transform, convolution and zero-sum counting on a finite abelian group.
 
 Transform convention: forward transform F(gamma) = sum_x f(x) gamma(x) with no
-normalization; inversion divides by N.  Power-of-two axes go through an exact
-(+1/-1 butterfly) fast transform, other axes through numpy's FFT; the naive
-O(N^2) kernel lives in the test suite as the independent oracle.
+normalization; inversion divides by N.  One exact +-1 butterfly kernel runs in
+place over each maximal run of 2-factors (a contiguous digit of the index),
+most significant stride first; every other factor goes through numpy's FFT.
+Real input stays real until the first non-2 factor.  The same kernel is the
+Walsh-Hadamard transform `wht_last_axis` used by the (Z/2)^n pipeline.  The
+naive O(N^2) kernel lives in the test suite as the independent oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     check_enumerable,
+    index_digits,
     neg_index,
     parse_element,
     translate_indices,
@@ -94,29 +98,67 @@ def delta(group: GroupSpec, x: GroupElement | int = 0) -> DenseFn:
     return indicator(group, [x])
 
 
+def _indicator_required(f: DenseFn) -> None:
+    if not np.all((f.values == 0.0) | (f.values == 1.0)):
+        raise DomainMismatchError("operation requires a 0/1 indicator function")
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
-def _axis_transform(a: np.ndarray, axis: int, m: int, inverse: bool) -> np.ndarray:
-    if m == 1:
-        return a
-    if m == 2:
-        lo = np.take(a, 0, axis=axis)
-        hi = np.take(a, 1, axis=axis)
-        out = np.stack([lo + hi, lo - hi], axis=axis)
-        return out * 0.5 if inverse else out
-    if inverse:
-        return np.fft.fft(a, axis=axis) / m
-    return np.fft.ifft(a, axis=axis) * m
+def _butterflies(a: np.ndarray) -> None:
+    """In place +-1 butterflies over axis -2 of a C-contiguous (..., 2^r, s) array.
+
+    This is the Walsh-Hadamard transform of a run of r consecutive 2-factors,
+    whose indices form one contiguous digit of stride s.  Stages go most
+    significant stride first; every step only adds and subtracts, so integer
+    input stays exact.
+    """
+    lead, n, s = a.shape[:-2], a.shape[-2], a.shape[-1]
+    h = n // 2
+    while h:
+        view = a.reshape(lead + (n // (2 * h), 2, h * s))
+        lo = view[..., 0, :]
+        hi = view[..., 1, :]
+        tmp = lo.copy()
+        lo += hi
+        np.subtract(tmp, hi, out=hi)
+        h //= 2
+
+
+def wht_last_axis(mat: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis (length a power of two)."""
+    out = np.array(mat, dtype=np.float64, order="C")
+    _butterflies(out.reshape(out.shape + (1,)))
+    return out
 
 
 def _transform(group: GroupSpec, values: np.ndarray, inverse: bool) -> np.ndarray:
+    """Transform along the last axis, one index digit at a time, most significant first.
+
+    A run of 2-factors is one digit and goes through the butterflies in one
+    pass; any other factor goes through numpy's FFT.  Real input stays
+    float64 until the first non-2 factor, so (Z/2)^n transforms of real rows
+    come back real.
+    """
     lead = values.shape[:-1]
-    a = values.astype(np.complex128).reshape(lead + group.factors)
-    for j, m in enumerate(group.factors):
-        a = _axis_transform(a, axis=len(lead) + j, m=m, inverse=inverse)
-    return a.reshape(lead + (group.order,))
+    n = group.order
+    digits = index_digits(group)
+    real = values.dtype.kind != "c" and bool(digits) and digits[0][2]
+    a = values.astype(np.float64 if real else np.complex128, order="C")
+    a = a.reshape(lead + tuple(size for size, _, _ in digits))
+    for axis, (size, stride, is_run) in enumerate(digits, start=len(lead)):
+        if is_run:
+            a = np.ascontiguousarray(a)
+            _butterflies(a.reshape(lead + (n // (size * stride), size, stride)))
+            if inverse:
+                a *= 1.0 / size
+        elif inverse:
+            a = np.fft.fft(a, axis=axis) / size
+        else:
+            a = np.fft.ifft(a, axis=axis) * size
+    return a.reshape(lead + (n,))
 
 
 def dft(f: DenseFn) -> Spectrum:
@@ -140,7 +182,11 @@ def idft(F: Spectrum, return_residue: bool = False):
 
 
 def dft_many(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """Forward transform applied to each row of a (B, N) array."""
+    """Forward transform applied to each row of a (B, N) array.
+
+    Complex, except on (Z/2)^n with real rows, where the transform is real
+    and comes back as float64.
+    """
     return _transform(group, np.asarray(rows), inverse=False)
 
 

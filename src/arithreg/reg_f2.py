@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import DomainMismatchError, InternalCheckError
 from .groups import F2Subgroup, GroupElement, GroupSpec, f2_full, f2_nullspace
-from .harmonic import DenseFn, Spectrum, support, zero_sum_count
+from .harmonic import (
+    DenseFn,
+    Spectrum,
+    _indicator_required,
+    support,
+    wht_last_axis,
+    zero_sum_count,
+)
 
 
 def _require_f2(group: GroupSpec) -> int:
@@ -28,24 +35,6 @@ def _require_f2(group: GroupSpec) -> int:
 
 def _as_mask(g: GroupElement | int) -> int:
     return g.index if isinstance(g, GroupElement) else int(g)
-
-
-def wht_last_axis(mat: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis (length a power of two).
-
-    Exact for integer-valued input: the butterflies only add and subtract.
-    """
-    out = np.array(mat, dtype=np.float64, copy=True)
-    n = out.shape[-1]
-    h = 1
-    while h < n:
-        view = out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))
-        lo = view[..., 0, :].copy()
-        hi = view[..., 1, :]
-        view[..., 0, :] = lo + hi
-        view[..., 1, :] = lo - hi
-        h *= 2
-    return out
 
 
 def local_values(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> np.ndarray:
@@ -232,12 +221,6 @@ def local_triangle_count(
     s2 = wht_last_axis(local_values(f, H, g2))
     s3 = wht_last_axis(local_values(f, H, g3))
     return float(np.sum(s1 * s2 * s3)) / H.size
-
-
-def _indicator_required(f: DenseFn) -> None:
-    vals = f.values
-    if not np.all((vals == 0.0) | (vals == 1.0)):
-        raise DomainMismatchError("operation requires a 0/1 indicator function")
 
 
 def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:

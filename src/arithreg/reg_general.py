@@ -28,14 +28,22 @@ from .groups import (
     Character,
     GroupElement,
     GroupSpec,
-    add_index_table,
     neg_index,
     translate_indices,
+    translate_values,
 )
-from .harmonic import DenseFn, brute_force_zero_sum, convolve, dft, dft_many, zero_sum_count
+from .harmonic import (
+    BRUTE_FORCE_BUDGET,
+    DenseFn,
+    _indicator_required,
+    brute_force_zero_sum,
+    convolve,
+    dft,
+    dft_many,
+    zero_sum_count,
+)
 from .reports import IneqReport
 
-_TABLE_LIMIT = 2048
 FAITHFUL = "faithful"
 SCALED = "scaled"
 
@@ -139,12 +147,6 @@ class RegValueWitness:
     regular: bool
 
 
-def _translate_rows(group: GroupSpec, lo: int, hi: int) -> np.ndarray:
-    if group.order <= _TABLE_LIMIT:
-        return add_index_table(group)[lo:hi]
-    return np.stack([translate_indices(group, x) for x in range(lo, hi)])
-
-
 def regular_value_profile(A: DenseFn, pair: RegPair, chunk: int = 256):
     """(cond1, cond2, worst char index) for every x at once.
 
@@ -167,7 +169,7 @@ def regular_value_profile(A: DenseFn, pair: RegPair, chunk: int = 256):
     worst = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        rows = A.values[_translate_rows(group, lo, hi)]
+        rows = translate_values(group, A.values, range(lo, hi))
         rows = (rows - a2[lo:hi, None]) * psi2[None, :]
         mags = np.abs(dft_many(group, rows))
         cond2[lo:hi] = mags.max(axis=1)
@@ -640,11 +642,6 @@ def check_witness_stability(
 # reduced sets and zero-sum removal
 # ---------------------------------------------------------------------------
 
-def _indicator_required(A: DenseFn) -> None:
-    if not np.all((A.values == 0.0) | (A.values == 1.0)):
-        raise DomainMismatchError("operation requires a 0/1 indicator function")
-
-
 def reduced_sets(As: Sequence[DenseFn], pair: RegPair) -> list[DenseFn]:
     """Delete irregular and low-density members of each set.
 
@@ -691,7 +688,7 @@ def exact_zero_sum_tuples(As: Sequence[DenseFn]) -> int:
         _indicator_required(A)
     group = As[0].group
     k = len(As)
-    if group.order ** (k - 1) <= 20_000_000:
+    if group.order ** (k - 1) <= BRUTE_FORCE_BUDGET:
         return round(brute_force_zero_sum(As))
     return round(zero_sum_count(As))
 
@@ -738,7 +735,7 @@ def zero_sum_removal(
     candidates = []
     for e in schedule:
         pair, trace = regularize(As, e, budget, mode, scale)
-        reduced = reduced_sets(As, _ensure_k(pair, e, k))
+        reduced = reduced_sets(As, pair)
         removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
         residual = exact_zero_sum_tuples(reduced)
         bound = 10.0 * k * e ** (1.0 / k) * n
@@ -785,10 +782,3 @@ def zero_sum_removal(
         "spectral_tuples": zero_sum_count(final),
     }
     return final, removed, cert
-
-
-def _ensure_k(pair: RegPair, eps: float, k: int) -> RegPair:
-    """Rebuild the pair if regularize ran with different k/eps bookkeeping."""
-    if pair.k == k and pair.eps == eps:
-        return pair
-    return RegPair(pair.chars, pair.eta, k, eps, pair.mode, pair.scale)

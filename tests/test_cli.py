@@ -151,7 +151,7 @@ class TestCommands:
 
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck", "--out", "/dev/null"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        lines = capsys.readouterr().err.strip().splitlines()
         assert all(line.endswith("pass") for line in lines)
 
     def test_selfcheck_catches_corrupted_zero_sum(self, capsys, monkeypatch):
@@ -161,8 +161,8 @@ class TestCommands:
         real = cli_mod.zero_sum_count
         monkeypatch.setattr(cli_mod, "zero_sum_count", lambda fs: -real(fs))
         assert run(["selfcheck", "--out", "/dev/null"]) == 1
-        out = capsys.readouterr().out
-        assert "zero-sum: fail" in out
+        err = capsys.readouterr().err
+        assert "zero-sum: fail" in err
 
     def test_selfcheck_catches_corrupted_width_constant(self, capsys, monkeypatch):
         # mutation probe: nudging the power-of-two constants flags the
@@ -172,8 +172,8 @@ class TestCommands:
         real_const = RegPair.const
         monkeypatch.setattr(RegPair, "const", lambda self, log2: real_const(self, log2) * 2.0)
         assert run(["selfcheck", "--out", "/dev/null"]) == 1
-        out = capsys.readouterr().out
-        assert "pair-constants: fail" in out
+        err = capsys.readouterr().err
+        assert "pair-constants: fail" in err
 
 
 class TestCsvFormat:
