@@ -46,7 +46,7 @@ from .errors import (
     RetryExhaustedError,
     UsageError,
 )
-from .groups import GroupSpec, f2_span, parse_element, parse_group
+from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_element, parse_group
 from .harmonic import (
     DenseFn,
     brute_force_zero_sum,
@@ -68,7 +68,10 @@ def _load_integer_set(n: int, path: str) -> IntegerSet:
         for line in fh:
             line = line.strip()
             if line:
-                members.append(int(line))
+                try:
+                    members.append(int(line))
+                except ValueError as exc:
+                    raise InvalidSpecError(f"bad integer {line!r} in {path}") from exc
     return IntegerSet(n, tuple(members))
 
 
@@ -177,7 +180,7 @@ def cmd_count(args) -> dict:
     value = zero_sum_count(sets)
     out = {"group": str(group), "value": value}
     k = len(sets)
-    if group.order ** (k - 1) <= 2_000_000:
+    if group.order ** (k - 1) <= COUNT_CROSSCHECK_BUDGET:
         out["brute_force"] = brute_force_zero_sum(sets)
     return out
 
@@ -458,6 +461,13 @@ def cmd_selfcheck(args) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="arithreg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -469,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("regularize-f2", help="subgroup regularization on (Z/2)^n")
     sp.add_argument("--group", required=True)
     sp.add_argument("--set", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=finite_float, required=True)
     sp.add_argument("--trace")
     common(sp)
     sp.set_defaults(func=cmd_regularize_f2)
@@ -477,9 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("regularize", help="pair regularization on a general group")
     sp.add_argument("--group", required=True)
     sp.add_argument("--sets", nargs="+", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=finite_float, required=True)
     sp.add_argument("--mode", choices=["faithful", "scaled"], default="faithful")
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=finite_float, default=1.0)
     sp.add_argument("--budget", type=int, default=64)
     sp.add_argument("--trace")
     sp.add_argument("--seed-characters", choices=["none", "interval"], default="none")
@@ -495,9 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("remove", help="triangle / zero-sum removal")
     sp.add_argument("--group", required=True)
     sp.add_argument("--sets", nargs="+", required=True)
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--eps", type=finite_float, default=0.0)
     sp.add_argument("--mode", choices=["faithful", "scaled"], default="scaled")
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=finite_float, default=1.0)
     sp.add_argument("--budget", type=int, default=64)
     common(sp)
     sp.set_defaults(func=cmd_remove)
@@ -506,16 +516,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group")
     sp.add_argument("--interval", type=int)
     sp.add_argument("--set", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=finite_float, required=True)
     common(sp)
     sp.set_defaults(func=cmd_bhk)
 
     sp = sub.add_parser("sumfree", help="sum-free decomposition over [1, N]")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=finite_float, required=True)
     sp.add_argument("--mode", choices=["faithful", "scaled"], default="scaled")
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=finite_float, default=1.0)
     sp.add_argument("--budget", type=int, default=64)
     common(sp)
     sp.set_defaults(func=cmd_sumfree)
@@ -524,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--eps", type=float, default=0.04)
+    sp.add_argument("--eps", type=finite_float, default=0.04)
     sp.add_argument("--verify", help="file of subgroup basis elements to check")
     common(sp)
     sp.set_defaults(func=cmd_tower)
@@ -532,10 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bohr-check", help="Bohr cutoff inequality suite")
     sp.add_argument("--group", required=True)
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--delta2", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--tau", type=float, default=0.2)
+    sp.add_argument("--delta", type=finite_float, default=0.1)
+    sp.add_argument("--delta2", type=finite_float)
+    sp.add_argument("--eta", type=finite_float)
+    sp.add_argument("--tau", type=finite_float, default=0.2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--parts", nargs="*", default=["i", "ii", "iii", "v", "vii"])
     common(sp)
@@ -556,7 +566,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report = args.func(args)
-    except (InvalidSpecError, DomainMismatchError, UsageError, OSError, ValueError) as exc:
+    except (InvalidSpecError, DomainMismatchError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceBudgetError, RetryExhaustedError) as exc:

@@ -21,8 +21,12 @@ import numpy as np
 
 from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 
-DEFAULT_MAX_ORDER = 1 << 24
-_TABLE_MAX_ORDER = 2048  # dense N x N index tables only below this
+# Resource limits: every size check in the package reads its bound here.
+DEFAULT_MAX_ORDER = 1 << 24  # enumeration guard, unless ARITHREG_MAX_N is set
+ADD_TABLE_MAX_ORDER = 2048  # cached dense N x N addition table
+CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
+BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) terms of the literal zero-sum sum
+COUNT_CROSSCHECK_BUDGET = 2_000_000  # `count` adds the brute-force sum up to this
 
 
 def max_enumerable_order() -> int:
@@ -188,7 +192,10 @@ def parse_element(group: GroupSpec, text: str) -> GroupElement:
         raise InvalidSpecError(
             f"element {text!r} has {len(parts)} coordinates, group {group} needs {group.rank}"
         )
-    return group.element([int(p) for p in parts])
+    try:
+        return group.element([int(p) for p in parts])
+    except ValueError as exc:
+        raise InvalidSpecError(f"bad coordinate in element {text!r}") from exc
 
 
 def check_enumerable(group: GroupSpec) -> None:
@@ -374,9 +381,9 @@ def translate_values(group: GroupSpec, values: np.ndarray, xs: Sequence[int]) ->
 @lru_cache(maxsize=16)
 def add_index_table(group: GroupSpec) -> np.ndarray:
     """Dense (N, N) table with table[i, j] = index of x_i + x_j."""
-    if group.order > _TABLE_MAX_ORDER:
+    if group.order > ADD_TABLE_MAX_ORDER:
         raise ResourceBudgetError(
-            f"dense addition table refused for order {group.order} > {_TABLE_MAX_ORDER}"
+            f"dense addition table refused for order {group.order} > {ADD_TABLE_MAX_ORDER}"
         )
     out = translate_rows(group, range(group.order))
     out.setflags(write=False)
@@ -385,7 +392,7 @@ def add_index_table(group: GroupSpec) -> np.ndarray:
 
 def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
     """Row of indices of x + n over all n, i.e. f.values[row][n] = f(x + n)."""
-    if group.order <= _TABLE_MAX_ORDER:
+    if group.order <= ADD_TABLE_MAX_ORDER:
         return add_index_table(group)[x_index]
     x = int(x_index) % group.order
     return translate_rows(group, range(x, x + 1))[0]
@@ -414,9 +421,9 @@ def char_norm_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
 @lru_cache(maxsize=16)
 def character_table(group: GroupSpec) -> np.ndarray:
     """Dense (N, N) matrix M[c, x] = gamma_c(x); the naive-transform kernel."""
-    if group.order > 4096:
+    if group.order > CHARACTER_TABLE_MAX_ORDER:
         raise ResourceBudgetError(
-            f"dense character table refused for order {group.order} > 4096"
+            f"dense character table refused for order {group.order} > {CHARACTER_TABLE_MAX_ORDER}"
         )
     mat = np.ones((1, 1), dtype=np.complex128)
     for m in group.factors:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainMismatchError, ResourceBudgetError
 from .groups import (
+    BRUTE_FORCE_BUDGET,
     GroupElement,
     GroupSpec,
     check_enumerable,
@@ -27,8 +28,6 @@ from .groups import (
     parse_element,
     translate_indices,
 )
-
-BRUTE_FORCE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)

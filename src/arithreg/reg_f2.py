@@ -5,7 +5,8 @@ translated restriction A_H^{+g} becomes a vector of length |H| indexed by
 basis coefficients, and its transform is an exact Walsh-Hadamard transform.
 Irregular cosets contribute witness characters whose annihilator refines the
 subgroup, increasing the mean-square coset density ("index") by at least
-eps^3 per step, which forces termination.
+eps^3 per step, which forces termination.  Each visited subgroup gets one
+coset-spectra pass; its count, index and witnesses are read from that state.
 """
 
 from __future__ import annotations
@@ -73,71 +74,77 @@ def is_regular_value_f2(f: DenseFn, H: F2Subgroup, g: GroupElement | int, eps: f
     return bool(_sup_nontrivial(spec[None, :])[0] <= eps * H.size)
 
 
+class _CosetState:
+    """One coset-spectra pass of f over H: reps, spectra, sups, masses, index."""
+
+    def __init__(self, f: DenseFn, H: F2Subgroup):
+        self.f, self.H = f, H
+        self.reps, self.spectra = _coset_spectra(f, H)
+        self.sups = _sup_nontrivial(self.spectra)
+        self.masses = self.spectra[:, 0]
+        self.index = float(np.sum(self.masses**2)) / (f.group.order * H.size)
+
+    def irregular(self, eps: float) -> np.ndarray:
+        return self.sups > eps * self.H.size
+
+    def check(self, eps: float) -> tuple[bool, int]:
+        count = int(np.count_nonzero(self.irregular(eps))) * self.H.size
+        return count < eps * self.f.group.order, count
+
+
 def is_regular_subgroup_f2(f: DenseFn, H: F2Subgroup, eps: float) -> tuple[bool, int]:
     """Count values g failing regularity; the subgroup passes iff count < eps N.
 
     Regularity of g depends only on its coset (translates share coefficient
     moduli), so the count is coset count times |H|.
     """
-    _, spectra = _coset_spectra(f, H)
-    irregular_cosets = int(np.count_nonzero(_sup_nontrivial(spectra) > eps * H.size))
-    count = irregular_cosets * H.size
-    return count < eps * f.group.order, count
+    return _CosetState(f, H).check(eps)
 
 
 def index_f2(f: DenseFn, H: F2Subgroup) -> float:
     """Mean squared coset density (1/N) sum_g (mass of f on H+g / |H|)^2."""
-    _, spectra = _coset_spectra(f, H)
-    masses = spectra[:, 0]
-    return float(np.sum(masses**2)) / (f.group.order * H.size)
+    return _CosetState(f, H).index
 
 
-def _witnesses(f: DenseFn, H: F2Subgroup, eps: float) -> list[int]:
+def _witnesses(state: _CosetState, eps: float) -> list[int]:
     """Lifted witness characters from irregular cosets, strongest first.
 
     Per irregular coset the nontrivial coefficient of maximum modulus wins
     (ties to the least label); at most max(1, #cosets/2) cosets contribute,
     kept in decreasing order of their top coefficient.
     """
-    reps, spectra = _coset_spectra(f, H)
-    sup = _sup_nontrivial(spectra)
-    threshold = eps * H.size
-    irregular = np.flatnonzero(sup > threshold)
-    if irregular.size == 0:
-        raise DomainMismatchError("refinement requires an irregular subgroup")
-    order = np.lexsort((reps[irregular], -sup[irregular]))
-    cap = max(1, reps.size // 2)
-    chosen = irregular[order][:cap]
-
-    pivots = H.pivots
+    irregular = np.flatnonzero(state.irregular(eps))
+    order = np.lexsort((state.reps[irregular], -state.sups[irregular]))
     lifted: list[int] = []
-    for c in chosen:
-        mags = np.abs(spectra[c])
+    for c in irregular[order][: max(1, state.reps.size // 2)]:
+        mags = np.abs(state.spectra[c])
         mags[0] = -1.0
         best = np.flatnonzero(mags == mags.max())[0]
-        mask = 0
-        for j, p in enumerate(pivots):
-            if (best >> j) & 1:
-                mask |= 1 << p
+        mask = sum(1 << p for j, p in enumerate(state.H.pivots) if (best >> j) & 1)
         if mask not in lifted:
             lifted.append(mask)
     return lifted
 
 
-def refine_step_f2(f: DenseFn, H: F2Subgroup, eps: float) -> F2Subgroup:
-    """Refine an irregular subgroup; the index gain of at least eps^3 is asserted."""
-    n = _require_f2(f.group)
-    regular, _ = is_regular_subgroup_f2(f, H, eps)
-    if regular:
+def _refine(state: _CosetState, eps: float) -> tuple[_CosetState, list[int]]:
+    """The refined subgroup's state and the witnesses that cut it out."""
+    if state.check(eps)[0]:
         raise DomainMismatchError("refine_step_f2 called on a regular subgroup")
-    lifted = _witnesses(f, H, eps)
-    refined = f2_nullspace(H.annihilator().basis + tuple(lifted), n)
-    gain = index_f2(f, refined) - index_f2(f, H)
+    lifted = _witnesses(state, eps)
+    basis = state.H.annihilator().basis + tuple(lifted)
+    refined = _CosetState(state.f, f2_nullspace(basis, state.f.group.rank))
+    gain = refined.index - state.index
     if gain < eps**3 - 1e-9:
         raise InternalCheckError(
             f"index gain {gain} fell short of eps^3 = {eps**3}"
         )
-    return refined
+    return refined, lifted
+
+
+def refine_step_f2(f: DenseFn, H: F2Subgroup, eps: float) -> F2Subgroup:
+    """Refine an irregular subgroup; the index gain of at least eps^3 is asserted."""
+    _require_f2(f.group)
+    return _refine(_CosetState(f, H), eps)[0].H
 
 
 @dataclass
@@ -171,27 +178,27 @@ def regularize_f2(f: DenseFn, eps: float) -> F2RegReport:
     n = _require_f2(f.group)
     if not 0.0 < eps < 0.5:
         raise DomainMismatchError("eps must lie in (0, 1/2)")
-    H = f2_full(n)
-    trace = [index_f2(f, H)]
-    dims = [H.dim]
+    state = _CosetState(f, f2_full(n))
+    trace = [state.index]
+    dims = [state.H.dim]
     counts: list[int] = []
     witnesses: list[list[int]] = []
     max_steps = math.floor(eps**-3)
     iterations = 0
     while True:
-        regular, count = is_regular_subgroup_f2(f, H, eps)
+        regular, count = state.check(eps)
         counts.append(count)
         if regular:
             break
         if iterations >= max_steps:
             raise InternalCheckError("iteration cap floor(eps^-3) exceeded")
-        witnesses.append(_witnesses(f, H, eps))
-        H = refine_step_f2(f, H, eps)
-        trace.append(index_f2(f, H))
-        dims.append(H.dim)
+        state, lifted = _refine(state, eps)
+        witnesses.append(lifted)
+        trace.append(state.index)
+        dims.append(state.H.dim)
         iterations += 1
     return F2RegReport(
-        subgroup=H,
+        subgroup=state.H,
         epsilon=eps,
         irregular_values=count,
         index_trace=trace,
@@ -231,12 +238,10 @@ def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:
     when H is eps-regular for A.
     """
     _indicator_required(A)
-    reps, spectra = _coset_spectra(A, H)
-    sup = _sup_nontrivial(spectra)
-    masses = spectra[:, 0]
-    bad = (sup > eps * H.size) | (masses <= (2.0 * eps) ** (1.0 / 3.0) * H.size)
+    state = _CosetState(A, H)
+    bad = state.irregular(eps) | (state.masses <= (2.0 * eps) ** (1.0 / 3.0) * H.size)
     bad_lookup = np.zeros(A.group.order, dtype=bool)
-    bad_lookup[reps[bad]] = True
+    bad_lookup[state.reps[bad]] = True
     all_masks = np.arange(A.group.order, dtype=np.int64)
     in_bad_coset = bad_lookup[H.reduce(all_masks)]
     kept = A.values * (~in_bad_coset)
@@ -283,6 +288,7 @@ def remove_triangles_f2(
     n_total = A.group.order
     attempts = []
     candidates = []
+    pipeline = "reduced-set"
     for eps in schedule:
         rep = regularize_f2(A, eps)
         reduced = reduced_set_f2(A, rep.subgroup, eps)
@@ -302,34 +308,25 @@ def remove_triangles_f2(
         )
         candidates.append((triangles, removed, eps, reduced))
         if triangles == 0:
-            cert = {
-                "pipeline": "reduced-set",
-                "eps": eps,
-                "attempts": attempts,
-                "spectral_triangles": triangle_count_spectral(reduced),
-                "exact_triangles": 0,
-                "removal_bound_ok": removed <= bound,
-            }
-            return reduced, removed, cert
-
-    triangles, removed, eps, reduced = min(candidates, key=lambda c: (c[0], c[1]))
-    supp = support(reduced)
-    pair_sums = np.bitwise_xor.outer(supp, supp)
-    participation = np.zeros(n_total)
-    np.add.at(participation, supp, reduced.values[pair_sums].sum(axis=1))
-    final_vals = reduced.values * (participation == 0)
-    final = DenseFn(A.group, final_vals)
-    removed = int(A.values.sum() - final.values.sum())
-    leftover = triangle_count_exact(final)
-    if leftover != 0:
-        raise InternalCheckError("participant deletion left a triangle")
-    bound = 3.0 * eps ** (1.0 / 3.0) * n_total
+            break
+    else:
+        _, _, eps, reduced = min(candidates, key=lambda c: (c[0], c[1]))
+        supp = support(reduced)
+        pair_sums = np.bitwise_xor.outer(supp, supp)
+        participation = np.zeros(n_total)
+        np.add.at(participation, supp, reduced.values[pair_sums].sum(axis=1))
+        reduced = DenseFn(A.group, reduced.values * (participation == 0))
+        removed = int(A.values.sum() - reduced.values.sum())
+        if triangle_count_exact(reduced) != 0:
+            raise InternalCheckError("participant deletion left a triangle")
+        bound = 3.0 * eps ** (1.0 / 3.0) * n_total
+        pipeline += "+participant-deletion"
     cert = {
-        "pipeline": "reduced-set+participant-deletion",
+        "pipeline": pipeline,
         "eps": eps,
         "attempts": attempts,
-        "spectral_triangles": triangle_count_spectral(final),
+        "spectral_triangles": triangle_count_spectral(reduced),
         "exact_triangles": 0,
         "removal_bound_ok": removed <= bound,
     }
-    return final, removed, cert
+    return reduced, removed, cert

@@ -6,7 +6,10 @@ a regular value for a set A when the local density seen through psi2 is
 stable across the psi1 window (condition 1) and the psi2-windowed remainder
 has a small Fourier sup-norm (condition 2).  Refinement either shrinks the
 width or adjoins witness characters, and drives up a bounded L2 energy, so
-the iteration terminates.
+the iteration terminates.  Each visited pair is evaluated once (every set's
+profile, irregular count and the index): the regularity test, refinement,
+trace and reduction all read that state, so k sets and s steps cost k(s+1)
+profiles.  Out of budget, the pair of highest index is returned and described.
 
 Faithful mode uses the constants verbatim, under which the narrow cutoff
 collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
@@ -25,6 +28,7 @@ import numpy as np
 from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set, norm_le_mask
 from .errors import DomainMismatchError, InternalCheckError
 from .groups import (
+    BRUTE_FORCE_BUDGET,
     Character,
     GroupElement,
     GroupSpec,
@@ -33,7 +37,6 @@ from .groups import (
     translate_values,
 )
 from .harmonic import (
-    BRUTE_FORCE_BUDGET,
     DenseFn,
     _indicator_required,
     brute_force_zero_sum,
@@ -172,8 +175,9 @@ def regular_value_profile(A: DenseFn, pair: RegPair, chunk: int = 256):
         rows = translate_values(group, A.values, range(lo, hi))
         rows = (rows - a2[lo:hi, None]) * psi2[None, :]
         mags = np.abs(dft_many(group, rows))
-        cond2[lo:hi] = mags.max(axis=1)
-        worst[lo:hi] = mags.argmax(axis=1)
+        top = mags.argmax(axis=1)
+        worst[lo:hi] = top
+        cond2[lo:hi] = mags[np.arange(hi - lo), top]
     return cond1, cond2, worst
 
 
@@ -198,22 +202,6 @@ def check_regular_value(A: DenseFn, pair: RegPair, x: GroupElement | int) -> Reg
     )
 
 
-def irregular_counts(As: Sequence[DenseFn], pair: RegPair) -> list[int]:
-    eps = pair.eps
-    out = []
-    for A in As:
-        cond1, cond2, _ = regular_value_profile(A, pair)
-        out.append(int(np.count_nonzero((cond1 > eps**2) | (cond2 > eps))))
-    return out
-
-
-def is_regular_pair(As: Sequence[DenseFn], pair: RegPair) -> tuple[bool, list[int]]:
-    """True iff every tracked set has fewer than eps N irregular values."""
-    counts = irregular_counts(As, pair)
-    n = pair.group.order
-    return all(c < pair.eps * n for c in counts), counts
-
-
 def index_general(As: Sequence[DenseFn], pair: RegPair) -> tuple[list[float], float]:
     """Per-set energy N^{-1} ||A_i * psi1||_2^2 and its sum (at most k)."""
     per = []
@@ -221,6 +209,30 @@ def index_general(As: Sequence[DenseFn], pair: RegPair) -> tuple[list[float], fl
         a1 = alpha(A, pair.psi1).values
         per.append(float(np.sum(a1 * a1)) / pair.group.order)
     return per, float(sum(per))
+
+
+class _PairState:
+    """One pair evaluated against the tracked sets: profiles, counts, index."""
+
+    def __init__(self, As: Sequence[DenseFn], pair: RegPair):
+        eps = pair.eps
+        self.As, self.pair = list(As), pair
+        self.profiles = [regular_value_profile(A, pair) for A in self.As]
+        self.counts = [
+            int(np.count_nonzero((c1 > eps**2) | (c2 > eps))) for c1, c2, _ in self.profiles
+        ]
+        self.regular = all(c < eps * pair.group.order for c in self.counts)
+        self.index = index_general(self.As, pair)[1]
+
+
+def irregular_counts(As: Sequence[DenseFn], pair: RegPair) -> list[int]:
+    return _PairState(As, pair).counts
+
+
+def is_regular_pair(As: Sequence[DenseFn], pair: RegPair) -> tuple[bool, list[int]]:
+    """True iff every tracked set has fewer than eps N irregular values."""
+    state = _PairState(As, pair)
+    return state.regular, state.counts
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +332,19 @@ def branch_decision(
     }
 
 
-def _refine_pair_detailed(As: Sequence[DenseFn], pair: RegPair) -> tuple[RegPair, dict]:
-    eps, k, n = pair.eps, pair.k, pair.group.order
-    profiles = [regular_value_profile(A, pair) for A in As]
-    counts = [
-        int(np.count_nonzero((c1 > eps**2) | (c2 > eps))) for c1, c2, _ in profiles
-    ]
-    if all(c < eps * n for c in counts):
-        raise DomainMismatchError("refine_pair called on a regular pair")
+def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
+    pair, counts = state.pair, state.counts
+    eps, k = pair.eps, pair.k
+    if state.regular:
+        raise DomainMismatchError("cannot refine a regular pair")
     i = int(np.argmax(counts))
-    cond1, cond2, worst = profiles[i]
-    fail1 = int(np.count_nonzero(cond1 > eps**2))
-    fail2 = int(np.count_nonzero(cond2 > eps))
-
-    per_before, total_before = index_general(As, pair)
+    cond1, cond2, worst = state.profiles[i]
     info: dict = {
         "set": i,
         "per_set_irregular": counts,
-        "cond1_failures": fail1,
-        "cond2_failures": fail2,
-        "index_before": total_before,
+        "cond1_failures": int(np.count_nonzero(cond1 > eps**2)),
+        "cond2_failures": int(np.count_nonzero(cond2 > eps)),
+        "index_before": state.index,
         "d": pair.d,
         "eta": pair.eta,
         "eta2": pair.eta2,
@@ -360,11 +365,7 @@ def _refine_pair_detailed(As: Sequence[DenseFn], pair: RegPair) -> tuple[RegPair
         u_set = decision["escapers"]
         kappa = eps * pair.eta2 / 60.0
         _, centers = cover_by_translates(pair.group, u_set, kappa, pair.chars)
-        new_chars: list[Character] = []
-        for z in centers:
-            chi = pair.group.character_at(int(worst[z]))
-            if chi not in new_chars:
-                new_chars.append(chi)
+        new_chars = list(dict.fromkeys(pair.group.character_at(int(worst[z])) for z in centers))
         extended = pair.chars.extend(new_chars)
         new_eta = pair.const(-50) * eps**6 * pair.eta2 / (max(extended.d, 1) * k**4)
         new_pair = pair.with_state(extended, new_eta)
@@ -378,9 +379,9 @@ def _refine_pair_detailed(As: Sequence[DenseFn], pair: RegPair) -> tuple[RegPair
             )
         )
 
-    _, total_after = index_general(As, new_pair)
-    info["index_after"] = total_after
-    gain = total_after - total_before
+    new_state = _PairState(state.As, new_pair)
+    info["index_after"] = new_state.index
+    gain = new_state.index - state.index
     info["index_gain"] = gain
     target = pair.const(-10) * eps**3 / k
     info["gain_target"] = target
@@ -397,13 +398,34 @@ def _refine_pair_detailed(As: Sequence[DenseFn], pair: RegPair) -> tuple[RegPair
         and gain < target - 1e-12
     ):
         raise InternalCheckError(f"index gain {gain} below target {target}")
-    return new_pair, info
+    return new_state, info
 
 
-def refine_pair(As: Sequence[DenseFn], pair: RegPair) -> RegPair:
-    """One refinement step; raises if the pair is already regular."""
-    new_pair, _ = _refine_pair_detailed(As, pair)
-    return new_pair
+def _regularize(As: Sequence[DenseFn], start: RegPair, budget: int) -> tuple[_PairState, dict]:
+    if budget < 1:
+        raise DomainMismatchError("budget must be >= 1")
+    group = As[0].group
+    for A in As:
+        if A.group != group:
+            raise DomainMismatchError("sets on different groups")
+    state = best = _PairState(As, start)
+    steps: list[dict] = []
+    for _ in range(budget):
+        if state.regular:
+            break
+        state, info = _refine_pair_detailed(state)
+        steps.append(info)
+        if state.index >= best.index:
+            best = state
+    converged = state.regular
+    if not converged:
+        state = best
+    return state, {
+        "iterations": steps,
+        "converged": converged,
+        "budget_exhausted": not converged,
+        "final": state.pair.describe() | {"per_set_irregular": state.counts},
+    }
 
 
 def regularize(
@@ -415,44 +437,9 @@ def regularize(
     seed_chars: Sequence[Character] = (),
 ) -> tuple[RegPair, dict]:
     """Iterate refinement from the trivial pair until regular or out of budget."""
-    if budget < 1:
-        raise DomainMismatchError("budget must be >= 1")
-    group = As[0].group
-    for A in As:
-        if A.group != group:
-            raise DomainMismatchError("sets on different groups")
-    pair = trivial_pair(group, len(As), eps, mode, scale, seed_chars)
-    steps: list[dict] = []
-    best_pair, best_index = pair, index_general(As, pair)[1]
-    for _ in range(budget):
-        regular, counts = is_regular_pair(As, pair)
-        if regular:
-            trace = {
-                "iterations": steps,
-                "converged": True,
-                "budget_exhausted": False,
-                "final": pair.describe() | {"per_set_irregular": counts},
-            }
-            return pair, trace
-        pair, info = _refine_pair_detailed(As, pair)
-        steps.append(info)
-        total = info["index_after"]
-        if total >= best_index:
-            best_pair, best_index = pair, total
-    regular, counts = is_regular_pair(As, pair)
-    if regular:
-        return pair, {
-            "iterations": steps,
-            "converged": True,
-            "budget_exhausted": False,
-            "final": pair.describe() | {"per_set_irregular": counts},
-        }
-    return best_pair, {
-        "iterations": steps,
-        "converged": False,
-        "budget_exhausted": True,
-        "final": best_pair.describe() | {"per_set_irregular": counts},
-    }
+    start = trivial_pair(As[0].group, len(As), eps, mode, scale, seed_chars)
+    state, trace = _regularize(As, start, budget)
+    return state.pair, trace
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +638,19 @@ def reduced_sets(As: Sequence[DenseFn], pair: RegPair) -> list[DenseFn]:
     """
     if len(As) != pair.k:
         raise DomainMismatchError("pair was built for a different number of sets")
-    eps, k = pair.eps, pair.k
-    threshold = 4.0 * eps ** (1.0 / k)
-    out = []
     for A in As:
         _indicator_required(A)
-        cond1, cond2, _ = regular_value_profile(A, pair)
+    return _reduce(_PairState(As, pair))
+
+
+def _reduce(state: _PairState) -> list[DenseFn]:
+    eps, k = state.pair.eps, state.pair.k
+    threshold = 4.0 * eps ** (1.0 / k)
+    out = []
+    for A, (cond1, cond2, _) in zip(state.As, state.profiles):
         regular = (cond1 <= eps**2) & (cond2 <= eps)
-        a1 = alpha(A, pair.psi1).values
-        a2 = alpha(A, pair.psi2).values
+        a1 = alpha(A, state.pair.psi1).values
+        a2 = alpha(A, state.pair.psi2).values
         keep = regular & (a1 > threshold) & (a2 > threshold)
         out.append(DenseFn(A.group, A.values * keep))
     return out
@@ -733,16 +724,17 @@ def zero_sum_removal(
 
     attempts = []
     candidates = []
+    pipeline = "reduced-sets"
     for e in schedule:
-        pair, trace = regularize(As, e, budget, mode, scale)
-        reduced = reduced_sets(As, pair)
+        state, trace = _regularize(As, trivial_pair(group, k, e, mode, scale), budget)
+        pair, reduced = state.pair, _reduce(state)
         removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
         residual = exact_zero_sum_tuples(reduced)
         bound = 10.0 * k * e ** (1.0 / k) * n
         with np.errstate(over="ignore", divide="ignore"):
             eta2_power = pair.eta2 ** (pair.d * k) if pair.d else 1.0
             coupling = 3.0**k * density / eta2_power if eta2_power else math.inf
-        attempt = {
+        attempts.append({
             "eps": e,
             "converged": trace["converged"],
             "d": pair.d,
@@ -754,31 +746,24 @@ def zero_sum_removal(
             "residual_tuples": residual,
             "coupling_ratio": coupling,
             "coupling_ok": bool(coupling < e),
-        }
-        attempts.append(attempt)
+        })
         candidates.append((residual, sum(removed), e, reduced))
         if residual == 0:
-            cert = {
-                "pipeline": "reduced-sets",
-                "eps": e,
-                "initial_tuples": initial,
-                "attempts": attempts,
-                "spectral_tuples": zero_sum_count(reduced),
-            }
-            return list(reduced), removed, cert
-
-    residual, _, e, reduced = min(candidates, key=lambda c: (c[0], c[1]))
-    participation = _participation_counts(reduced)
-    first = DenseFn(group, reduced[0].values * (np.round(participation) < 0.5))
-    final = [first] + list(reduced[1:])
-    if exact_zero_sum_tuples(final) != 0:
-        raise InternalCheckError("participant deletion left a zero-sum tuple")
-    removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, final)]
+            break
+    else:
+        _, _, e, reduced = min(candidates, key=lambda c: (c[0], c[1]))
+        participation = _participation_counts(reduced)
+        first = DenseFn(group, reduced[0].values * (np.round(participation) < 0.5))
+        reduced = [first] + reduced[1:]
+        if exact_zero_sum_tuples(reduced) != 0:
+            raise InternalCheckError("participant deletion left a zero-sum tuple")
+        removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
+        pipeline += "+participant-deletion"
     cert = {
-        "pipeline": "reduced-sets+participant-deletion",
+        "pipeline": pipeline,
         "eps": e,
         "initial_tuples": initial,
         "attempts": attempts,
-        "spectral_tuples": zero_sum_count(final),
+        "spectral_tuples": zero_sum_count(reduced),
     }
-    return final, removed, cert
+    return reduced, removed, cert

@@ -206,6 +206,30 @@ class TestExitCodes:
     def test_unknown_command_is_exit_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["count", "--group", "5", "--sets", "{path}"], "1\nx\n"),
+            (["sumfree", "--n", "32", "--set", "{path}", "--eps", "0.01"], "1\n3.5\n"),
+        ],
+    )
+    def test_malformed_set_file_line_is_exit_two(self, args, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run([str(path) if a == "{path}" else a for a in args]) == 2
+        assert capsys.readouterr().err.startswith("error: bad ")
+
+    def test_non_finite_number_is_exit_two(self, workdir, capsys):
+        assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2
+
+    def test_library_value_error_is_not_exit_two(self, workdir, monkeypatch):
+        def broken(fs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("arithreg.cli.zero_sum_count", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run(["count", "--group", "5", "--sets"] + [workdir / "full5.txt"] * 3)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

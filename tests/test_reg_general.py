@@ -17,6 +17,7 @@ from arithreg.harmonic import (
 )
 from arithreg.reg_general import (
     RegPair,
+    _PairState,
     _refine_pair_detailed,
     alpha,
     branch_decision,
@@ -31,7 +32,6 @@ from arithreg.reg_general import (
     irregular_counts,
     is_regular_pair,
     reduced_sets,
-    refine_pair,
     regular_value_profile,
     regularize,
     trivial_pair,
@@ -44,6 +44,12 @@ G101 = make_group([101])
 
 def qr_set(g=G101):
     return indicator(g, sorted({(x * x) % 101 for x in range(1, 101)}))
+
+
+def refine_detailed(As, pair):
+    """(new pair, step info) from one refinement step of (As, pair)."""
+    state, info = _refine_pair_detailed(_PairState(As, pair))
+    return state.pair, info
 
 
 class TestAlpha:
@@ -266,14 +272,14 @@ class TestRefinePair:
         A = DenseFn(G101, np.array([(x // 5) % 2 == 0 for x in range(101)], dtype=float))
         fs = make_frequency_set(G101, [G101.character([1])])
         pair = RegPair(fs, 0.3, 1, 0.3, "faithful")
-        new_pair, info = _refine_pair_detailed([A], pair)
+        new_pair, info = refine_detailed([A], pair)
         assert info["branch"] == "width-shrink"
         assert new_pair.eta == pair.eta2
         assert new_pair.chars is pair.chars
 
     def test_covering_branch_adds_global_witness(self):
         pair = trivial_pair(G101, 1, 0.05)
-        new_pair, info = _refine_pair_detailed([qr_set()], pair)
+        new_pair, info = refine_detailed([qr_set()], pair)
         assert info["branch"] == "new-characters"
         assert info["witnesses"]  # the dominant character joins R
         assert new_pair.d >= 1
@@ -285,7 +291,7 @@ class TestRefinePair:
         shifted_interval = indicator(
             G101, [(x + 25) % 101 for x in bohr_set(fs, 0.15)]
         )
-        new_pair, info = _refine_pair_detailed([shifted_interval], pair)
+        new_pair, info = refine_detailed([shifted_interval], pair)
         assert info["branch"] == "aligned-witnesses"
         assert new_pair.chars is pair.chars
         assert info["witnesses"] == []
@@ -321,11 +327,11 @@ class TestRefinePair:
     def test_refine_on_regular_pair_rejected(self):
         pair = trivial_pair(G101, 1, 0.4)
         with pytest.raises(DomainMismatchError):
-            refine_pair([constant(G101, 1.0)], pair)
+            refine_detailed([constant(G101, 1.0)], pair)
 
     def test_size_and_width_bounds_reported(self):
         pair = trivial_pair(G101, 1, 0.05)
-        _, info = _refine_pair_detailed([qr_set()], pair)
+        _, info = refine_detailed([qr_set()], pair)
         assert info["size_bound_ok"]
         assert "width_bound_ok" in info
 
@@ -361,6 +367,19 @@ class TestRegularize:
         if not trace["converged"]:
             assert trace["budget_exhausted"]
             assert len(trace["iterations"]) == 2
+
+    def test_exhausted_trace_describes_the_returned_pair(self):
+        # the index rises and then falls, so the best pair is not the last one
+        g = make_group([96])
+        A = indicator(g, np.flatnonzero(np.random.default_rng(0).uniform(size=96) < 0.3))
+        As = [A]
+        pair, trace = regularize(As, 0.05, 3, mode="scaled", scale=2.0**120)
+        assert trace["budget_exhausted"]
+        gains = [step["index_gain"] for step in trace["iterations"]]
+        assert gains[1] > 0 > gains[2]
+        assert trace["final"] == pair.describe() | {
+            "per_set_irregular": irregular_counts(As, pair)
+        }
 
     def test_seed_characters_prepopulate_r(self):
         g = make_group([101])

@@ -1,0 +1,87 @@
+"""Work done per regularity step: one profile per set, one coset-spectra pass per subgroup.
+
+Each visited pair is evaluated once (k profiles) and each visited subgroup
+once (one coset-spectra pass); the regularity test, the refinement, the
+trace and the reduction all read that one evaluation.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_indicator
+
+from arithreg import reg_f2, reg_general
+from arithreg.groups import f2_parity, make_group
+from arithreg.harmonic import indicator
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"profile": 0, "coset_spectra": 0, "refine": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        reg_general, "regular_value_profile",
+        counted("profile", reg_general.regular_value_profile),
+    )
+    monkeypatch.setattr(
+        reg_general, "_refine_pair_detailed",
+        counted("refine", reg_general._refine_pair_detailed),
+    )
+    monkeypatch.setattr(
+        reg_f2, "_coset_spectra", counted("coset_spectra", reg_f2._coset_spectra)
+    )
+    return counts
+
+
+def bohr_interval(n: int, a: int):
+    """{x in Z/n : ||a x / n|| <= 1/6}."""
+    g = make_group([n])
+    return indicator(g, [x for x in range(n) if min(a * x % n, n - a * x % n) * 6 <= n])
+
+
+def coset_union(n: int, codim: int, count: int, seed: int):
+    """Union of `count` cosets of the subgroup cut out by `codim` random characters."""
+    g = make_group([2] * n)
+    rng = np.random.default_rng(seed)
+    masks = np.arange(g.order)
+    chars = rng.integers(1, g.order, size=codim)
+    labels = sum(f2_parity(masks & int(c)) << j for j, c in enumerate(chars))
+    chosen = rng.choice(1 << codim, size=count, replace=False)
+    return indicator(g, list(np.flatnonzero(np.isin(labels, chosen))))
+
+
+def test_regularize_one_step_on_z2049(calls):
+    pair, trace = reg_general.regularize([bohr_interval(2049, 2)], 0.1, 64)
+    assert trace["converged"] and len(trace["iterations"]) == 1
+    assert calls["profile"] == 1 * (1 + 1)
+
+
+def test_regularize_counts_k_times_steps_plus_one(calls, rng):
+    g = make_group([101])
+    As = [random_indicator(g, rng, density=0.4) for _ in range(2)]
+    for eps, budget in ((0.05, 64), (0.05, 2), (0.3, 8)):
+        calls["profile"] = 0
+        _, trace = reg_general.regularize(As, eps, budget, mode="scaled", scale=2.0**40)
+        assert calls["profile"] == len(As) * (len(trace["iterations"]) + 1)
+
+
+def test_zero_sum_removal_counts_include_the_reduce(calls, rng):
+    g = make_group([101])
+    As = [random_indicator(g, rng, density=0.4) for _ in range(3)]
+    _, _, cert = reg_general.zero_sum_removal(As, 0.1, budget=8)
+    attempts = len(cert["attempts"])
+    assert calls["refine"] > 0
+    assert calls["profile"] == len(As) * (calls["refine"] + attempts)
+
+
+def test_regularize_f2_one_pass_per_subgroup(calls):
+    rep = reg_f2.regularize_f2(coset_union(14, 4, 6, seed=1), 0.1)
+    assert rep.iterations == 4
+    assert calls["coset_spectra"] == rep.iterations + 1
