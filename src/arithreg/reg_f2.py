@@ -26,6 +26,7 @@ from .harmonic import (
     wht_last_axis,
     zero_sum_count,
 )
+from .reg_general import _removal_route, _strip_participants
 
 
 def _require_f2(group: GroupSpec) -> int:
@@ -272,61 +273,37 @@ def remove_triangles_f2(
     """Remove elements until no zero-sum triple remains, reporting the route.
 
     Each schedule entry runs regularize + reduce and checks the survivor
-    exactly.  If no entry certifies triangle-freeness through the counting
-    argument, one further pass deletes every element still participating in
-    a triangle of the best candidate (a single pass suffices: any surviving
-    triple would have been a triangle among survivors already).
+    exactly; if none certifies triangle-freeness, every element still in a
+    triangle of the best candidate is deleted (`reg_general._removal_route`).
     """
     _indicator_required(A)
     if eps_schedule is None:
-        schedule = [0.02, 0.05, 0.1, 0.2, 0.3, 0.45]
-    elif isinstance(eps_schedule, float):
-        schedule = [eps_schedule]
-    else:
-        schedule = list(eps_schedule)
-
+        eps_schedule = [0.02, 0.05, 0.1, 0.2, 0.3, 0.45]
+    schedule = [eps_schedule] if isinstance(eps_schedule, float) else list(eps_schedule)
     n_total = A.group.order
-    attempts = []
-    candidates = []
-    pipeline = "reduced-set"
-    for eps in schedule:
+
+    def attempt(eps: float):
         rep = regularize_f2(A, eps)
         reduced = reduced_set_f2(A, rep.subgroup, eps)
         removed = int(A.values.sum() - reduced.values.sum())
         triangles = triangle_count_exact(reduced)
         bound = 3.0 * eps ** (1.0 / 3.0) * n_total
-        attempts.append(
-            {
-                "eps": eps,
-                "subgroup_dim": rep.subgroup.dim,
-                "iterations": rep.iterations,
-                "removed": removed,
-                "removal_bound": bound,
-                "removal_bound_ok": removed <= bound,
-                "residual_triangles": triangles,
-            }
-        )
-        candidates.append((triangles, removed, eps, reduced))
-        if triangles == 0:
-            break
-    else:
-        _, _, eps, reduced = min(candidates, key=lambda c: (c[0], c[1]))
-        supp = support(reduced)
-        pair_sums = np.bitwise_xor.outer(supp, supp)
-        participation = np.zeros(n_total)
-        np.add.at(participation, supp, reduced.values[pair_sums].sum(axis=1))
-        reduced = DenseFn(A.group, reduced.values * (participation == 0))
-        removed = int(A.values.sum() - reduced.values.sum())
-        if triangle_count_exact(reduced) != 0:
-            raise InternalCheckError("participant deletion left a triangle")
-        bound = 3.0 * eps ** (1.0 / 3.0) * n_total
-        pipeline += "+participant-deletion"
-    cert = {
-        "pipeline": pipeline,
-        "eps": eps,
-        "attempts": attempts,
+        return {
+            "eps": eps,
+            "subgroup_dim": rep.subgroup.dim,
+            "iterations": rep.iterations,
+            "removed": removed,
+            "removal_bound": bound,
+            "removal_bound_ok": removed <= bound,
+            "residual_triangles": triangles,
+        }, reduced, (triangles, removed)
+
+    reduced, cert = _removal_route("reduced-set", schedule, attempt, triangle_count_exact,
+                                   lambda B: _strip_participants([B, B, B]))
+    removed = int(A.values.sum() - reduced.values.sum())
+    cert |= {
         "spectral_triangles": triangle_count_spectral(reduced),
         "exact_triangles": 0,
-        "removal_bound_ok": removed <= bound,
+        "removal_bound_ok": removed <= 3.0 * cert["eps"] ** (1.0 / 3.0) * n_total,
     }
     return reduced, removed, cert

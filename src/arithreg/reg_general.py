@@ -8,8 +8,8 @@ has a small Fourier sup-norm (condition 2).  Refinement either shrinks the
 width or adjoins witness characters, and drives up a bounded L2 energy, so
 the iteration terminates.  Each visited pair is evaluated once (every set's
 profile, irregular count and the index): the regularity test, refinement,
-trace and reduction all read that state, so k sets and s steps cost k(s+1)
-profiles.  Out of budget, the pair of highest index is returned and described.
+trace and reduction all read that state, so k distinct set objects and s steps
+cost k(s+1) profiles.  Out of budget, the pair of highest index is returned.
 
 Faithful mode uses the constants verbatim, under which the narrow cutoff
 collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set, norm_le_mask
-from .errors import DomainMismatchError, InternalCheckError
+from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError
 from .groups import (
     BRUTE_FORCE_BUDGET,
     Character,
@@ -49,6 +49,7 @@ from .reports import IneqReport
 
 FAITHFUL = "faithful"
 SCALED = "scaled"
+_PROFILE_CHUNK = 256  # translate rows per transform block in regular_value_profile
 
 
 class RegPair:
@@ -150,7 +151,7 @@ class RegValueWitness:
     regular: bool
 
 
-def regular_value_profile(A: DenseFn, pair: RegPair, chunk: int = 256):
+def regular_value_profile(A: DenseFn, pair: RegPair):
     """(cond1, cond2, worst char index) for every x at once.
 
     cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y), expanded through
@@ -170,8 +171,8 @@ def regular_value_profile(A: DenseFn, pair: RegPair, chunk: int = 256):
     psi2 = pair.psi2.psi.values
     cond2 = np.zeros(n)
     worst = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo in range(0, n, _PROFILE_CHUNK):
+        hi = min(n, lo + _PROFILE_CHUNK)
         rows = translate_values(group, A.values, range(lo, hi))
         rows = (rows - a2[lo:hi, None]) * psi2[None, :]
         mags = np.abs(dft_many(group, rows))
@@ -217,7 +218,9 @@ class _PairState:
     def __init__(self, As: Sequence[DenseFn], pair: RegPair):
         eps = pair.eps
         self.As, self.pair = list(As), pair
-        self.profiles = [regular_value_profile(A, pair) for A in self.As]
+        distinct = {id(A): A for A in self.As}
+        profiles = {key: regular_value_profile(A, pair) for key, A in distinct.items()}
+        self.profiles = [profiles[id(A)] for A in self.As]
         self.counts = [
             int(np.count_nonzero((c1 > eps**2) | (c2 > eps))) for c1, c2, _ in self.profiles
         ]
@@ -283,7 +286,7 @@ def cover_by_translates(
     covered = u_idx.size - int(remaining.sum())
     if covered < target:
         raise InternalCheckError("cover fell below half of U")
-    if kappa <= 2.0 and len(pieces) > (2.0 / kappa) ** R.d:
+    if kappa <= 2.0 and len(pieces) > _safe_pow(2.0 / kappa, R.d):
         raise InternalCheckError("piece count exceeded (2/kappa)^d")
     return pieces, centers
 
@@ -674,23 +677,62 @@ def check_low_density_count(A: DenseFn, cutoff: BohrCutoff, rho: float) -> IneqR
 
 
 def exact_zero_sum_tuples(As: Sequence[DenseFn]) -> int:
-    """Exact integer count of zero-sum tuples across indicator sets."""
+    """Exact integer count of zero-sum tuples across indicator sets.
+
+    Up to BRUTE_FORCE_BUDGET terms the literal sum is added; above it the
+    spectral count is rounded, checked against a worst-case float64 error of
+    32 k log2(N) 2^-53 N^(k-1) for k transforms of 0/1 rows, their products
+    and the sum (FFT error bounds: Schatzman 1996, Percival 2003).
+    """
     for A in As:
         _indicator_required(A)
-    group = As[0].group
-    k = len(As)
-    if group.order ** (k - 1) <= BRUTE_FORCE_BUDGET:
+    n, k = As[0].group.order, len(As)
+    if n ** (k - 1) <= BRUTE_FORCE_BUDGET:
         return round(brute_force_zero_sum(As))
-    return round(zero_sum_count(As))
+    bound = 32 * k * math.log2(n) * 2.0**-53 * float(n) ** (k - 1)
+    if bound >= 0.5:
+        raise ResourceBudgetError(f"spectral count error bound {bound} leaves no exact integer")
+    value = zero_sum_count(As)
+    if abs(value - round(value)) > bound:
+        raise InternalCheckError(f"spectral count {value} is off an integer by more than {bound}")
+    return round(value)
 
 
-def _participation_counts(As: Sequence[DenseFn]) -> np.ndarray:
-    """Number of zero-sum completions per first-coordinate value."""
-    group = As[0].group
+def _strip_participants(As: Sequence[DenseFn]) -> DenseFn:
+    """As[0] less every x in a zero-sum tuple: (As[1] * ... * As[k-1])(-x) > 0.
+
+    Exact on (Z/2)^n, where the butterflies only add, subtract and scale by 2^-r.
+    """
     conv = As[1]
     for A in As[2:]:
         conv = convolve(conv, A)
-    return conv.values[neg_index(group)]
+    completions = conv.values[neg_index(As[0].group)]
+    return DenseFn(As[0].group, As[0].values * (np.round(completions) < 0.5))
+
+
+def _removal_route(pipeline: str, schedule: Sequence[float], attempt, count, strip) -> tuple:
+    """The schedule walk shared by triangle and zero-sum removal.
+
+    attempt(eps) regularizes, reduces and counts exactly, giving (record,
+    survivors, (residual, removed)); the first zero residual wins.  Else strip
+    clears every element still in a tuple from the candidate with the fewest
+    (residual, removed), in one pass (a tuple left was a tuple before), and
+    count re-checks it.  Returns (survivors, certificate head).
+    """
+    attempts, candidates = [], []
+    for eps in schedule:
+        record, survivors, key = attempt(eps)
+        attempts.append(record)
+        candidates.append((key, eps, survivors))
+        if key[0] == 0:
+            break
+    else:
+        _, eps, survivors = min(candidates, key=lambda c: c[0])
+        survivors = strip(survivors)
+        if count(survivors) != 0:
+            raise InternalCheckError("participant deletion left a zero-sum tuple")
+        pipeline += "+participant-deletion"
+    return survivors, {"pipeline": pipeline, "eps": eps, "attempts": attempts}
 
 
 def zero_sum_removal(
@@ -714,18 +756,12 @@ def zero_sum_removal(
     k = len(As)
     if k < 3:
         raise DomainMismatchError("zero-sum removal needs k >= 3 sets")
-    for A in As:
-        _indicator_required(A)
     group = As[0].group
     n = group.order
     initial = exact_zero_sum_tuples(As)
     density = initial / n ** (k - 1)
-    schedule = list(eps_schedule) if eps_schedule else [eps, 0.2, 0.3, 0.45, 0.8, 1.5]
 
-    attempts = []
-    candidates = []
-    pipeline = "reduced-sets"
-    for e in schedule:
+    def attempt(e: float):
         state, trace = _regularize(As, trivial_pair(group, k, e, mode, scale), budget)
         pair, reduced = state.pair, _reduce(state)
         removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
@@ -734,7 +770,7 @@ def zero_sum_removal(
         with np.errstate(over="ignore", divide="ignore"):
             eta2_power = pair.eta2 ** (pair.d * k) if pair.d else 1.0
             coupling = 3.0**k * density / eta2_power if eta2_power else math.inf
-        attempts.append({
+        return {
             "eps": e,
             "converged": trace["converged"],
             "d": pair.d,
@@ -746,24 +782,11 @@ def zero_sum_removal(
             "residual_tuples": residual,
             "coupling_ratio": coupling,
             "coupling_ok": bool(coupling < e),
-        })
-        candidates.append((residual, sum(removed), e, reduced))
-        if residual == 0:
-            break
-    else:
-        _, _, e, reduced = min(candidates, key=lambda c: (c[0], c[1]))
-        participation = _participation_counts(reduced)
-        first = DenseFn(group, reduced[0].values * (np.round(participation) < 0.5))
-        reduced = [first] + reduced[1:]
-        if exact_zero_sum_tuples(reduced) != 0:
-            raise InternalCheckError("participant deletion left a zero-sum tuple")
-        removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
-        pipeline += "+participant-deletion"
-    cert = {
-        "pipeline": pipeline,
-        "eps": e,
-        "initial_tuples": initial,
-        "attempts": attempts,
-        "spectral_tuples": zero_sum_count(reduced),
-    }
+        }, reduced, (residual, sum(removed))
+
+    schedule = list(eps_schedule) if eps_schedule else [eps, 0.2, 0.3, 0.45, 0.8, 1.5]
+    reduced, cert = _removal_route("reduced-sets", schedule, attempt, exact_zero_sum_tuples,
+                                   lambda Bs: [_strip_participants(Bs)] + Bs[1:])
+    removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
+    cert |= {"initial_tuples": initial, "spectral_tuples": zero_sum_count(reduced)}
     return reduced, removed, cert

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from arithreg.cli import main
@@ -106,6 +107,21 @@ class TestCommands:
             "--sets", workdir / "a.txt", workdir / "b.txt", workdir / "c.txt",
             "--eps", "0.1", "--out", out,
         ])
+        assert rc == 0
+        rep = load(out)["report"]
+        assert rep["mode"] == "zero-sum"
+        assert rep["certificate"]["attempts"][-1]["residual_tuples"] == 0
+
+    def test_remove_zero_sum_on_f2_with_tiny_cover_radius(self, workdir):
+        # kappa is tiny here, so the covering bound (2/kappa)^d is past the float range
+        g7 = make_group([2] * 7)
+        paths = []
+        for seed in range(3):
+            draw = np.random.default_rng(seed).uniform(size=128) < 0.4
+            paths.append(workdir / f"s{seed}.txt")
+            save_set(g7, np.flatnonzero(draw).tolist(), paths[-1])
+        out = workdir / "rm7.json"
+        rc = run(["remove", "--group", "2^7", "--sets", *paths, "--eps", "0.1", "--out", out])
         assert rc == 0
         rep = load(out)["report"]
         assert rep["mode"] == "zero-sum"

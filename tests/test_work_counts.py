@@ -1,8 +1,8 @@
 """Work done per regularity step: one profile per set, one coset-spectra pass per subgroup.
 
-Each visited pair is evaluated once (k profiles) and each visited subgroup
-once (one coset-spectra pass); the regularity test, the refinement, the
-trace and the reduction all read that one evaluation.
+Each visited pair is evaluated once (one profile per distinct set object) and
+each visited subgroup once (one coset-spectra pass); the regularity test, the
+refinement, the trace and the reduction all read that one evaluation.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from conftest import random_indicator
 
 from arithreg import reg_f2, reg_general
+from arithreg.applications import make_integer_set, sum_free_decompose
 from arithreg.groups import f2_parity, make_group
 from arithreg.harmonic import indicator
 
@@ -85,3 +86,18 @@ def test_regularize_f2_one_pass_per_subgroup(calls):
     rep = reg_f2.regularize_f2(coset_union(14, 4, 6, seed=1), 0.1)
     assert rep.iterations == 4
     assert calls["coset_spectra"] == rep.iterations + 1
+
+
+def test_a_repeated_set_is_profiled_once_per_state(calls, rng):
+    g = make_group([101])
+    A, B = (random_indicator(g, rng, density=0.4) for _ in range(2))
+    _, _, cert = reg_general.zero_sum_removal([A, A, B], 0.05, budget=8)
+    assert calls["refine"] > 0
+    assert calls["profile"] == 2 * (calls["refine"] + len(cert["attempts"]))
+
+
+def test_sum_free_decompose_profiles_two_distinct_sets(calls, rng):
+    members = (np.flatnonzero(rng.uniform(size=256) < 0.3) + 1).tolist()
+    _, _, cert = sum_free_decompose(make_integer_set(256, members), 0.05)
+    states = calls["refine"] + len(cert["attempts"])
+    assert calls["profile"] == 2 * states
