@@ -12,10 +12,11 @@ Example:
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arithreg.bohr import (  # noqa: E402
     check_cutoff_property,

@@ -12,10 +12,11 @@ Example:
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arithreg.groups import make_group  # noqa: E402
 from arithreg.harmonic import DenseFn  # noqa: E402

@@ -22,6 +22,7 @@ from .errors import (
     UsageError,
 )
 from .groups import (
+    DUAL_SWEEP_MAX_DIM,
     F2Subgroup,
     GroupElement,
     GroupSpec,
@@ -189,8 +190,8 @@ def nu_weight(pair: RegPair) -> DenseFn:
         raise DomainMismatchError("the halved cutoff needs odd group order")
     n = group.order
     s = pair.psi1.psi_sqrt.values
-    halved = np.clip(pair.psi2.psi.values, 0.0, None)[_twice_index(group)]
     twice = _twice_index(group)
+    halved = np.clip(pair.psi2.psi.values, 0.0, None)[twice]
     out = np.zeros(n)
     for d in range(n):
         row = translate_indices(group, d)
@@ -225,7 +226,6 @@ def sum_free_decompose(
     mode: str = "scaled",
     scale: float = 1.0,
     budget: int = 64,
-    eps_schedule: "list[float] | None" = None,
 ) -> tuple[IntegerSet, IntegerSet, dict]:
     """Split A into a sum-free part B and a removed part C.
 
@@ -238,8 +238,7 @@ def sum_free_decompose(
     a_bar = indicator(group, list(A.members))
     a_neg = indicator(group, [(2 * n - m) % (2 * n) for m in A.members])
     survivors, removed, cert = zero_sum_removal(
-        [a_bar, a_bar, a_neg], eps, mode=mode, scale=scale,
-        budget=budget, eps_schedule=eps_schedule,
+        [a_bar, a_bar, a_neg], eps, mode=mode, scale=scale, budget=budget
     )
     s1, s2, s3 = survivors
     b_members = [
@@ -295,9 +294,7 @@ def _verify_spanning(masks: np.ndarray, f_dim: int, m: int) -> bool:
     return bool(np.max(zero_counts[1:]) < need) if f_dim > 0 else True
 
 
-def spanning_family(
-    m: int, seed: int, verify_budget: int = 24, retries: int = 64
-) -> np.ndarray:
+def spanning_family(m: int, seed: int, retries: int = 64) -> np.ndarray:
     """m nonzero vectors in F2^{growth_step(m)}, no 95% of which fit under a hyperplane.
 
     Below m = 20 a basis is returned (the only qualifying subset is the full
@@ -305,9 +302,9 @@ def spanning_family(
     verified exhaustively over all nonzero duals.
     """
     f_dim = growth_step(m)
-    if f_dim > verify_budget:
+    if f_dim > DUAL_SWEEP_MAX_DIM:
         raise ResourceBudgetError(
-            f"exhaustive dual sweep needs 2^{f_dim} > 2^{verify_budget} checks"
+            f"exhaustive dual sweep needs 2^{f_dim} > 2^{DUAL_SWEEP_MAX_DIM} checks"
         )
     if m <= 19:
         masks = np.array([1 << (f_dim - 1 - j) for j in range(m)], dtype=np.int64)
@@ -351,9 +348,7 @@ def _low_bits_subgroup(n: int, dim: int) -> F2Subgroup:
     return F2Subgroup(n, tuple(1 << (dim - 1 - j) for j in range(dim)))
 
 
-def build_tower_function(
-    n: int, s: int, seed: int, verify_budget: int = 24
-) -> tuple[TowerSpec, DenseFn]:
+def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]:
     """Construct the layered half-density sets and their weighted sum.
 
     Level i is built when its block of growth_step(2^{c_i}) coordinates fits
@@ -383,9 +378,9 @@ def build_tower_function(
         c_i = sum(dims[: i + 1])
         m = 1 << c_i
         next_dim = growth_step(m)
-        if c_i + next_dim > n or next_dim > verify_budget:
+        if c_i + next_dim > n or next_dim > DUAL_SWEEP_MAX_DIM:
             break
-        family = spanning_family(m, seed + i, verify_budget=verify_budget)
+        family = spanning_family(m, seed + i)
         shift = n - c_i - next_dim
         full_masks = family << shift
         x = np.arange(order, dtype=np.int64)

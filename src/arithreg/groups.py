@@ -25,8 +25,9 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 DEFAULT_MAX_ORDER = 1 << 24  # enumeration guard, unless ARITHREG_MAX_N is set
 ADD_TABLE_MAX_ORDER = 2048  # cached dense N x N addition table
 CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
-BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) terms of the literal zero-sum sum
+BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) terms of the literal zero-sum oracle
 COUNT_CROSSCHECK_BUDGET = 2_000_000  # `count` adds the brute-force sum up to this
+DUAL_SWEEP_MAX_DIM = 24  # spanning families are checked against all 2^d duals
 
 
 def max_enumerable_order() -> int:

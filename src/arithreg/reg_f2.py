@@ -22,11 +22,10 @@ from .harmonic import (
     DenseFn,
     Spectrum,
     _indicator_required,
-    support,
     wht_last_axis,
     zero_sum_count,
 )
-from .reg_general import _removal_route, _strip_participants
+from .reg_general import _removal_route, _strip_participants, exact_zero_sum_tuples
 
 
 def _require_f2(group: GroupSpec) -> int:
@@ -252,15 +251,10 @@ def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:
 def triangle_count_exact(A: DenseFn) -> int:
     """Exact integer count of ordered triples (x, y, z) in A^3 with x+y+z = 0.
 
-    Literal double loop over the support; z = x ^ y is forced.
+    The checked spectral rounding of `reg_general.exact_zero_sum_tuples`.
     """
-    _indicator_required(A)
     _require_f2(A.group)
-    supp = support(A)
-    if supp.size == 0:
-        return 0
-    pair_sums = np.bitwise_xor.outer(supp, supp)
-    return int(A.values[pair_sums].sum())
+    return exact_zero_sum_tuples([A, A, A])
 
 
 def triangle_count_spectral(A: DenseFn) -> float:

@@ -28,7 +28,6 @@ import numpy as np
 from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set, norm_le_mask
 from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError
 from .groups import (
-    BRUTE_FORCE_BUDGET,
     Character,
     GroupElement,
     GroupSpec,
@@ -39,7 +38,6 @@ from .groups import (
 from .harmonic import (
     DenseFn,
     _indicator_required,
-    brute_force_zero_sum,
     convolve,
     dft,
     dft_many,
@@ -679,16 +677,14 @@ def check_low_density_count(A: DenseFn, cutoff: BohrCutoff, rho: float) -> IneqR
 def exact_zero_sum_tuples(As: Sequence[DenseFn]) -> int:
     """Exact integer count of zero-sum tuples across indicator sets.
 
-    Up to BRUTE_FORCE_BUDGET terms the literal sum is added; above it the
-    spectral count is rounded, checked against a worst-case float64 error of
-    32 k log2(N) 2^-53 N^(k-1) for k transforms of 0/1 rows, their products
-    and the sum (FFT error bounds: Schatzman 1996, Percival 2003).
+    The spectral count is rounded and checked against a worst-case float64
+    error of 32 k log2(N) 2^-53 N^(k-1) for k transforms of 0/1 rows, their
+    products and the sum (FFT error bounds: Schatzman 1996, Percival 2003).
+    Where that bound reaches 1/2 no rounding is exact: ResourceBudgetError.
     """
     for A in As:
         _indicator_required(A)
     n, k = As[0].group.order, len(As)
-    if n ** (k - 1) <= BRUTE_FORCE_BUDGET:
-        return round(brute_force_zero_sum(As))
     bound = 32 * k * math.log2(n) * 2.0**-53 * float(n) ** (k - 1)
     if bound >= 0.5:
         raise ResourceBudgetError(f"spectral count error bound {bound} leaves no exact integer")

@@ -2,9 +2,11 @@
 
 The participant-deletion fallback is forced with one-entry schedules and
 pinned element by element against a brute-force participant oracle; the
-exact zero-sum count is pinned across its switch from the literal sum to the
-checked spectral rounding.
+exact zero-sum count (one checked spectral rounding at every size) is pinned
+to the literal sum on the shapes it used to be served by.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,3 +104,39 @@ class TestExactCount:
         g = make_group([2] * 12)
         with pytest.raises(ResourceBudgetError):
             exact_zero_sum_tuples([indicator(g, [1, 2])] * 8)
+
+    @pytest.mark.parametrize(
+        "factors, k, density",
+        [
+            ([2] * 12, 3, 0.3),
+            ([2] * 8 + [3], 3, 0.3),
+            ([2] * 3 + [7] + [2] * 2, 3, 0.3),
+            ([1009], 3, 0.3),
+            ([3] * 5, 4, 0.2),
+            ([31], 5, 0.4),
+            ([2] * 3 + [7] + [2] * 2, 3, 0.0),
+            ([1009], 3, 1.0),
+        ],
+        ids=["2^12", "2^8x3", "2^3x7x2^2", "1009", "3^5-k4", "31-k5", "empty", "full"],
+    )
+    def test_spectral_count_matches_the_literal_sum(self, factors, k, density):
+        g = make_group(factors)
+        rng = np.random.default_rng(len(factors) * 100 + k)
+        As = [random_indicator(g, rng, density=density) for _ in range(k)]
+        assert exact_zero_sum_tuples(As) == round(brute_force_zero_sum(As))
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_triangle_count_matches_the_literal_sum(self, n):
+        A = random_indicator(make_group([2] * n), np.random.default_rng(n), density=0.3)
+        assert triangle_count_exact(A) == round(brute_force_zero_sum([A] * 3))
+
+    def test_triangle_count_memory_stays_linear(self):
+        # (Z/2)^13 at density 0.5: any |A|^2 array would take about 135 MB
+        A = random_indicator(make_group([2] * 13), np.random.default_rng(0), density=0.5)
+        tracemalloc.start()
+        try:
+            triangle_count_exact(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

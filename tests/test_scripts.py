@@ -1,6 +1,7 @@
 """The experiment scripts run at tiny sizes and print one parseable JSON report."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> dict:
-    # the scripts put ./src on the path, so they run from the repository root
+def run_script(name: str, *args: str, cwd: Path = ROOT, env: dict | None = None) -> dict:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -37,3 +37,11 @@ def test_removal_experiment_names_a_known_pipeline():
 )
 def test_survey_scripts_report_rows(name, args, rows):
     assert len(run_script(name, *args)["rows"]) == rows
+
+
+def test_scripts_find_the_package_from_any_directory(tmp_path):
+    # the scripts put the repository's src/ on the path themselves
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    report = run_script("progression_witness_sweep.py", "--n", "31", "--densities", "0.3",
+                        cwd=tmp_path, env=env)
+    assert len(report["rows"]) == 1
