@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from arithreg.applications import ap3_table, bhk_witness_group, nu_mass_identity  # noqa: E402
+from arithreg.applications import bhk_witness_group, nu_mass_identity  # noqa: E402
 from arithreg.groups import make_group  # noqa: E402
 from arithreg.harmonic import DenseFn  # noqa: E402
 from arithreg.reg_general import trivial_pair  # noqa: E402
@@ -40,7 +40,6 @@ def main() -> int:
     for density in args.densities:
         A = DenseFn(group, (rng.uniform(size=args.n) < density).astype(float))
         w = bhk_witness_group(A, args.eps)
-        table = ap3_table(A)
         rows.append(
             {
                 "density": density,
@@ -49,7 +48,7 @@ def main() -> int:
                 "best_count": w.count,
                 "target": w.bound,
                 "target_met": w.bound_ok,
-                "mean_over_d": float(table[1:].mean()),
+                "mean_over_d": float(w.table[1:].mean()),
             }
         )
     nu_total, t_value = nu_mass_identity(trivial_pair(group, 3, args.eps))

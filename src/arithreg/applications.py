@@ -29,7 +29,7 @@ from .groups import (
     coords_table,
     f2_parity,
     ravel_coords,
-    translate_indices,
+    translate_blocks,
 )
 from .harmonic import DenseFn, indicator, wht_last_axis, zero_sum_count
 from .reg_general import RegPair, zero_sum_removal
@@ -85,23 +85,23 @@ def ap3_count(A: "DenseFn | IntegerSet", d: "GroupElement | int") -> int:
         step = int(d)
         mem = set(A.members)
         return sum(1 for x in A.members if x + step in mem and x + 2 * step in mem)
-    group = A.group
-    idx = d.index if isinstance(d, GroupElement) else int(d)
-    return int(round(_ap3_row(A, idx, _twice_index(group))))
+    idx = (d.index if isinstance(d, GroupElement) else int(d)) % A.group.order
+    return int(round(_progression_sums(A.group, A.values, A.values, A.values, [idx])[0]))
 
 
-def _ap3_row(A: DenseFn, d_idx: int, twice: np.ndarray) -> float:
-    group = A.group
-    row = translate_indices(group, d_idx)
-    row2 = translate_indices(group, int(twice[d_idx]))
-    return float(np.sum(A.values * A.values[row] * A.values[row2]))
+def _progression_sums(group: GroupSpec, f, g, h, ds: Sequence[int]) -> np.ndarray:
+    """sum_y f(y) g(y + d) h(y + 2d) for each d in ds, over blocks of translate rows."""
+    out = np.zeros(len(ds))
+    twice = _twice_index(group)[ds]
+    blocks = zip(translate_blocks(group, g, ds), translate_blocks(group, h, twice))
+    for (lo, hi, g_rows), (_, _, h_rows) in blocks:
+        out[lo:hi] = np.sum(f * g_rows * h_rows, axis=1)
+    return out
 
 
 def ap3_table(A: DenseFn) -> np.ndarray:
     """P(A; d) for every d, as exact integers (float array)."""
-    group = A.group
-    twice = _twice_index(group)
-    return np.array([_ap3_row(A, d, twice) for d in range(group.order)])
+    return _progression_sums(A.group, A.values, A.values, A.values, range(A.group.order))
 
 
 @dataclass
@@ -112,13 +112,15 @@ class BhkGroupWitness:
     bound: float
     bound_ok: bool
     n: int
+    table: np.ndarray = field(repr=False, compare=False)  # ap3_table(A)
 
 
 def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
     """Best nonzero common difference for three-term progressions in A.
 
     Exhaustive over all d; the returned count is compared against
-    (alpha^3 - eps) N.  Odd group order is required (2 must be invertible).
+    (alpha^3 - eps) N, and the full ap3_table rides along.  Odd group order
+    is required (2 must be invertible).
     """
     group = A.group
     if group.order % 2 == 0:
@@ -135,6 +137,7 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
         bound=bound,
         bound_ok=bool(table[d] >= bound),
         n=n,
+        table=table,
     )
 
 
@@ -188,26 +191,23 @@ def nu_weight(pair: RegPair) -> DenseFn:
     group = pair.group
     if group.order % 2 == 0:
         raise DomainMismatchError("the halved cutoff needs odd group order")
-    n = group.order
     s = pair.psi1.psi_sqrt.values
-    twice = _twice_index(group)
-    halved = np.clip(pair.psi2.psi.values, 0.0, None)[twice]
-    out = np.zeros(n)
-    for d in range(n):
-        row = translate_indices(group, d)
-        row2 = translate_indices(group, int(twice[d]))
-        out[d] = float(np.sum(s * halved[row] * s[row2]))
+    halved = np.clip(pair.psi2.psi.values, 0.0, None)[_twice_index(group)]
+    out = _progression_sums(group, s, halved, s, range(group.order))
     total = float(out.sum())
     if total > 1.0 + 8.0 * pair.eps + 1e-9:
         raise InternalCheckError(f"nu mass {total} exceeds 1 + 8 eps")
     return DenseFn(group, out)
 
 
+def nu_mass_spectral(pair: RegPair) -> float:
+    """T(psi1^(1/2), psi2, psi1^(1/2)), the spectral value of sum_d nu(d)."""
+    return zero_sum_count([pair.psi1.psi_sqrt, pair.psi2.psi, pair.psi1.psi_sqrt])
+
+
 def nu_mass_identity(pair: RegPair) -> tuple[float, float]:
     """(sum_d nu(d), T(psi1^(1/2), psi2, psi1^(1/2))) for cross-checking."""
-    nu = nu_weight(pair)
-    t_val = zero_sum_count([pair.psi1.psi_sqrt, pair.psi2.psi, pair.psi1.psi_sqrt])
-    return float(nu.values.sum()), t_val
+    return float(nu_weight(pair).values.sum()), nu_mass_spectral(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .groups import (
     char_values,
     check_enumerable,
     neg_index,
-    translate_indices,
+    translate_blocks,
 )
 from .harmonic import DenseFn, convolve, dft
 from .reports import IneqReport
@@ -116,7 +116,8 @@ def smoothed_indicator(fs: FrequencySet, delta: float) -> DenseFn:
     """Unnormalized smoothed neighbourhood exp(-||x||_Gamma / delta)."""
     if delta <= 0:
         raise DomainMismatchError("width must be positive")
-    return DenseFn(fs.group, np.exp(-norm_values(fs) / delta))
+    with np.errstate(over="ignore"):  # an underflowed delta sends ||x|| / delta to inf
+        return DenseFn(fs.group, np.exp(-norm_values(fs) / delta))
 
 
 def smoothed_beta(fs: FrequencySet, delta: float) -> DenseFn:
@@ -235,12 +236,6 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
     )
 
 
-def _shifted_values(f: DenseFn, y_index: int) -> np.ndarray:
-    """Array of f(x - y) over x."""
-    row = translate_indices(f.group, int(neg_index(f.group)[y_index]))
-    return f.values[row]
-
-
 def _pointwise_excess(diff_abs: np.ndarray, coeff: np.ndarray, base: np.ndarray) -> float:
     """max over points of |diff| - coeff * base, with 0 * inf read as +inf.
 
@@ -344,10 +339,10 @@ def check_cutoff_property(
     if part == "v":
         sinh_coeffs = _sinh_coeffs(gamma, delta)
         worst = -math.inf
-        psi = cutoff.psi
-        for y in range(n):
-            diff = np.abs(psi.values - _shifted_values(psi, y))
-            worst = max(worst, _pointwise_excess(diff, sinh_coeffs[y], psi.values))
+        psi = cutoff.psi.values
+        for lo, hi, shifted in translate_blocks(group, psi, neg_index(group)):
+            diff = np.abs(psi - shifted)  # row y: |psi(x) - psi(x - y)| over x
+            worst = max(worst, _pointwise_excess(diff, sinh_coeffs[lo:hi, None], psi))
         return IneqReport(part, lhs=worst, rhs=0.0, holds=worst <= 1e-12,
                           details={**base_details, "max_excess": worst})
 

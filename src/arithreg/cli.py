@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .applications import (
     IntegerSet,
-    ap3_table,
     bhk_witness_group,
     bhk_witness_interval,
     build_tower_function,
-    nu_mass_identity,
+    nu_mass_spectral,
     nu_weight,
     sum_free_decompose,
     tower_sequence,
@@ -242,13 +241,11 @@ def cmd_bhk(args) -> dict:
     }
     pair = trivial_pair(group, 3, args.eps)
     nu = nu_weight(pair)
-    table = ap3_table(A)
-    total, t_value = nu_mass_identity(pair)
     out["nu_path"] = {
-        "sum_p_nu": float(np.sum(table * nu.values)),
+        "sum_p_nu": float(np.sum(w.table * nu.values)),
         "alpha_cubed_n": w.alpha**3 * group.order,
-        "nu_mass": total,
-        "nu_mass_spectral": t_value,
+        "nu_mass": float(nu.values.sum()),
+        "nu_mass_spectral": nu_mass_spectral(pair),
         "nu_mass_bound": 1.0 + 8.0 * args.eps,
     }
     return out

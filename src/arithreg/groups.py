@@ -23,7 +23,7 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 
 # Resource limits: every size check in the package reads its bound here.
 DEFAULT_MAX_ORDER = 1 << 24  # enumeration guard, unless ARITHREG_MAX_N is set
-ADD_TABLE_MAX_ORDER = 2048  # cached dense N x N addition table
+TRANSLATE_BLOCK_BYTES = 1 << 20  # bytes of float64 rows per block of translate_blocks
 CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
 BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) terms of the literal zero-sum oracle
 COUNT_CROSSCHECK_BUDGET = 2_000_000  # `count` adds the brute-force sum up to this
@@ -379,22 +379,21 @@ def translate_values(group: GroupSpec, values: np.ndarray, xs: Sequence[int]) ->
     return values[translate_rows(group, xs)]
 
 
-@lru_cache(maxsize=16)
-def add_index_table(group: GroupSpec) -> np.ndarray:
-    """Dense (N, N) table with table[i, j] = index of x_i + x_j."""
-    if group.order > ADD_TABLE_MAX_ORDER:
-        raise ResourceBudgetError(
-            f"dense addition table refused for order {group.order} > {ADD_TABLE_MAX_ORDER}"
-        )
-    out = translate_rows(group, range(group.order))
-    out.setflags(write=False)
-    return out
+def translate_blocks(
+    group: GroupSpec, values: np.ndarray, xs: Sequence[int]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, translate_values(group, values, xs[lo:hi])) over all of xs.
+
+    A block holds about TRANSLATE_BLOCK_BYTES of float64 rows, whatever N is.
+    """
+    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * group.order))
+    for lo in range(0, len(xs), step):
+        hi = min(len(xs), lo + step)
+        yield lo, hi, translate_values(group, values, xs[lo:hi])
 
 
 def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
     """Row of indices of x + n over all n, i.e. f.values[row][n] = f(x + n)."""
-    if group.order <= ADD_TABLE_MAX_ORDER:
-        return add_index_table(group)[x_index]
     x = int(x_index) % group.order
     return translate_rows(group, range(x, x + 1))[0]
 

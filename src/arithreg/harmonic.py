@@ -26,6 +26,7 @@ from .groups import (
     index_digits,
     neg_index,
     parse_element,
+    translate_blocks,
     translate_indices,
 )
 
@@ -214,7 +215,8 @@ def convolve(f: DenseFn, g: DenseFn) -> DenseFn:
 def zero_sum_count(fs: Sequence[DenseFn]) -> float:
     """T(f_1, ..., f_k) = sum over x_1 + ... + x_k = 0 of the product.
 
-    Computed spectrally as N^{-1} sum_gamma prod_i F_i(gamma).
+    Computed spectrally as N^{-1} sum_gamma prod_i F_i(gamma), transforming
+    each distinct function object once.
     """
     if len(fs) < 2:
         raise DomainMismatchError("zero-sum operator needs at least two functions")
@@ -222,9 +224,11 @@ def zero_sum_count(fs: Sequence[DenseFn]) -> float:
     for f in fs[1:]:
         if f.group != group:
             raise DomainMismatchError("zero-sum operands on different groups")
+    distinct = {id(f): f for f in fs}
+    spectra = {key: dft(f).values for key, f in distinct.items()}
     acc = np.ones(group.order, dtype=np.complex128)
     for f in fs:
-        acc *= dft(f).values
+        acc *= spectra[id(f)]
     return float(np.sum(acc).real) / group.order
 
 
@@ -249,23 +253,23 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
     vals = [f.values for f in fs]
     if k == 2:
         return float(vals[0] @ vals[1][neg])
-    second_last, last = vals[-2], vals[-1]
+    second_last, last_neg = vals[-2], vals[-1][neg]
+    index = np.arange(n)
 
-    def descend(depth: int, s_idx: int, weight: float) -> float:
-        if depth == k - 2:
-            row = translate_indices(group, s_idx)
-            return weight * float(second_last @ last[neg[row]])
-        total = 0.0
+    def descend(depth: int, row: np.ndarray, weight: float) -> float:
+        # row[x] is the index of s + x, s the sum of the coordinates fixed above;
+        # the deepest level closes each term with f_{k-1} . f_k(-(s + x + .)).
         fv = vals[depth]
-        row = translate_indices(group, s_idx)
-        for x in range(n):
-            w = fv[x]
-            if w == 0.0:
-                continue
-            total += descend(depth + 1, int(row[x]), weight * w)
+        xs = np.flatnonzero(fv != 0.0)
+        deepest = depth == k - 3
+        total = 0.0
+        for lo, _, rows in translate_blocks(group, last_neg if deepest else index, row[xs]):
+            for x, r in zip(xs[lo:], rows):
+                w = weight * fv[x]
+                total += w * float(second_last @ r) if deepest else descend(depth + 1, r, w)
         return total
 
-    return descend(0, 0, 1.0)
+    return descend(0, index, 1.0)
 
 
 # ---------------------------------------------------------------------------

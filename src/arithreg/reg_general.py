@@ -39,7 +39,6 @@ from .harmonic import (
     DenseFn,
     _indicator_required,
     convolve,
-    dft,
     dft_many,
     zero_sum_count,
 )
@@ -47,7 +46,7 @@ from .reports import IneqReport
 
 FAITHFUL = "faithful"
 SCALED = "scaled"
-_PROFILE_CHUNK = 256  # translate rows per transform block in regular_value_profile
+_PROFILE_CHUNK = 256  # translate rows per transform block of the cond2 kernel
 
 
 class RegPair:
@@ -166,18 +165,28 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
     smooth = convolve(pair.psi1.psi, a2f).values
     cond1 = smooth_sq - 2.0 * a1 * smooth + a1 * a1
 
-    psi2 = pair.psi2.psi.values
     cond2 = np.zeros(n)
     worst = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _PROFILE_CHUNK):
         hi = min(n, lo + _PROFILE_CHUNK)
-        rows = translate_values(group, A.values, range(lo, hi))
-        rows = (rows - a2[lo:hi, None]) * psi2[None, :]
-        mags = np.abs(dft_many(group, rows))
+        mags = _windowed_magnitudes(A, range(lo, hi), a2, pair)
         top = mags.argmax(axis=1)
         worst[lo:hi] = top
         cond2[lo:hi] = mags[np.arange(hi - lo), top]
     return cond1, cond2, worst
+
+
+def _windowed_magnitudes(
+    A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair
+) -> np.ndarray:
+    """|((A^{+x} - alpha2(x)) psi2)^| over all characters, one row per x in xs.
+
+    The cond2 kernel of the profile, of check_regular_value and of the
+    stability check.  The translated rows are a temporary, so numpy windows
+    them in place.
+    """
+    rows = (translate_values(A.group, A.values, xs) - a2[xs, None]) * pair.psi2.psi.values
+    return np.abs(dft_many(A.group, rows))
 
 
 def check_regular_value(A: DenseFn, pair: RegPair, x: GroupElement | int) -> RegValueWitness:
@@ -188,8 +197,7 @@ def check_regular_value(A: DenseFn, pair: RegPair, x: GroupElement | int) -> Reg
     a1 = alpha(A, pair.psi1).values
     a2 = alpha(A, pair.psi2).values
     cond1 = float(np.sum((a2[row] - a1[idx]) ** 2 * pair.psi1.psi.values))
-    windowed = DenseFn(group, (A.values[row] - a2[idx]) * pair.psi2.psi.values)
-    mags = np.abs(dft(windowed).values)
+    mags = _windowed_magnitudes(A, [idx], a2, pair)[0]
     worst = int(np.argmax(mags))
     cond2 = float(mags[worst])
     return RegValueWitness(
@@ -603,18 +611,14 @@ def check_witness_stability(
     a2 = alpha(A, pair.psi2).values
     chi_idx = chi.index
     hat2 = float(pair.psi2.psi_hat.values[chi_idx].real)
-
-    def coeff_at(y: int) -> float:
-        row = translate_indices(group, y)
-        fn = DenseFn(group, (A.values[row] - a2[y]) * pair.psi2.psi.values)
-        return float(np.abs(dft(fn).values[chi_idx]))
-
-    premise_coeff = coeff_at(idx)
     radius = eps * pair.eta2 / 60.0
     ball = bohr_set(pair.chars, radius) if radius > 0 else np.array([0])
-    row = translate_indices(group, idx)
-    ys = row[ball]
-    values = np.array([coeff_at(int(y)) for y in ys])
+    ys = translate_indices(group, idx)[ball]  # ball[0] is the identity, so ys[0] = x
+    values = np.zeros(ys.size)
+    for lo in range(0, ys.size, _PROFILE_CHUNK):
+        hi = min(ys.size, lo + _PROFILE_CHUNK)
+        values[lo:hi] = _windowed_magnitudes(A, ys[lo:hi], a2, pair)[:, chi_idx]
+    premise_coeff = float(values[0])
     return {
         "premise_ok": bool(hat2 < eps / 6.0 and premise_coeff >= eps),
         "psi2_hat_at_chi": hat2,

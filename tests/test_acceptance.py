@@ -39,10 +39,10 @@ from arithreg.bohr import (
 )
 from arithreg.cli import main as cli_main
 from arithreg.groups import (
-    add_index_table,
     f2_span,
     make_group,
     neg_index,
+    translate_rows,
 )
 from arithreg.harmonic import (
     DenseFn,
@@ -125,7 +125,7 @@ def test_criterion_2_zero_sum_operator():
 
 def _shift_violation(group, fn_vals: np.ndarray, coeffs: np.ndarray) -> float:
     """max over (x, y) of |f(x) - f(x-y)| - coeffs[y] f(x), inf-safe."""
-    table = add_index_table(group)
+    table = translate_rows(group, range(group.order))
     shifted = fn_vals[table[neg_index(group)]]  # row y: f(x - y) over x
     diff = np.abs(fn_vals[None, :] - shifted)
     with np.errstate(invalid="ignore", over="ignore"):

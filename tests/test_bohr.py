@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestSmoothedBeta:
         raw = smoothed_indicator(fs, 0.1)
         # ||4||= 1/2, so the unnormalized value is e^{-5}
         assert abs(raw.values[4] - math.exp(-5.0)) < 1e-15
+
+    def test_underflowed_width_is_a_point_mass(self):
+        # ||x|| / delta is past the float range off the identity; exp(-inf) = 0, no warning
+        g = make_group([8])
+        fs = make_frequency_set(g, [g.character([1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            raw = smoothed_indicator(fs, 5e-324)
+        assert raw.values.tolist() == [1.0] + [0.0] * 7
 
     def test_unit_mass(self, rng):
         g = make_group([5, 5, 3])

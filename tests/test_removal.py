@@ -7,6 +7,7 @@ to the literal sum on the shapes it used to be served by.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ def test_tiny_cover_radius_does_not_overflow():
     out, removed, cert = zero_sum_removal(As, 0.1)
     assert exact_zero_sum_tuples(out) == 0
     assert cert["attempts"][-1]["residual_tuples"] == 0
+
+
+def test_underflowed_cutoff_width_does_not_warn():
+    # eta2 underflows here, so ||x|| / eta2 in the smoothed indicator passes the float range
+    g = make_group([2] * 6)
+    As = [DenseFn(g, (np.random.default_rng(s).uniform(size=64) < 0.15).astype(float))
+          for s in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, removed, cert = zero_sum_removal(As, 0.01, eps_schedule=[0.01])
+    assert exact_zero_sum_tuples(out) == 0
 
 
 class TestExactCount:
