@@ -418,30 +418,27 @@ def verify_tower_step(
     """
     if i not in spec.levels:
         raise UsageError(f"level {i} was not built (available: {spec.levels})")
-    n = spec.n
-    h_i_dim = n - spec.cumulative(i)
-    h_level = _low_bits_subgroup(n, h_i_dim)
-    if not h_level.contains_subgroup(H):
+    h_i_dim = spec.n - spec.cumulative(i)
+    if not spec.chain[i].contains_subgroup(H):
         raise DomainMismatchError("H is not contained in the level subgroup")
 
     family = spec.xi_families[spec.levels.index(i)]
     helts = H.elements_by_coeff()
-    slab = np.arange(1 << h_i_dim, dtype=np.int64)
-    reps = np.unique(H.reduce(slab))
+    # H <= H_i keeps every basis row below bit h_i_dim, so these are the
+    # representatives of the cosets of H that tile the level slab
+    reps = F2Subgroup(h_i_dim, H.basis).coset_reps()
 
     escaping = []
     min_ratio = math.inf
     threshold = (1.0 / 16.0) * 4.0**-i
     for v_idx, xi in enumerate(family):
-        if all(not f2_parity(np.array([b & xi]))[0] for b in H.basis):
+        if not any((b & int(xi)).bit_count() & 1 for b in H.basis):
             continue
         escaping.append(v_idx)
         signs = 1.0 - 2.0 * f2_parity(helts & xi)
-        v_mask = v_idx << (n - spec.cumulative(i)) if spec.cumulative(i) else 0
-        for r in reps:
-            g = int(v_mask ^ r)
-            coeff = float(np.sum(f.values[helts ^ g] * signs))
-            min_ratio = min(min_ratio, abs(coeff) / H.size)
+        slab = np.bitwise_xor.outer((v_idx << h_i_dim) ^ reps, helts)
+        coeffs = np.sum(f.values[slab] * signs, axis=1)
+        min_ratio = min(min_ratio, float(np.min(np.abs(coeffs) / H.size)))
     frac = len(escaping) / family.size
     return {
         "i": i,

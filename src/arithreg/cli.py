@@ -269,9 +269,7 @@ def cmd_tower(args) -> dict:
     spec, f = build_tower_function(args.n, args.depth, args.seed)
     level_checks = []
     for i in spec.levels:
-        h_dim = spec.n - spec.cumulative(i)
-        h_level = f2_span([1 << j for j in range(h_dim)], spec.n)
-        chk = verify_tower_step(spec, f, h_level, i, args.eps)
+        chk = verify_tower_step(spec, f, spec.chain[i], i, args.eps)
         level_checks.append(
             {
                 "i": i,
@@ -298,14 +296,9 @@ def cmd_tower(args) -> dict:
         report["verify"] = [
             verify_tower_step(spec, f, H, i, args.eps)
             for i in spec.levels
-            if _inside_level(spec, H, i)
+            if spec.chain[i].contains_subgroup(H)
         ]
     return report
-
-
-def _inside_level(spec, H, i) -> bool:
-    h_dim = spec.n - spec.cumulative(i)
-    return f2_span([1 << j for j in range(h_dim)], spec.n).contains_subgroup(H)
 
 
 def cmd_bohr_check(args) -> dict:

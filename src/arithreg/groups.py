@@ -487,15 +487,6 @@ class F2Subgroup:
     def contains_subgroup(self, other: "F2Subgroup") -> bool:
         return all(self.contains(b) for b in other.basis)
 
-    def reduce(self, masks: np.ndarray) -> np.ndarray:
-        """Canonical coset representative (zero at pivot bits) of each mask."""
-        out = np.array(masks, dtype=np.int64, copy=True)
-        for b in self.basis:
-            p = b.bit_length() - 1
-            hit = (out >> p) & 1 == 1
-            out[hit] ^= b
-        return out
-
     def elements_by_coeff(self) -> np.ndarray:
         """All 2^dim members; entry t is the combination with coefficient bits t.
 
@@ -510,7 +501,7 @@ class F2Subgroup:
         return np.sort(self.elements_by_coeff())
 
     def coset_reps(self) -> np.ndarray:
-        """One representative per coset: the lexicographically least member."""
+        """One representative per coset, its member with zero pivot bits, ascending."""
         free = [j for j in range(self.ambient_dim) if j not in set(self.pivots)]
         free.sort()
         reps = np.zeros(1 << len(free), dtype=np.int64)

@@ -240,11 +240,8 @@ def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:
     _indicator_required(A)
     state = _CosetState(A, H)
     bad = state.irregular(eps) | (state.masses <= (2.0 * eps) ** (1.0 / 3.0) * H.size)
-    bad_lookup = np.zeros(A.group.order, dtype=bool)
-    bad_lookup[state.reps[bad]] = True
-    all_masks = np.arange(A.group.order, dtype=np.int64)
-    in_bad_coset = bad_lookup[H.reduce(all_masks)]
-    kept = A.values * (~in_bad_coset)
+    kept = A.values.copy()
+    kept[np.bitwise_xor.outer(state.reps[bad], H.elements_by_coeff())] = 0.0
     return DenseFn(A.group, kept)
 
 

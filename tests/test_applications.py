@@ -400,3 +400,45 @@ class TestVerifyTowerStep:
                 H = f2_span(rows, spec.n)
                 rep = verify_tower_step(spec, f, H, i, eps=0.04)
                 assert rep["coefficient_bound_ok"]
+
+    @staticmethod
+    def _oracle(spec, f, H, i):
+        """Escaping count and min |coefficient| / |H| from Python sets."""
+        h_dim = spec.n - spec.cumulative(i)
+        helts = {int(h) for h in H.elements()}
+        cosets = {frozenset(r ^ h for h in helts) for r in range(1 << h_dim)}
+        family = spec.xi_families[spec.levels.index(i)]
+        escaping, ratios = 0, []
+        for v, xi in enumerate(int(x) for x in family):
+            if all(bin(h & xi).count("1") % 2 == 0 for h in helts):
+                continue
+            escaping += 1
+            for coset in cosets:
+                g = (v << h_dim) ^ min(coset)
+                coeff = sum(
+                    float(f.values[g ^ h]) * (-1) ** bin(h & xi).count("1") for h in helts
+                )
+                ratios.append(abs(coeff) / len(helts))
+        return escaping, (min(ratios) if ratios else None)
+
+    def test_values_match_coset_oracle(self, rng):
+        spec, tower = build_tower_function(11, 3, seed=7)
+        noisy = DenseFn(tower.group, tower.values + 1e-3 * rng.standard_normal(tower.group.order))
+        escaped = 0
+        for f in (tower, noisy):
+            for i in spec.levels:
+                h_dim = spec.n - spec.cumulative(i)
+                for dim in (1, 2, 4):
+                    H = f2_span([], spec.n)
+                    while H.dim < dim:
+                        H = f2_span(H.basis + (int(rng.integers(1, 1 << h_dim)),), spec.n)
+                    assert spec.chain[i].contains_subgroup(H)
+                    rep = verify_tower_step(spec, f, H, i, eps=0.04)
+                    count, ratio = self._oracle(spec, f, H, i)
+                    assert rep["escaping_count"] == count
+                    if ratio is None:
+                        assert rep["min_coefficient_ratio"] is None
+                    else:
+                        assert rep["min_coefficient_ratio"] == pytest.approx(ratio, abs=1e-12)
+                    escaped += count > 0
+        assert escaped >= 6

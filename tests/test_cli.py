@@ -247,6 +247,22 @@ class TestExitCodes:
             run(["count", "--group", "5", "--sets"] + [workdir / "full5.txt"] * 3)
 
 
+class TestTowerVerify:
+    def test_verify_lists_the_levels_that_contain_the_subgroup(self, workdir):
+        # (Z/2)^11 at depth 3: H_1 is spanned by the low 10 bits, H_2 by the low 8
+        g11 = make_group([2] * 11)
+        basis = workdir / "basis.txt"
+        save_set(g11, [(1 << 9) | 1, 0b110, (1 << 8) | 0b101], basis)
+        cmd = ["tower", "--n", "11", "--depth", "3", "--seed", "5", "--verify", basis]
+        a, b = workdir / "a.json", workdir / "b.json"
+        assert run(cmd + ["--out", a]) == 0
+        assert run(cmd + ["--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        verify = load(a)["report"]["verify"]
+        assert [chk["i"] for chk in verify] == [0, 1]
+        assert all(chk["coefficient_bound_ok"] for chk in verify)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "cmd",

@@ -287,6 +287,35 @@ class TestReducedSet:
             assert removed <= 3.0 * eps ** (1.0 / 3.0) * 256
             assert np.all(out.values <= A.values)
 
+    def test_matches_coset_oracle_elementwise(self, rng):
+        deleted = kept = 0
+        for n in (6, 7, 8):
+            group = make_group([2] * n)
+            for eps in (0.05, 0.2):
+                A = random_indicator(group, rng, density=float(rng.uniform(0.3, 0.8)))
+                rows = [int(rng.integers(1, 1 << n)) for _ in range(int(rng.integers(1, n)))]
+                H = f2_span(rows, n)
+                helts = [int(h) for h in H.elements()]
+                outside_perp = [
+                    u for u in range(1 << n)
+                    if any(bin(h & u).count("1") % 2 for h in helts)
+                ]
+                expected = np.zeros(1 << n)
+                for x in range(1 << n):
+                    coset = [x ^ h for h in helts]
+                    irregular = any(
+                        abs(sum(A.values[y] * (-1) ** bin(y & u).count("1") for y in coset))
+                        > eps * H.size
+                        for u in outside_perp
+                    )
+                    low = A.values[coset].sum() <= (2.0 * eps) ** (1.0 / 3.0) * H.size
+                    expected[x] = A.values[x] if not (irregular or low) else 0.0
+                out = reduced_set_f2(A, H, eps)
+                assert np.array_equal(out.values, expected)
+                deleted += int(A.values.sum() - out.values.sum())
+                kept += int(out.values.sum())
+        assert deleted > 0 and kept > 0
+
 
 class TestRemoval:
     def test_triangle_free_input_stays_triangle_free(self):
