@@ -125,6 +125,8 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
     group = A.group
     if group.order % 2 == 0:
         raise DomainMismatchError("progression witness search needs odd group order")
+    if group.order == 1:
+        raise DomainMismatchError("progression witness search needs a nonzero difference")
     n = group.order
     table = ap3_table(A)
     d = int(np.argmax(table[1:])) + 1

@@ -45,7 +45,7 @@ from .errors import (
     RetryExhaustedError,
     UsageError,
 )
-from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_element, parse_group
+from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_group, parse_indices
 from .harmonic import (
     DenseFn,
     brute_force_zero_sum,
@@ -53,7 +53,7 @@ from .harmonic import (
     load_set,
     zero_sum_count,
 )
-from .reg_f2 import regularize_f2, remove_triangles_f2, triangle_count_exact
+from .reg_f2 import regularize_f2, remove_triangles_f2
 from .reg_general import regularize, trivial_pair, zero_sum_removal
 
 
@@ -197,7 +197,7 @@ def cmd_remove(args) -> dict:
             "removed": removed,
             "certificate": cert,
             "survivor_size": int(survivor.values.sum()),
-            "residual_triangles": triangle_count_exact(survivor),
+            "residual_triangles": cert["exact_triangles"],
         }
     survivors, removed, cert = zero_sum_removal(
         sets, args.eps or 0.1, mode=args.mode, scale=args.scale, budget=args.budget
@@ -289,10 +289,8 @@ def cmd_tower(args) -> dict:
         "level_checks": level_checks,
     }
     if args.verify:
-        group = GroupSpec((2,) * spec.n)
         with open(args.verify) as fh:
-            masks = [parse_element(group, line).index for line in fh if line.strip()]
-        H = f2_span(masks, spec.n)
+            H = f2_span(parse_indices(GroupSpec((2,) * spec.n), fh), spec.n)
         report["verify"] = [
             verify_tower_step(spec, f, H, i, args.eps)
             for i in spec.levels
@@ -303,6 +301,8 @@ def cmd_tower(args) -> dict:
 
 def cmd_bohr_check(args) -> dict:
     group = parse_group(args.group)
+    if "iv" in args.parts and args.d < 1:
+        raise InvalidSpecError("part iv needs --d >= 1")
     rng = np.random.default_rng(args.seed)
     fs = random_frequency_set(group, args.d, rng)
     reports = [check_bohr_growth(fs, args.delta).to_dict()]
@@ -322,7 +322,7 @@ def cmd_bohr_check(args) -> dict:
         part_delta = args.delta
         if part in ("iv",):
             # run at a width satisfying the part's narrowness hypothesis
-            part_delta = min(args.delta, 2.0**-12 * args.tau**2 / max(args.d, 1)) * 0.9
+            part_delta = min(args.delta, 2.0**-12 * args.tau**2 / args.d) * 0.9
             kwargs = {"tau": args.tau, "chi": fs.chars[0]}
         elif part in ("vi", "vii", "viii", "ix"):
             extra = random_frequency_set(group, 1, rng)

@@ -10,6 +10,7 @@ GF(2) linear algebra below operates on.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,9 +76,9 @@ class GroupSpec:
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
-    def index_of(self, x: "GroupElement") -> int:
+    def index_of(self, coords: Sequence[int]) -> int:
         idx = 0
-        for c, m in zip(x.coords, self.factors):
+        for c, m in zip(coords, self.factors):
             idx = idx * m + c
         return idx
 
@@ -121,7 +122,7 @@ class GroupElement:
 
     @property
     def index(self) -> int:
-        return self.group.index_of(self)
+        return self.group.index_of(self.coords)
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coords)
@@ -136,10 +137,7 @@ class Character:
 
     @property
     def index(self) -> int:
-        idx = 0
-        for c, m in zip(self.freqs, self.group.factors):
-            idx = idx * m + c
-        return idx
+        return self.group.index_of(self.freqs)
 
     def f2_mask(self) -> int:
         if not self.group.is_f2:
@@ -186,17 +184,29 @@ def parse_group(spec: str) -> GroupSpec:
     return make_group(factors)
 
 
-def parse_element(group: GroupSpec, text: str) -> GroupElement:
-    """Parse an element serialized as comma-separated residues."""
-    parts = [p for p in text.strip().split(",") if p != ""]
-    if len(parts) != group.rank:
-        raise InvalidSpecError(
-            f"element {text!r} has {len(parts)} coordinates, group {group} needs {group.rank}"
-        )
-    try:
-        return group.element([int(p) for p in parts])
-    except ValueError as exc:
-        raise InvalidSpecError(f"bad coordinate in element {text!r}") from exc
+def parse_indices(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
+    """Canonical indices of the elements on the non-blank lines, in order, duplicates kept.
+
+    A line holds comma-separated residues (empty fields are dropped), each
+    reduced mod its factor as a Python int.  Errors quote the line as given.
+    """
+    flat: list[int] = []
+    for text in lines:
+        if not (line := text.strip()):
+            continue
+        parts = line.split(",")
+        if "" in parts:  # rare (a trailing comma), so most lines skip the filter
+            parts = [p for p in parts if p]
+        if len(parts) != group.rank:
+            raise InvalidSpecError(
+                f"element {text!r} has {len(parts)} coordinates, group {group} needs {group.rank}"
+            )
+        try:
+            flat.extend(map(operator.mod, map(int, parts), group.factors))
+        except ValueError as exc:
+            raise InvalidSpecError(f"bad coordinate in element {text!r}") from exc
+    check_enumerable(group)  # after the loop, so format errors are reported first
+    return ravel_coords(group, np.array(flat, dtype=np.int64).reshape(-1, group.rank))
 
 
 def check_enumerable(group: GroupSpec) -> None:

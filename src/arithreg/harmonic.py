@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, ResourceBudgetError
+from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from .groups import (
     BRUTE_FORCE_BUDGET,
     GroupElement,
@@ -25,9 +25,8 @@ from .groups import (
     check_enumerable,
     index_digits,
     neg_index,
-    parse_element,
+    parse_indices,
     translate_blocks,
-    translate_indices,
 )
 
 
@@ -53,11 +52,6 @@ class DenseFn:
         idx = x.index if isinstance(x, GroupElement) else int(x)
         return float(self.values[idx])
 
-    def translate(self, x: GroupElement | int) -> "DenseFn":
-        """The function n -> f(x + n)."""
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return DenseFn(self.group, self.values[translate_indices(self.group, idx)])
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -81,11 +75,10 @@ def constant(group: GroupSpec, value: float) -> DenseFn:
     return DenseFn(group, np.full(group.order, float(value)))
 
 
-def indicator(group: GroupSpec, members: Iterable[GroupElement | int]) -> DenseFn:
+def indicator(group: GroupSpec, members: Sequence[int] | np.ndarray) -> DenseFn:
     check_enumerable(group)
     vals = np.zeros(group.order)
-    for x in members:
-        vals[x.index if isinstance(x, GroupElement) else int(x)] = 1.0
+    vals[np.asarray(members, dtype=np.int64)] = 1.0
     return DenseFn(group, vals)
 
 
@@ -94,7 +87,7 @@ def support(f: DenseFn) -> np.ndarray:
     return np.flatnonzero(f.values > 0.5)
 
 
-def delta(group: GroupSpec, x: GroupElement | int = 0) -> DenseFn:
+def delta(group: GroupSpec, x: int = 0) -> DenseFn:
     return indicator(group, [x])
 
 
@@ -212,18 +205,21 @@ def convolve(f: DenseFn, g: DenseFn) -> DenseFn:
     return idft(prod)
 
 
+def _common_group(fs: Sequence[DenseFn]) -> GroupSpec:
+    if len(fs) < 2:
+        raise DomainMismatchError("zero-sum operator needs at least two functions")
+    if any(f.group != fs[0].group for f in fs[1:]):
+        raise DomainMismatchError("zero-sum operands on different groups")
+    return fs[0].group
+
+
 def zero_sum_count(fs: Sequence[DenseFn]) -> float:
     """T(f_1, ..., f_k) = sum over x_1 + ... + x_k = 0 of the product.
 
     Computed spectrally as N^{-1} sum_gamma prod_i F_i(gamma), transforming
     each distinct function object once.
     """
-    if len(fs) < 2:
-        raise DomainMismatchError("zero-sum operator needs at least two functions")
-    group = fs[0].group
-    for f in fs[1:]:
-        if f.group != group:
-            raise DomainMismatchError("zero-sum operands on different groups")
+    group = _common_group(fs)
     distinct = {id(f): f for f in fs}
     spectra = {key: dft(f).values for key, f in distinct.items()}
     acc = np.ones(group.order, dtype=np.complex128)
@@ -237,12 +233,7 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
 
     The innermost free coordinate is vectorized; the summand is unchanged.
     """
-    if len(fs) < 2:
-        raise DomainMismatchError("zero-sum operator needs at least two functions")
-    group = fs[0].group
-    for f in fs[1:]:
-        if f.group != group:
-            raise DomainMismatchError("zero-sum operands on different groups")
+    group = _common_group(fs)
     k = len(fs)
     n = group.order
     if n ** (k - 1) > budget:
@@ -291,11 +282,12 @@ def load_dense_fn(group: GroupSpec, path) -> DenseFn:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["element", "value"]:
             raise DomainMismatchError(f"{path}: expected CSV header 'element,value'")
-        for row in reader:
-            if not row:
-                continue
-            x = parse_element(group, row[0])
-            vals[x.index] = float(row[1])
+        rows = [row for row in reader if row]
+    idx = parse_indices(group, [row[0] for row in rows])
+    if idx.size != len(rows):
+        raise InvalidSpecError(f"{path}: blank element field")
+    for i, row in zip(idx.tolist(), rows):  # in row order: the last duplicate wins
+        vals[i] = float(row[1])
     return DenseFn(group, vals)
 
 
@@ -306,11 +298,6 @@ def save_set(group: GroupSpec, members: Iterable[GroupElement | int], path) -> N
             fh.write(f"{elem}\n")
 
 
-def load_set(group: GroupSpec, path) -> list[GroupElement]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_element(group, line))
-    return out
+def load_set(group: GroupSpec, path) -> np.ndarray:
+    with open(path) as fh:  # errors quote each line stripped
+        return parse_indices(group, map(str.strip, fh))

@@ -34,14 +34,11 @@ def _require_f2(group: GroupSpec) -> int:
     return group.rank
 
 
-def _as_mask(g: GroupElement | int) -> int:
-    return g.index if isinstance(g, GroupElement) else int(g)
-
-
 def local_values(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> np.ndarray:
     """f(g + h_t) over H in coefficient order t."""
     _require_f2(f.group)
-    return f.values[H.elements_by_coeff() ^ _as_mask(g)]
+    mask = g.index if isinstance(g, GroupElement) else int(g)
+    return f.values[H.elements_by_coeff() ^ mask]
 
 
 def local_fourier(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> Spectrum:

@@ -52,8 +52,8 @@ _PROFILE_CHUNK = 256  # translate rows per transform block of the cond2 kernel
 class RegPair:
     """A frequency set R with width eta and the two derived cutoffs.
 
-    eta2 = c * eps^6 * eta / (max(d,1) k^4) with c = 2^-40 in faithful mode
-    and c = scale * 2^-40 in scaled mode (capped so eta2 <= eta1).
+    eta2 = c * eps^6 * eta / (max(d,1) k^4) with c = scale * 2^-40 (capped so
+    eta2 <= eta1); faithful mode keeps the paper's constants, so its scale is 1.
     """
 
     def __init__(
@@ -67,6 +67,8 @@ class RegPair:
     ):
         if mode not in (FAITHFUL, SCALED):
             raise DomainMismatchError(f"unknown constants mode {mode!r}")
+        if mode == FAITHFUL and scale != 1.0:
+            raise DomainMismatchError(f"faithful mode uses no scale, got scale {scale}")
         if not 0.0 < eta <= 1.0:
             raise DomainMismatchError("eta must lie in (0, 1]")
         if eps <= 0 or k < 1:
@@ -101,8 +103,7 @@ class RegPair:
         return self.chars.d
 
     def const(self, log2: int) -> float:
-        base = 2.0**log2
-        return base * self.scale if self.mode == SCALED else base
+        return 2.0**log2 * self.scale
 
     def with_state(self, chars: FrequencySet, eta: float) -> "RegPair":
         return RegPair(chars, min(max(eta, 1e-300), 1.0), self.k, self.eps, self.mode, self.scale)

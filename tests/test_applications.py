@@ -200,6 +200,10 @@ class TestBhkWitness:
         with pytest.raises(DomainMismatchError):
             bhk_witness_group(constant(g, 1.0), 0.1)
 
+    def test_order_one_has_no_nonzero_difference(self):
+        with pytest.raises(DomainMismatchError):
+            bhk_witness_group(constant(make_group([1]), 1.0), 0.1)
+
 
 class TestBhkInterval:
     def test_full_interval(self):

@@ -227,6 +227,8 @@ class TestExitCodes:
         [
             (["count", "--group", "5", "--sets", "{path}"], "1\nx\n"),
             (["sumfree", "--n", "32", "--set", "{path}", "--eps", "0.01"], "1\n3.5\n"),
+            (["count", "--group", "5x3", "--sets", "{path}"], "1,2\n1,x\n"),
+            (["tower", "--n", "3", "--depth", "2", "--verify", "{path}"], "1,0,0\n1,0,2.0\n"),
         ],
     )
     def test_malformed_set_file_line_is_exit_two(self, args, text, tmp_path, capsys):
@@ -234,6 +236,38 @@ class TestExitCodes:
         path.write_text(text)
         assert run([str(path) if a == "{path}" else a for a in args]) == 2
         assert capsys.readouterr().err.startswith("error: bad ")
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("1,2\n1,2,0\n", "element '1,2,0' has 3 coordinates, group 5x3 needs 2"),
+            ("1,2\n,\n", "element ',' has 0 coordinates, group 5x3 needs 2"),
+            ("1,2\n 1, x \n", "bad coordinate in element '1, x'"),
+        ],
+        ids=["field-count", "no-fields", "non-integer"],
+    )
+    def test_malformed_set_file_error_text(self, text, err, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run(["count", "--group", "5x3", "--sets", path]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_bhk_on_group_of_order_one_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "z1.txt"
+        path.write_text("0\n")
+        assert run(["bhk", "--group", "1", "--set", path, "--eps", "0.1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bohr_part_iv_without_characters_is_exit_two(self, capsys):
+        assert run(["bohr-check", "--group", "101", "--d", "0", "--parts", "iv"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_scale_in_faithful_mode_is_exit_two(self, workdir, capsys):
+        assert run([
+            "regularize", "--group", "5", "--sets", workdir / "full5.txt", "--eps", "0.1",
+            "--mode", "faithful", "--scale", "1e12",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_finite_number_is_exit_two(self, workdir, capsys):
         assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2
@@ -261,6 +295,18 @@ class TestTowerVerify:
         verify = load(a)["report"]["verify"]
         assert [chk["i"] for chk in verify] == [0, 1]
         assert all(chk["coefficient_bound_ok"] for chk in verify)
+
+    def test_basis_file_with_blank_lines(self, workdir):
+        g11 = make_group([2] * 11)
+        basis, spaced = workdir / "basis.txt", workdir / "spaced.txt"
+        save_set(g11, [(1 << 9) | 1, 0b110], basis)
+        spaced.write_text("\n" + basis.read_text().replace("\n", "\n  \n\t\n"))
+        cmd = ["tower", "--n", "11", "--depth", "3", "--seed", "5", "--verify"]
+        a, b = workdir / "a.json", workdir / "b.json"
+        assert run(cmd + [basis, "--out", a]) == 0
+        assert run(cmd + [spaced, "--out", b]) == 0
+        assert load(b)["report"] == load(a)["report"]
+        assert [chk["i"] for chk in load(b)["report"]["verify"]] == [0, 1]
 
 
 class TestDeterminism:

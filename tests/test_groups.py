@@ -18,8 +18,8 @@ from arithreg.groups import (
     f2_trivial,
     make_group,
     neg,
-    parse_element,
     parse_group,
+    parse_indices,
     scalar_mul,
 )
 
@@ -64,7 +64,25 @@ class TestMakeGroup:
     def test_element_round_trip_serialization(self):
         g = make_group([4, 3])
         x = g.element([3, 2])
-        assert parse_element(g, str(x)) == x
+        assert parse_indices(g, [str(x)]).tolist() == [x.index]
+
+    def test_parse_indices_keeps_order_and_duplicates(self):
+        g = make_group([4, 3])
+        lines = ["3,2\n", "0,1", "\n", "3,2", "1,0,"]
+        assert parse_indices(g, lines).tolist() == [11, 1, 11, 3]
+        assert parse_indices(g, []).tolist() == []
+
+    @given(
+        small_factors,
+        st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=3, max_size=3), max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_parse_indices_matches_element_index(self, factors, rows):
+        # reference: one GroupElement per line, reduced by GroupSpec.element
+        g = make_group(factors)
+        rows = [r[: g.rank] for r in rows]
+        lines = [",".join(map(str, r)) + "\n" for r in rows]
+        assert parse_indices(g, lines).tolist() == [g.element(r).index for r in rows]
 
     def test_enumeration_guard(self, monkeypatch):
         monkeypatch.setenv("ARITHREG_MAX_N", "100")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_convolve, naive_dft, random_indicator, recursive_wht
 
-from arithreg.errors import DomainMismatchError, ResourceBudgetError
+from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import make_group
 from arithreg.harmonic import (
     DenseFn,
@@ -191,7 +191,29 @@ class TestSerialization:
         members = [g.element_at(i) for i in (0, 3, 5)]
         path = tmp_path / "set.txt"
         save_set(g, members, path)
-        assert load_set(g, path) == members
+        assert load_set(g, path).tolist() == [x.index for x in members]
+
+    def test_set_file_lines_are_read_leniently(self, tmp_path):
+        # blank and whitespace-only lines are skipped, spaces around fields and
+        # a trailing comma are accepted, and any integer reduces mod m
+        g = make_group([5, 3])
+        path = tmp_path / "set.txt"
+        path.write_text(f"\n 1 , 2 \n   \n\t\n3,0,\n-1,-1\n{2**64 + 1},{2**70}\n")
+        expected = indicator(g, [1 * 3 + 2, 3 * 3 + 0, 4 * 3 + 2, 2 * 3 + 1])
+        assert np.array_equal(indicator(g, load_set(g, path)).values, expected.values)
+
+    def test_dense_fn_blank_element_field_rejected(self, tmp_path):
+        g = make_group([3])
+        path = tmp_path / "f.csv"
+        path.write_text("element,value\n0,1.0\n,1.5\n")
+        with pytest.raises(InvalidSpecError):
+            load_dense_fn(g, path)
+
+    def test_dense_fn_last_duplicate_row_wins(self, tmp_path):
+        g = make_group([3])
+        path = tmp_path / "f.csv"
+        path.write_text("element,value\n0,1.0\n2,0.5\n0,2.5\n")
+        assert load_dense_fn(g, path).values.tolist() == [2.5, 0.0, 0.5]
 
     def test_bad_header_rejected(self, tmp_path):
         g = make_group([3])

@@ -234,6 +234,14 @@ class TestPairConstruction:
         with pytest.raises(DomainMismatchError):
             RegPair(make_frequency_set(G101), 1.5, 1, 0.3)
 
+    def test_faithful_mode_rejects_a_scale(self):
+        # faithful constants ignore the scale, so a report must not carry one
+        with pytest.raises(DomainMismatchError):
+            RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "faithful", 1e12)
+        with pytest.raises(DomainMismatchError):
+            regularize([constant(G101, 1.0)], 0.1, 4, mode="faithful", scale=2.0)
+        assert RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "faithful", 1.0).scale == 1.0
+
 
 class TestCovering:
     def test_single_element(self, rng):
