@@ -24,9 +24,10 @@ from .errors import (
 from .groups import (
     DUAL_SWEEP_MAX_DIM,
     F2Subgroup,
-    GroupElement,
     GroupSpec,
+    check_enumerable,
     coords_table,
+    f2_full,
     f2_parity,
     ravel_coords,
     translate_blocks,
@@ -74,7 +75,7 @@ def _twice_index(group: GroupSpec) -> np.ndarray:
     return ravel_coords(group, (2 * c) % m)
 
 
-def ap3_count(A: "DenseFn | IntegerSet", d: "GroupElement | int") -> int:
+def ap3_count(A: "DenseFn | IntegerSet", d: int) -> int:
     """Number of x with x, x+d, x+2d all in A.
 
     Group case: modular, exact integer from the indicator.  Integer-set
@@ -85,7 +86,7 @@ def ap3_count(A: "DenseFn | IntegerSet", d: "GroupElement | int") -> int:
         step = int(d)
         mem = set(A.members)
         return sum(1 for x in A.members if x + step in mem and x + 2 * step in mem)
-    idx = (d.index if isinstance(d, GroupElement) else int(d)) % A.group.order
+    idx = int(d) % A.group.order
     return int(round(_progression_sums(A.group, A.values, A.values, A.values, [idx])[0]))
 
 
@@ -346,10 +347,6 @@ class TowerSpec:
         return sum(self.dims[: i + 1])
 
 
-def _low_bits_subgroup(n: int, dim: int) -> F2Subgroup:
-    return F2Subgroup(n, tuple(1 << (dim - 1 - j) for j in range(dim)))
-
-
 def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]:
     """Construct the layered half-density sets and their weighted sum.
 
@@ -358,18 +355,21 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
     contributes a set meeting every coset of the level subgroup in exactly
     half, weighted by 4^{-i}, and the total is halved into [0, 2/3].
     """
+    if n < 1 or s < 0:
+        raise DomainMismatchError(f"tower needs n >= 1 and depth >= 0, got n = {n}, depth = {s}")
     dims = tuple(tower_sequence(i) for i in range(s + 1))
     if sum(dims) > n:
         raise DomainMismatchError(
             f"chain dimensions {dims} need {sum(dims)} coordinates, only {n} available"
         )
     group = GroupSpec((2,) * n)
+    check_enumerable(group)
     order = group.order
     chain = []
     cum = 0
     for i in range(s + 1):
         cum += dims[i]
-        chain.append(_low_bits_subgroup(n, n - cum))
+        chain.append(F2Subgroup(n, f2_full(n - cum).basis))
 
     levels: list[int] = []
     xi_families: list[np.ndarray] = []
@@ -429,16 +429,15 @@ def verify_tower_step(
     # H <= H_i keeps every basis row below bit h_i_dim, so these are the
     # representatives of the cosets of H that tile the level slab
     reps = F2Subgroup(h_i_dim, H.basis).coset_reps()
+    # v escapes when some basis row of H is not orthogonal to its block vector
+    basis = np.array(H.basis, dtype=np.int64)
+    escaping = np.flatnonzero(f2_parity(family[:, None] & basis).any(axis=1))
 
-    escaping = []
     min_ratio = math.inf
     threshold = (1.0 / 16.0) * 4.0**-i
-    for v_idx, xi in enumerate(family):
-        if not any((b & int(xi)).bit_count() & 1 for b in H.basis):
-            continue
-        escaping.append(v_idx)
+    for v_idx, xi in zip(escaping.tolist(), family[escaping]):
         signs = 1.0 - 2.0 * f2_parity(helts & xi)
-        slab = np.bitwise_xor.outer((v_idx << h_i_dim) ^ reps, helts)
+        slab = H.cosets((v_idx << h_i_dim) ^ reps)
         coeffs = np.sum(f.values[slab] * signs, axis=1)
         min_ratio = min(min_ratio, float(np.min(np.abs(coeffs) / H.size)))
     frac = len(escaping) / family.size
@@ -447,7 +446,7 @@ def verify_tower_step(
         "escaping_count": len(escaping),
         "escaping_fraction": frac,
         "fraction_le_eps": bool(frac <= eps),
-        "min_coefficient_ratio": None if not escaping else min_ratio,
+        "min_coefficient_ratio": None if not escaping.size else min_ratio,
         "threshold": threshold,
-        "coefficient_bound_ok": bool(not escaping or min_ratio >= threshold),
+        "coefficient_bound_ok": bool(not escaping.size or min_ratio >= threshold),
     }

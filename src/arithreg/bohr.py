@@ -261,6 +261,20 @@ def _char_minus_one_l1(cutoff_psi: DenseFn, chi: Character) -> float:
     return _l1((gv - 1.0) * cutoff_psi.values)
 
 
+# The widest width each part's hypothesis allows: delta for part iv, the
+# finer delta' for parts vi-viii and for part ix.
+def part_iv_width(tau: float, d: int) -> float:
+    return 2.0**-12 * tau**2 / max(d, 1)
+
+
+def fine_width(delta: float, tau: float, d2: int) -> float:
+    return 2.0**-13 * delta * tau**2 / max(d2, 1)
+
+
+def part_ix_width(delta: float, kappa: float, omega: float, d2: int) -> float:
+    return omega**2 * kappa**2 * delta / (2.0**13 * max(d2, 1))
+
+
 def check_cutoff_property(
     part: str,
     gamma: FrequencySet,
@@ -326,7 +340,7 @@ def check_cutoff_property(
         hyp = (
             0 < tau < 0.25
             and chi in gamma.chars
-            and delta <= 2.0**-12 * tau**2 / max(gamma.d, 1)
+            and delta <= part_iv_width(tau, gamma.d)
         )
         lhs = _char_minus_one_l1(cutoff.psi, chi)
         hat_at = float(np.real(np.sum(cutoff.psi.values * char_values(group, chi))))
@@ -354,7 +368,7 @@ def check_cutoff_property(
         hyp = (
             0 < tau < 0.25
             and subset_ok
-            and delta2 <= 2.0**-13 * delta * tau**2 / max(gamma2.d, 1)
+            and delta2 <= fine_width(delta, tau, gamma2.d)
         )
         fine = make_cutoff(gamma2, delta2)
         both = {**base_details, "d_prime": gamma2.d, "deltaPrime": delta2, "tau": tau}
@@ -392,7 +406,7 @@ def check_cutoff_property(
         hyp = (
             kappa > 0 and omega > 0 and subset_ok
             and hat_at >= kappa
-            and delta2 <= omega**2 * kappa**2 * delta / (2.0**13 * max(gamma2.d, 1))
+            and delta2 <= part_ix_width(delta, kappa, omega, gamma2.d)
         )
         fine = make_cutoff(gamma2, delta2)
         lhs = _char_minus_one_l1(fine.psi, chi)

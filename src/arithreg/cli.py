@@ -32,7 +32,10 @@ from .applications import (
 from .bohr import (
     check_bohr_growth,
     check_cutoff_property,
+    fine_width,
     make_cutoff,
+    part_iv_width,
+    part_ix_width,
     random_frequency_set,
     tail_bound,
     tail_mass,
@@ -322,14 +325,14 @@ def cmd_bohr_check(args) -> dict:
         part_delta = args.delta
         if part in ("iv",):
             # run at a width satisfying the part's narrowness hypothesis
-            part_delta = min(args.delta, 2.0**-12 * args.tau**2 / args.d) * 0.9
+            part_delta = min(args.delta, part_iv_width(args.tau, fs.d)) * 0.9
             kwargs = {"tau": args.tau, "chi": fs.chars[0]}
         elif part in ("vi", "vii", "viii", "ix"):
             extra = random_frequency_set(group, 1, rng)
             gamma2 = fs.extend(extra.chars)
             d2 = args.delta2
             if d2 is None:
-                d2 = 2.0**-13 * args.delta * args.tau**2 / max(gamma2.d, 1)
+                d2 = fine_width(args.delta, args.tau, gamma2.d)
             kwargs = {"gamma2": gamma2, "delta2": d2, "tau": args.tau}
             if part == "viii":
                 kwargs["f"] = DenseFn(
@@ -339,21 +342,19 @@ def cmd_bohr_check(args) -> dict:
                 hat = cutoff.psi_hat.values.real.copy()
                 hat[0] = -1.0
                 best = int(np.argmax(hat))
+                kappa = max(float(hat[best]) * 0.9, 1e-6)
                 kwargs |= {
                     "chi": group.character_at(best),
-                    "kappa": max(float(hat[best]) * 0.9, 1e-6),
+                    "kappa": kappa,
                     "omega": args.tau,
+                    "delta2": part_ix_width(args.delta, kappa, args.tau, gamma2.d),
                 }
-                kwargs["delta2"] = (
-                    kwargs["omega"] ** 2 * kwargs["kappa"] ** 2 * args.delta
-                    / (2.0**13 * max(gamma2.d, 1))
-                )
         reports.append(check_cutoff_property(part, fs, part_delta, **kwargs).to_dict())
     return {"group": str(group), "chars": [list(c.freqs) for c in fs.chars], "checks": reports}
 
 
 def cmd_selfcheck(args) -> dict:
-    from .groups import character_table
+    from .groups import character_table, f2_parity
 
     suites = {}
 
@@ -405,7 +406,7 @@ def cmd_selfcheck(args) -> dict:
 
     def f2_gain():
         g = parse_group("2^6")
-        hyper = indicator(g, [x for x in range(64) if bin(x & 0b101).count("1") % 2 == 0])
+        hyper = indicator(g, np.flatnonzero(f2_parity(np.arange(64) & 0b101) == 0))
         rep = regularize_f2(hyper, 0.1)
         gains = np.diff(rep.index_trace)
         if rep.iterations and gains.min() < 0.1**3 - 1e-12:

@@ -139,11 +139,6 @@ class Character:
     def index(self) -> int:
         return self.group.index_of(self.freqs)
 
-    def f2_mask(self) -> int:
-        if not self.group.is_f2:
-            raise DomainMismatchError("f2_mask only defined over (Z/2)^n")
-        return self.index
-
 
 def make_group(factors: Sequence[int]) -> GroupSpec:
     """Build a GroupSpec, validating that every factor is a positive integer."""
@@ -510,6 +505,10 @@ class F2Subgroup:
     def elements(self) -> np.ndarray:
         return np.sort(self.elements_by_coeff())
 
+    def cosets(self, reps: np.ndarray) -> np.ndarray:
+        """(len(reps), |H|) grid; row i is reps[i] + H in coefficient order."""
+        return np.bitwise_xor.outer(reps, self.elements_by_coeff())
+
     def coset_reps(self) -> np.ndarray:
         """One representative per coset, its member with zero pivot bits, ascending."""
         free = [j for j in range(self.ambient_dim) if j not in set(self.pivots)]
@@ -554,24 +553,6 @@ def f2_nullspace(rows: Iterable[int], n: int) -> F2Subgroup:
     return f2_span(out, n)
 
 
-def f2_annihilator(chars: Iterable["Character | int"], n: int) -> F2Subgroup:
-    """Annihilator {x : <x, eta> = 0 for all eta} of a set of F2 characters."""
-    masks = []
-    for eta in chars:
-        if isinstance(eta, Character):
-            masks.append(eta.f2_mask())
-        else:
-            masks.append(int(eta))
-    return f2_nullspace(masks, n)
-
-
-_PARITY16 = np.zeros(1 << 16, dtype=np.int64)
-for _i in range(16):
-    _PARITY16[1 << _i : 1 << (_i + 1)] = _PARITY16[: 1 << _i] ^ 1
-_PARITY16.setflags(write=False)
-
-
 def f2_parity(masks: np.ndarray) -> np.ndarray:
-    """popcount(mask) mod 2, vectorized (masks below 2^32)."""
-    m = np.asarray(masks, dtype=np.int64)
-    return _PARITY16[m & 0xFFFF] ^ _PARITY16[(m >> 16) & 0xFFFF]
+    """popcount(mask) mod 2 per nonnegative mask, as an int64 0/1 array."""
+    return (np.bitwise_count(np.asarray(masks, dtype=np.int64)) & 1).astype(np.int64)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from .groups import (
     BRUTE_FORCE_BUDGET,
-    GroupElement,
     GroupSpec,
     check_enumerable,
     index_digits,
@@ -47,10 +46,6 @@ class DenseFn:
             raise DomainMismatchError("function values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def __call__(self, x: GroupElement | int) -> float:
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return float(self.values[idx])
 
 
 @dataclass(frozen=True)
@@ -291,11 +286,10 @@ def load_dense_fn(group: GroupSpec, path) -> DenseFn:
     return DenseFn(group, vals)
 
 
-def save_set(group: GroupSpec, members: Iterable[GroupElement | int], path) -> None:
+def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
     with open(path, "w") as fh:
         for x in members:
-            elem = x if isinstance(x, GroupElement) else group.element_at(int(x))
-            fh.write(f"{elem}\n")
+            fh.write(f"{group.element_at(int(x))}\n")
 
 
 def load_set(group: GroupSpec, path) -> np.ndarray:

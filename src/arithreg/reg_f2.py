@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError, InternalCheckError
-from .groups import F2Subgroup, GroupElement, GroupSpec, f2_full, f2_nullspace
+from .groups import F2Subgroup, GroupSpec, f2_full, f2_nullspace
 from .harmonic import (
     DenseFn,
     Spectrum,
@@ -34,14 +34,13 @@ def _require_f2(group: GroupSpec) -> int:
     return group.rank
 
 
-def local_values(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> np.ndarray:
+def local_values(f: DenseFn, H: F2Subgroup, g: int) -> np.ndarray:
     """f(g + h_t) over H in coefficient order t."""
     _require_f2(f.group)
-    mask = g.index if isinstance(g, GroupElement) else int(g)
-    return f.values[H.elements_by_coeff() ^ mask]
+    return f.values[H.elements_by_coeff() ^ int(g)]
 
 
-def local_fourier(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> Spectrum:
+def local_fourier(f: DenseFn, H: F2Subgroup, g: int) -> Spectrum:
     """Transform of the translated restriction on the subgroup's own dual.
 
     Entry u is sum over t of f(g + h_t) (-1)^{<t, u>}; entry 0 is the mass of
@@ -54,9 +53,7 @@ def local_fourier(f: DenseFn, H: F2Subgroup, g: GroupElement | int) -> Spectrum:
 def _coset_spectra(f: DenseFn, H: F2Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """(coset reps, per-coset local spectra) for all cosets at once."""
     reps = H.coset_reps()
-    helts = H.elements_by_coeff()
-    rows = f.values[np.bitwise_xor.outer(reps, helts)]
-    return reps, wht_last_axis(rows)
+    return reps, wht_last_axis(f.values[H.cosets(reps)])
 
 
 def _sup_nontrivial(spectra: np.ndarray) -> np.ndarray:
@@ -65,7 +62,7 @@ def _sup_nontrivial(spectra: np.ndarray) -> np.ndarray:
     return np.max(np.abs(spectra[..., 1:]), axis=-1)
 
 
-def is_regular_value_f2(f: DenseFn, H: F2Subgroup, g: GroupElement | int, eps: float) -> bool:
+def is_regular_value_f2(f: DenseFn, H: F2Subgroup, g: int, eps: float) -> bool:
     """True iff every nontrivial local coefficient has modulus <= eps |H|."""
     spec = wht_last_axis(local_values(f, H, g))
     return bool(_sup_nontrivial(spec[None, :])[0] <= eps * H.size)
@@ -210,13 +207,7 @@ def regularize_f2(f: DenseFn, eps: float) -> F2RegReport:
 # counting and removal
 # ---------------------------------------------------------------------------
 
-def local_triangle_count(
-    f: DenseFn,
-    H: F2Subgroup,
-    g1: GroupElement | int,
-    g2: GroupElement | int,
-    g3: GroupElement | int,
-) -> float:
+def local_triangle_count(f: DenseFn, H: F2Subgroup, g1: int, g2: int, g3: int) -> float:
     """Number of (x1, x2, x3) in the three translated restrictions with zero sum.
 
     Computed from the subgroup-local spectra: |H|^{-1} sum_u of the product.
@@ -238,7 +229,7 @@ def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:
     state = _CosetState(A, H)
     bad = state.irregular(eps) | (state.masses <= (2.0 * eps) ** (1.0 / 3.0) * H.size)
     kept = A.values.copy()
-    kept[np.bitwise_xor.outer(state.reps[bad], H.elements_by_coeff())] = 0.0
+    kept[H.cosets(state.reps[bad])] = 0.0
     return DenseFn(A.group, kept)
 
 

@@ -29,8 +29,8 @@ from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequenc
 from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError
 from .groups import (
     Character,
-    GroupElement,
     GroupSpec,
+    coords_table,
     neg_index,
     translate_indices,
     translate_values,
@@ -190,10 +190,10 @@ def _windowed_magnitudes(
     return np.abs(dft_many(A.group, rows))
 
 
-def check_regular_value(A: DenseFn, pair: RegPair, x: GroupElement | int) -> RegValueWitness:
+def check_regular_value(A: DenseFn, pair: RegPair, x: int) -> RegValueWitness:
     """Evaluate both regularity conditions at a single point."""
     group = A.group
-    idx = x.index if isinstance(x, GroupElement) else int(x)
+    idx = int(x)
     row = translate_indices(group, idx)
     a1 = alpha(A, pair.psi1).values
     a2 = alpha(A, pair.psi2).values
@@ -479,7 +479,7 @@ def _weighted_functions(
 
 
 def weighted_T(
-    As: Sequence[DenseFn], pair: RegPair, xs: Sequence[GroupElement | int]
+    As: Sequence[DenseFn], pair: RegPair, xs: Sequence[int]
 ) -> WeightedCountReport:
     """Cutoff-weighted zero-sum count at a tuple of regular base points.
 
@@ -490,13 +490,10 @@ def weighted_T(
     group = pair.group
     if len(As) != pair.k:
         raise DomainMismatchError("pair was built for a different number of sets")
-    idxs = [x.index if isinstance(x, GroupElement) else int(x) for x in xs]
+    idxs = [int(x) for x in xs]
     if len(idxs) != len(As):
         raise DomainMismatchError("need one base point per set")
-    total = idxs[0]
-    for x in idxs[1:]:
-        total = int(translate_indices(group, total)[x])
-    if total != 0:
+    if np.any(coords_table(group)[idxs].sum(0) % group.factors):
         raise DomainMismatchError("base points must sum to zero")
 
     irregular = [
@@ -598,7 +595,7 @@ def check_energy_difference(phi1: DenseFn, phi2: DenseFn, f: DenseFn) -> IneqRep
 
 
 def check_witness_stability(
-    A: DenseFn, pair: RegPair, x: GroupElement | int, chi: Character
+    A: DenseFn, pair: RegPair, x: int, chi: Character
 ) -> dict:
     """Large windowed coefficients persist across a small Bohr ball.
 
@@ -607,7 +604,7 @@ def check_witness_stability(
     radius eps * eta2 / 60 around x.
     """
     group = A.group
-    idx = x.index if isinstance(x, GroupElement) else int(x)
+    idx = int(x)
     eps = pair.eps
     a2 = alpha(A, pair.psi2).values
     chi_idx = chi.index

@@ -341,6 +341,16 @@ class TestTowerConstruction:
         with pytest.raises(DomainMismatchError):
             build_tower_function(10, 3, seed=0)  # needs 11 coordinates
 
+    def test_degenerate_arguments_and_enumeration_guard(self, monkeypatch):
+        with pytest.raises(DomainMismatchError):
+            build_tower_function(5, -1, seed=0)
+        with pytest.raises(DomainMismatchError):
+            build_tower_function(0, 0, seed=0)
+        monkeypatch.setenv("ARITHREG_MAX_N", "1024")
+        with pytest.raises(ResourceBudgetError):
+            build_tower_function(11, 3, seed=0)
+        build_tower_function(10, 2, seed=0)
+
     def test_level_sets_halve_every_coset(self):
         spec, f = build_tower_function(11, 3, seed=3)
         for lvl, b in zip(spec.levels, spec.b_sets):

@@ -252,6 +252,17 @@ class TestExitCodes:
         assert run(["count", "--group", "5x3", "--sets", path]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize(
+        "n, depth, max_n, code",
+        [("11", "3", "1024", 3), ("5", "-1", None, 2), ("0", "0", None, 2)],
+        ids=["enumeration-guard", "negative-depth", "no-coordinates"],
+    )
+    def test_tower_rejections(self, n, depth, max_n, code, monkeypatch, capsys):
+        if max_n is not None:
+            monkeypatch.setenv("ARITHREG_MAX_N", max_n)
+        assert run(["tower", "--n", n, "--depth", depth]) == code
+        assert capsys.readouterr().out == ""
+
     def test_bhk_on_group_of_order_one_is_exit_two(self, tmp_path, capsys):
         path = tmp_path / "z1.txt"
         path.write_text("0\n")

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from arithreg.groups import (
     char_eval,
     character_table,
     check_enumerable,
-    f2_annihilator,
     f2_full,
+    f2_nullspace,
+    f2_parity,
     f2_span,
     f2_trivial,
     make_group,
@@ -190,16 +193,16 @@ class TestArgNorm:
 
 class TestF2Subgroups:
     def test_annihilator_of_empty_is_full(self):
-        H = f2_annihilator([], 3)
+        H = f2_nullspace([], 3)
         assert H.dim == 3
 
     def test_single_character_rank_nullity(self):
-        H = f2_annihilator([0b110], 3)
+        H = f2_nullspace([0b110], 3)
         assert H.dim == 2
 
     def test_two_characters_span_example(self):
         # {110, 011} in (Z/2)^3 -> exhaustive membership gives span{111}
-        H = f2_annihilator([0b110, 0b011], 3)
+        H = f2_nullspace([0b110, 0b011], 3)
         members = {
             x for x in range(8)
             if bin(x & 0b110).count("1") % 2 == 0 and bin(x & 0b011).count("1") % 2 == 0
@@ -217,7 +220,7 @@ class TestF2Subgroups:
         for _ in range(20):
             n = int(rng.integers(1, 9))
             chars = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 4)))]
-            H = f2_annihilator(chars, n)
+            H = f2_nullspace(chars, n)
             assert H.size * f2_span(chars, n).size == 1 << n
 
     def test_coset_reps_examples(self):
@@ -250,3 +253,38 @@ class TestF2Subgroups:
         H = f2_span([0b110, 0b011, 0b101], 3)
         assert H.dim == 2
         assert H.size == 4
+
+    def test_cosets_match_set_oracle(self, rng):
+        # row i is {r_i + h : h in H} in coefficient order, and the rows
+        # partition (Z/2)^n; dimension 0 and the full group included
+        for n in range(6, 10):
+            subgroups = [f2_trivial(n), f2_full(n)]
+            for _ in range(4):
+                rows = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(1, n)))]
+                subgroups.append(f2_span(rows, n))
+            for H in subgroups:
+                reps = H.coset_reps()
+                grid = H.cosets(reps)
+                assert grid.shape == (reps.size, H.size)
+                # member t combines the basis rows selected by the bits of t
+                helts = [
+                    reduce(xor, [b for j, b in enumerate(H.basis) if t >> j & 1], 0)
+                    for t in range(H.size)
+                ]
+                seen: set[int] = set()
+                for r, row in zip(reps.tolist(), grid.tolist()):
+                    assert row == [r ^ h for h in helts]
+                    assert not (set(row) & seen)
+                    seen |= set(row)
+                assert seen == set(range(1 << n))
+
+
+class TestF2Parity:
+    def test_matches_bit_count_up_to_2_62(self, rng):
+        masks = [0, 1, 3, 1 << 31, 1 << 32, (1 << 40) | 1, (1 << 62) - 1, 1 << 62]
+        masks += [int(m) for m in rng.integers(0, 1 << 62, size=2000, dtype=np.int64)]
+        for shift in range(0, 63, 7):
+            masks += [int(m) for m in rng.integers(0, 1 << 62, size=50, dtype=np.int64) >> shift]
+        got = f2_parity(np.array(masks, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [m.bit_count() & 1 for m in masks]

@@ -437,6 +437,30 @@ class TestWeightedCount:
         with pytest.raises(DomainMismatchError):
             weighted_T([constant(G101, 1.0)] * 3, pair, [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "factors, coords, zero_sum",
+        [
+            ([2, 2, 2, 7], [(1, 0, 1, 3), (1, 1, 0, 5), (0, 1, 1, 6)], True),
+            ([2, 2, 2, 7], [(1, 0, 1, 3), (1, 1, 0, 5), (0, 1, 1, 5)], False),
+            ([2, 2, 2, 7], [(1, 0, 1, 3), (1, 1, 1, 5), (0, 1, 1, 6)], False),
+            ([5, 5, 3], [(4, 2, 1), (3, 4, 2), (3, 4, 0)], True),
+            ([5, 5, 3], [(4, 2, 1), (3, 4, 2), (3, 4, 1)], False),
+            ([5, 5, 3], [(4, 2, 1), (3, 4, 2), (4, 4, 0)], False),
+        ],
+    )
+    def test_base_points_sum_to_zero_per_factor(self, factors, coords, zero_sum):
+        # the accepted tuples sum to zero only after each coordinate wraps;
+        # the rejected ones are off by one in a single coordinate
+        g = make_group(factors)
+        pair = trivial_pair(g, 3, 0.2)
+        xs = [g.element(c).index for c in coords]
+        As = [constant(g, 1.0)] * 3
+        if zero_sum:
+            assert weighted_T(As, pair, xs).value > 0
+        else:
+            with pytest.raises(DomainMismatchError, match="sum to zero"):
+                weighted_T(As, pair, xs)
+
 
 class TestUniformWeightCount:
     def test_zero_function(self):
