@@ -31,7 +31,7 @@ from .groups import (
     neg_index,
     translate_blocks,
 )
-from .harmonic import DenseFn, convolve, dft
+from .harmonic import DenseFn, Spectrum, convolve, dft, idft
 from .reports import IneqReport
 
 MASS_TOL = 1e-12
@@ -136,9 +136,11 @@ def _sup_norm_bound(delta: float, d: int, n: int) -> float:
 class BohrCutoff:
     """The pair (beta, psi = beta * beta) for one frequency set and width.
 
-    Immutable after construction.  psi's transform is recomputed from the
-    materialized convolution so the nonnegative-spectrum invariant is an
-    honest numerical check, not true by construction.
+    Immutable after construction.  psi is the inverse transform of beta's
+    transform squared, which is convolve(beta, beta) with one forward
+    transform fewer.  psi's transform is recomputed from the materialized
+    convolution so the nonnegative-spectrum invariant is an honest numerical
+    check, not true by construction.
     """
 
     def __init__(self, gamma: FrequencySet, delta: float):
@@ -147,7 +149,8 @@ class BohrCutoff:
         self.gamma = gamma
         self.delta = float(delta)
         self.beta = smoothed_beta(gamma, delta)
-        self.psi = convolve(self.beta, self.beta)
+        spectrum = dft(self.beta).values
+        self.psi = idft(Spectrum(self.group, spectrum * spectrum))
         self.psi_hat = dft(self.psi)
         self._validate()
         raw = self.psi.values

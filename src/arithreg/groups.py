@@ -19,6 +19,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 
@@ -335,15 +336,10 @@ def _is_cyclic(group: GroupSpec) -> bool:
     return len(digits) <= 1 and not any(is_run for _, _, is_run in digits)
 
 
-def _window(values: np.ndarray) -> np.ndarray:
-    """(m, m) read-only view whose row x is values[x], ..., values[x+m-1 mod m]."""
-    m = values.size
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([values, values]), m)[:m]
-
-
 @lru_cache(maxsize=64)
 def _cyclic_window(m: int) -> np.ndarray:
-    return _window(np.arange(m))
+    """(m, m) read-only view whose row x is x, x+1, ..., x+m-1 mod m."""
+    return sliding_window_view(np.tile(np.arange(m), 2), m)[:m]
 
 
 def _window_rows(window: np.ndarray, xs: Sequence[int]) -> np.ndarray:
@@ -352,35 +348,34 @@ def _window_rows(window: np.ndarray, xs: Sequence[int]) -> np.ndarray:
     return window[np.asarray(xs, dtype=np.int64)]
 
 
-def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
+def translate_rows(
+    group: GroupSpec, xs: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """(len(xs), N) index rows; row i lists the index of x_i + n over all n.
 
     Built digit by digit: XOR on each run of 2-factors, addition mod m on
-    every other factor.  On a cyclic group the rows come from a window over
-    a doubled arange, zero-copy and read-only when xs is a step-1 range.
+    every other factor; the last digit writes into out when it is given (an
+    int64 array of that shape).  On a cyclic group the rows come from a
+    window over a doubled arange, zero-copy and read-only when xs is a step-1
+    range, and out is not used.
     """
     if _is_cyclic(group):
         return _window_rows(_cyclic_window(group.order), xs)
     xs = np.asarray(xs, dtype=np.int64)
-    rows = None
+    rows = np.zeros((xs.size, 1), dtype=np.int64)
     for size, stride, is_run in index_digits(group):
         d = xs // stride % size
-        part = d[:, None] ^ np.arange(size) if is_run else _cyclic_window(size)[d]
-        if rows is None:
-            rows = part
+        dest = None if out is None or stride > 1 else out.reshape(xs.size, -1, size)
+        if is_run:  # size is 2^r, so rows * size + (d ^ j) = (rows * size + d) ^ j
+            rows = np.bitwise_xor((rows * size + d[:, None])[:, :, None], np.arange(size), out=dest)
         else:
-            rows = (rows[:, :, None] * size + part[:, None, :]).reshape(xs.size, -1)
+            rows = np.add((rows * size)[:, :, None], _cyclic_window(size)[d][:, None, :], out=dest)
+        rows = rows.reshape(xs.size, -1)
     return rows
 
 
 def translate_values(group: GroupSpec, values: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-    """values[translate_rows(group, xs)]: row i holds n -> values(x_i + n).
-
-    On a cyclic group the rows are copied out of a window over the doubled
-    values, with no index gather.
-    """
-    if _is_cyclic(group):
-        return np.ascontiguousarray(_window_rows(_window(values), xs))
+    """values[translate_rows(group, xs)]: row i holds n -> values(x_i + n)."""
     return values[translate_rows(group, xs)]
 
 
@@ -390,11 +385,31 @@ def translate_blocks(
     """Yield (lo, hi, translate_values(group, values, xs[lo:hi])) over all of xs.
 
     A block holds about TRANSLATE_BLOCK_BYTES of float64 rows, whatever N is.
+    The yielded block is scratch: one buffer (and one buffer of index rows)
+    is refilled for every block, so a block is valid until the next one is
+    drawn, and the caller may overwrite it.
     """
-    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * group.order))
+    n = group.order
+    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(step, len(xs)), n), dtype=values.dtype)
+    cyclic = _is_cyclic(group)
+    if cyclic:
+        doubled = np.concatenate([values, values])
+        window = sliding_window_view(doubled, n)
+    else:
+        index = np.empty(buf.shape, dtype=np.int64)
     for lo in range(0, len(xs), step):
         hi = min(len(xs), lo + step)
-        yield lo, hi, translate_values(group, values, xs[lo:hi])
+        rows, part = buf[: hi - lo], xs[lo:hi]
+        if cyclic and isinstance(part, range) and part.step == 1:
+            np.copyto(rows, window[part.start : part.stop])
+        elif cyclic:  # one slice copy per row, no gathered temporary
+            for row, x in zip(rows, np.asarray(part).tolist()):
+                row[...] = doubled[x : x + n]
+        else:
+            index_rows = translate_rows(group, part, index[: hi - lo])
+            np.take(values, index_rows, out=rows, mode="wrap")
+        yield lo, hi, rows
 
 
 def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 Transform convention: forward transform F(gamma) = sum_x f(x) gamma(x) with no
 normalization; inversion divides by N.  One exact +-1 butterfly kernel runs in
 place over each maximal run of 2-factors (a contiguous digit of the index),
-most significant stride first; every other factor goes through numpy's FFT.
-Real input stays real until the first non-2 factor.  The same kernel is the
-Walsh-Hadamard transform `wht_last_axis` used by the (Z/2)^n pipeline.  The
-naive O(N^2) kernel lives in the test suite as the independent oracle.
+most significant stride first, its short stages on transposed slabs; every
+other factor goes through numpy's FFT in place.  Real input stays real until
+the first non-2 factor.  The same kernel is the Walsh-Hadamard transform
+`wht_last_axis` used by the (Z/2)^n pipeline.  The naive O(N^2) kernel lives
+in the test suite as the independent oracle.
 """
 
 from __future__ import annotations
@@ -95,21 +96,55 @@ def _indicator_required(f: DenseFn) -> None:
 # transforms
 # ---------------------------------------------------------------------------
 
-def _butterflies(a: np.ndarray) -> None:
+_SHORT_RUN = 16  # elements: butterfly stages with shorter contiguous runs go transposed
+_SLAB_BYTES = 1 << 19  # bytes of one transposed slab of those stages
+
+
+def _butterflies(a: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """In place +-1 butterflies over axis -2 of a C-contiguous (..., 2^r, s) array.
 
     This is the Walsh-Hadamard transform of a run of r consecutive 2-factors,
     whose indices form one contiguous digit of stride s.  Stages go most
     significant stride first; every step only adds and subtracts, so integer
-    input stays exact.
+    input stays exact.  A stage of half-width h pairs runs of h*s contiguous
+    elements.  The stages with runs under _SHORT_RUN stay inside chunks of
+    m*s elements and run on transposed slabs of chunks, where one run spans
+    the slab.  Every element gets the same adds and subtracts in the same
+    order, so the result is bitwise that of the plain stage loop.  scratch
+    (flat, a's dtype, 1.5 a.size elements or more; fresh when None) holds
+    the low-half copies and a slab of up to _SLAB_BYTES.
     """
-    lead, n, s = a.shape[:-2], a.shape[-2], a.shape[-1]
+    n, s = a.shape[-2], a.shape[-1]
+    m = 1
+    while m < n and m * s < _SHORT_RUN:
+        m *= 2
+    chunk = m * s
+    chunks = a.reshape(-1, chunk)
+    step = max(1, min(len(chunks), _SLAB_BYTES // (chunk * a.itemsize)))
+    half = a.size // 2
+    if scratch is None:
+        scratch = np.empty(half + (step * chunk if m > 1 else 0), dtype=a.dtype)
+    lows, slab = scratch[:half], scratch[half:]
+    _stages(a.reshape(-1, n, s), m, lows)
+    if m == 1:
+        return
+    for lo in range(0, len(chunks), step):
+        part = chunks[lo : lo + step]
+        t = slab[: part.size].reshape(part.shape[::-1])
+        np.copyto(t, part.T)
+        _stages(t.reshape(1, m, -1), 1, lows)
+        np.copyto(part, t.T)
+
+
+def _stages(a: np.ndarray, h_stop: int, scratch: np.ndarray) -> None:
+    """Butterfly stages h = n/2, n/4, ..., h_stop in place on a C-contiguous (L, n, s) array."""
+    lead, n, s = a.shape
     h = n // 2
-    while h:
-        view = a.reshape(lead + (n // (2 * h), 2, h * s))
-        lo = view[..., 0, :]
-        hi = view[..., 1, :]
-        tmp = lo.copy()
+    while h >= h_stop:
+        view = a.reshape(lead, n // (2 * h), 2, h * s)
+        lo, hi = view[:, :, 0], view[:, :, 1]
+        tmp = scratch[: lo.size].reshape(lo.shape)
+        np.copyto(tmp, lo)
         lo += hi
         np.subtract(tmp, hi, out=hi)
         h //= 2
@@ -122,30 +157,48 @@ def wht_last_axis(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform(group: GroupSpec, values: np.ndarray, inverse: bool) -> np.ndarray:
+def _transform(
+    group: GroupSpec, values: np.ndarray, inverse: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Transform along the last axis, one index digit at a time, most significant first.
 
     A run of 2-factors is one digit and goes through the butterflies in one
-    pass; any other factor goes through numpy's FFT.  Real input stays
-    float64 until the first non-2 factor, so (Z/2)^n transforms of real rows
-    come back real.
+    pass; any other factor goes through numpy's FFT, in place.  Real input
+    stays float64 until the first non-2 factor, so (Z/2)^n transforms of real
+    rows come back real.  Without out the input is copied.  With out (complex128,
+    the shape of values) float64 values are scratch: the real stretch runs on
+    them, with out as the butterflies' scratch, and the complex stretch in out.
     """
     lead = values.shape[:-1]
     n = group.order
     digits = index_digits(group)
     real = values.dtype.kind != "c" and bool(digits) and digits[0][2]
-    a = values.astype(np.float64 if real else np.complex128, order="C")
+    if out is None:
+        a = values.astype(np.float64 if real else np.complex128, order="C")
+    elif real:
+        a = values
+    else:
+        np.copyto(out, values)
+        a = out
     a = a.reshape(lead + tuple(size for size, _, _ in digits))
     for axis, (size, stride, is_run) in enumerate(digits, start=len(lead)):
         if is_run:
-            a = np.ascontiguousarray(a)
-            _butterflies(a.reshape(lead + (n // (size * stride), size, stride)))
+            real_stretch = out is not None and a.dtype.kind != "c"  # out is still free
+            spare = out.reshape(-1).view(np.float64) if real_stretch else None
+            _butterflies(a.reshape(lead + (n // (size * stride), size, stride)), spare)
             if inverse:
                 a *= 1.0 / size
-        elif inverse:
-            a = np.fft.fft(a, axis=axis) / size
+            continue
+        if a.dtype.kind != "c":  # the first FFT digit after a real run
+            c = np.empty(a.shape, np.complex128) if out is None else out.reshape(a.shape)
+            np.copyto(c, a)
+            a = c
+        if inverse:
+            np.fft.fft(a, axis=axis, out=a)
+            a /= size
         else:
-            a = np.fft.ifft(a, axis=axis) * size
+            np.fft.ifft(a, axis=axis, out=a)
+            a *= size
     return a.reshape(lead + (n,))
 
 
@@ -169,13 +222,15 @@ def idft(F: Spectrum, return_residue: bool = False):
     return f
 
 
-def dft_many(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
+def dft_many(group: GroupSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward transform applied to each row of a (B, N) array.
 
     Complex, except on (Z/2)^n with real rows, where the transform is real
-    and comes back as float64.
+    and comes back as float64.  With out (complex128, the shape of rows) the
+    transform allocates no block: C-contiguous float64 rows are overwritten
+    and the result is out, or rows itself when it stays real.
     """
-    return _transform(group, np.asarray(rows), inverse=False)
+    return _transform(group, np.asarray(rows), inverse=False, out=out)
 
 
 def parseval_gap(f: DenseFn, F: Spectrum | None = None) -> float:

@@ -32,8 +32,8 @@ from .groups import (
     GroupSpec,
     coords_table,
     neg_index,
+    translate_blocks,
     translate_indices,
-    translate_values,
 )
 from .harmonic import (
     DenseFn,
@@ -46,7 +46,6 @@ from .reports import IneqReport
 
 FAITHFUL = "faithful"
 SCALED = "scaled"
-_PROFILE_CHUNK = 256  # translate rows per transform block of the cond2 kernel
 
 
 class RegPair:
@@ -154,7 +153,9 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
 
     cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y), expanded through
     three convolutions; cond2(x) is the exact sup over all N characters of
-    |((A^{+x} - alpha2(x)) psi2)^|, computed row-block by row-block.
+    |((A^{+x} - alpha2(x)) psi2)^|, and worst(x) the first character that
+    attains it.  cond2 runs block by block through the workspace of the
+    cond2 kernel, so no temporary grows with the number of rows.
     """
     group = A.group
     n = group.order
@@ -168,26 +169,29 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
 
     cond2 = np.zeros(n)
     worst = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _PROFILE_CHUNK):
-        hi = min(n, lo + _PROFILE_CHUNK)
-        mags = _windowed_magnitudes(A, range(lo, hi), a2, pair)
-        top = mags.argmax(axis=1)
-        worst[lo:hi] = top
-        cond2[lo:hi] = mags[np.arange(hi - lo), top]
+    for lo, hi, mags in _windowed_magnitudes(A, range(n), a2, pair):
+        top = np.argmax(mags, axis=1, out=worst[lo:hi])
+        cond2[lo:hi] = np.take_along_axis(mags, top[:, None], axis=1)[:, 0]
     return cond1, cond2, worst
 
 
-def _windowed_magnitudes(
-    A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair
-) -> np.ndarray:
-    """|((A^{+x} - alpha2(x)) psi2)^| over all characters, one row per x in xs.
+def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair):
+    """Yield (lo, hi, |((A^{+x} - alpha2(x)) psi2)^| over all characters) per block of xs.
 
     The cond2 kernel of the profile, of check_regular_value and of the
-    stability check.  The translated rows are a temporary, so numpy windows
-    them in place.
+    stability check, one row per x.  It runs on one workspace: each
+    translate block is windowed in place, transformed into one complex block
+    (in place on (Z/2)^n), and its magnitudes are written back over it, so a
+    yielded block is valid until the next one is drawn.
     """
-    rows = (translate_values(A.group, A.values, xs) - a2[xs, None]) * pair.psi2.psi.values
-    return np.abs(dft_many(A.group, rows))
+    psi = pair.psi2.psi.values
+    spectra = None
+    for lo, hi, rows in translate_blocks(A.group, A.values, xs):
+        rows -= a2[xs[lo:hi], None]
+        rows *= psi
+        if spectra is None:
+            spectra = np.empty(rows.shape, dtype=np.complex128)
+        yield lo, hi, np.abs(dft_many(A.group, rows, out=spectra[: hi - lo]), out=rows)
 
 
 def check_regular_value(A: DenseFn, pair: RegPair, x: int) -> RegValueWitness:
@@ -198,9 +202,9 @@ def check_regular_value(A: DenseFn, pair: RegPair, x: int) -> RegValueWitness:
     a1 = alpha(A, pair.psi1).values
     a2 = alpha(A, pair.psi2).values
     cond1 = float(np.sum((a2[row] - a1[idx]) ** 2 * pair.psi1.psi.values))
-    mags = _windowed_magnitudes(A, [idx], a2, pair)[0]
-    worst = int(np.argmax(mags))
-    cond2 = float(mags[worst])
+    _, _, mags = next(_windowed_magnitudes(A, [idx], a2, pair))
+    worst = int(np.argmax(mags[0]))
+    cond2 = float(mags[0, worst])
     return RegValueWitness(
         x_index=idx,
         cond1_lhs=cond1,
@@ -613,9 +617,8 @@ def check_witness_stability(
     ball = bohr_set(pair.chars, radius) if radius > 0 else np.array([0])
     ys = translate_indices(group, idx)[ball]  # ball[0] is the identity, so ys[0] = x
     values = np.zeros(ys.size)
-    for lo in range(0, ys.size, _PROFILE_CHUNK):
-        hi = min(ys.size, lo + _PROFILE_CHUNK)
-        values[lo:hi] = _windowed_magnitudes(A, ys[lo:hi], a2, pair)[:, chi_idx]
+    for lo, hi, mags in _windowed_magnitudes(A, ys, a2, pair):
+        values[lo:hi] = mags[:, chi_idx]
     premise_coeff = float(values[0])
     return {
         "premise_ok": bool(hat2 < eps / 6.0 and premise_coeff >= eps),

@@ -20,7 +20,7 @@ from arithreg.bohr import (
 )
 from arithreg.errors import UsageError
 from arithreg.groups import make_group, neg_index
-from arithreg.harmonic import DenseFn
+from arithreg.harmonic import DenseFn, convolve
 
 
 def simpson_smoothed_value(norm_x: float, delta: float, n_points: int = 10001) -> float:
@@ -165,6 +165,18 @@ class TestCutoffBasics:
             c = make_cutoff(fs, float(rng.uniform(0.05, 0.4)))
             beta_hat = dft(c.beta).values
             assert np.max(np.abs(c.psi_hat.values - beta_hat**2)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "factors", [[101], [1001], [2] * 10, [5, 5, 3], [2] * 6 + [35], [4096]]
+    )
+    def test_psi_is_bitwise_the_convolution_of_beta(self, factors, rng):
+        # psi squares beta's transform once; convolve transforms beta twice
+        g = make_group(factors)
+        for d in (0, 1, 2):
+            fs = random_frequency_set(g, d, rng)
+            for delta in (0.5, 0.05, 1e-3):
+                c = make_cutoff(fs, delta)
+                assert np.array_equal(c.psi.values, convolve(c.beta, c.beta).values)
 
     def test_sup_norm_bound(self, rng):
         g = make_group([101])

@@ -2,13 +2,18 @@
 
 The transform runs the +-1 butterflies over each run of 2-factors and numpy's
 FFT over every other factor, so groups mixing the two are checked against the
-character-matrix oracle.  Translate rows come from a window on cyclic groups
+character-matrix oracle.  The butterflies run their short stages on
+transposed slabs, so they are pinned bitwise to the plain stage loop and to
+the integer transform.  Translate rows come from a window on cyclic groups
 and are built digit by digit otherwise; both are checked against the
 coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
-partial, and the brute-force oracle against a literal tuple sum.
+partial, and the brute-force oracle against a literal tuple sum.  The
+regularity profile runs on one reused workspace per call, so it is pinned
+bitwise to a one-row-per-call reference and its memory peak is bounded.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,7 +22,7 @@ import pytest
 from conftest import naive_dft
 
 from arithreg.applications import ap3_table, nu_weight
-from arithreg.bohr import random_frequency_set
+from arithreg.bohr import make_frequency_set, random_frequency_set
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
     character_table,
@@ -28,12 +33,23 @@ from arithreg.groups import (
     translate_rows,
     translate_values,
 )
-from arithreg.harmonic import DenseFn, Spectrum, brute_force_zero_sum, dft_many, idft
-from arithreg.reg_general import SCALED, RegPair
+from arithreg.harmonic import (
+    DenseFn,
+    Spectrum,
+    _butterflies,
+    brute_force_zero_sum,
+    convolve,
+    dft_many,
+    idft,
+)
+from arithreg.reg_general import SCALED, RegPair, alpha, regular_value_profile, trivial_pair
 
 MIXED_SHAPES = ["2^3x7x2^2", "3x2^4x5", "2^6x35", "2^12"]
 TRANSLATE_SHAPES = ["2048", "2^11", "2049", "4096", "2^12", "4097", "2^6x35"]
 BLOCK_SHAPES = ["2^6x35", "3^7", "4097"]
+# last profile block partial (2049, 4097, 2^6x35), a 2-run after an FFT digit
+# (3x2^4x5, 2^3x7x2^2), and pure (Z/2)^11
+PROFILE_SHAPES = ["2049", "4097", "2^6x35", "3x2^4x5", "2^3x7x2^2", "2^11"]
 
 
 @pytest.fixture
@@ -134,3 +150,89 @@ def test_brute_force_zero_sum_matches_literal_sum(rng):
         for x1, x2, x3 in product(range(n), repeat=3)
     )
     assert brute_force_zero_sum([DenseFn(g, f) for f in fs]) == literal
+
+
+def stage_loop(a: np.ndarray) -> None:
+    """The butterflies as one plain loop over the stages, most significant first."""
+    lead, n, s = a.shape[:-2], a.shape[-2], a.shape[-1]
+    h = n // 2
+    while h:
+        view = a.reshape(lead + (n // (2 * h), 2, h * s))
+        lo = view[..., 0, :]
+        hi = view[..., 1, :]
+        tmp = lo.copy()
+        lo += hi
+        np.subtract(tmp, hi, out=hi)
+        h //= 2
+
+
+def hadamard(n: int) -> np.ndarray:
+    """The n x n +-1 Sylvester matrix with entry (-1)^popcount(i & j)."""
+    i = np.arange(n)
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(37, 2048, 1), (37, 1024, 3), (5, 64, 35), (1, 8, 1), (3, 2, 1)])
+def test_butterflies_match_stage_loop_and_integer_transform(shape, rng):
+    # (37, 2048, 1) and (37, 1024, 3) need two slabs, the second one partial;
+    # s = 35 has no short stage
+    a = rng.standard_normal(shape)
+    expected = a.copy()
+    stage_loop(expected)
+    _butterflies(a)
+    assert np.array_equal(a, expected)
+    z = rng.integers(-50, 50, shape)
+    exact = np.einsum("jk,bks->bjs", hadamard(shape[1]), z)
+    _butterflies(z)
+    assert z.dtype == np.int64 and np.array_equal(z, exact)
+
+
+def profile_pairs(g):
+    faithful = make_frequency_set(
+        g, [g.character([int(k == j) for k in range(g.rank)]) for j in range(g.rank)]
+    )
+    degenerate = RegPair(faithful, 0.5, 3, 0.1)
+    assert degenerate.degenerate
+    return [
+        trivial_pair(g, 3, 0.1),
+        trivial_pair(g, 3, 0.1, SCALED, 2.0**60, seed_chars=[g.character_at(1)]),
+        degenerate,
+    ]
+
+
+@pytest.mark.parametrize("spec", PROFILE_SHAPES)
+def test_profile_matches_row_by_row_reference(spec, rng):
+    g = parse_group(spec)
+    A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    # every 11th row and all of the last, partial block
+    rows_per_block = TRANSLATE_BLOCK_BYTES // (8 * g.order)
+    xs = sorted({*range(0, g.order, 11), *range(g.order - g.order % rows_per_block, g.order)})
+    for pair in profile_pairs(g):
+        a1 = alpha(A, pair.psi1).values
+        a2 = alpha(A, pair.psi2).values
+        smooth_sq = convolve(pair.psi1.psi, DenseFn(g, a2 * a2)).values
+        smooth = convolve(pair.psi1.psi, DenseFn(g, a2)).values
+        cond1, cond2, worst = regular_value_profile(A, pair)
+        assert np.array_equal(cond1, smooth_sq - 2.0 * a1 * smooth + a1 * a1)
+        for x in xs:
+            row = (translate_values(g, A.values, [x]) - a2[x]) * pair.psi2.psi.values
+            mags = np.abs(dft_many(g, row))[0]
+            assert worst[x] == np.argmax(mags)
+            assert cond2[x] == mags[worst[x]]
+
+
+@pytest.mark.parametrize("spec", ["4096", "2^12"])
+def test_profile_memory_peak_is_bounded(spec, rng):
+    # one reused workspace per profile: about 6 MiB at most; per-block
+    # temporaries of 256 rows took 32-48 MiB here
+    g = parse_group(spec)
+    A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    pair = trivial_pair(g, 3, 0.1)
+    regular_value_profile(A, pair)  # fill the caches outside the measurement
+    tracemalloc.start()
+    try:
+        regular_value_profile(A, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
