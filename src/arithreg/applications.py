@@ -250,7 +250,8 @@ def sum_free_decompose(
         if s1.values[m] > 0.5 and s2.values[m] > 0.5 and s3.values[(2 * n - m) % (2 * n)] > 0.5
     ]
     B = IntegerSet(n, tuple(b_members))
-    C = IntegerSet(n, tuple(m for m in A.members if m not in set(b_members)))
+    in_b = set(b_members)
+    C = IntegerSet(n, tuple(m for m in A.members if m not in in_b))
     if schur_triples(B) != 0:
         raise InternalCheckError("sum-free part still contains a Schur triple")
     cert = dict(cert)

@@ -48,12 +48,13 @@ from .errors import (
     RetryExhaustedError,
     UsageError,
 )
-from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_group, parse_indices
+from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_group
 from .harmonic import (
     DenseFn,
     brute_force_zero_sum,
     indicator,
     load_set,
+    read_lines,
     zero_sum_count,
 )
 from .reg_f2 import regularize_f2, remove_triangles_f2
@@ -66,14 +67,12 @@ def _load_indicator(group: GroupSpec, path: str) -> DenseFn:
 
 def _load_integer_set(n: int, path: str) -> IntegerSet:
     members = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    members.append(int(line))
-                except ValueError as exc:
-                    raise InvalidSpecError(f"bad integer {line!r} in {path}") from exc
+    for line in read_lines(path):
+        if line:
+            try:
+                members.append(int(line))
+            except ValueError as exc:
+                raise InvalidSpecError(f"bad integer {line!r} in {path}") from exc
     return IntegerSet(n, tuple(members))
 
 
@@ -292,8 +291,7 @@ def cmd_tower(args) -> dict:
         "level_checks": level_checks,
     }
     if args.verify:
-        with open(args.verify) as fh:
-            H = f2_span(parse_indices(GroupSpec((2,) * spec.n), fh), spec.n)
+        H = f2_span(load_set(GroupSpec((2,) * spec.n), args.verify), spec.n)
         report["verify"] = [
             verify_tower_step(spec, f, H, i, args.eps)
             for i in spec.levels

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -185,7 +186,41 @@ def parse_indices(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
 
     A line holds comma-separated residues (empty fields are dropped), each
     reduced mod its factor as a Python int.  Errors quote the line as given.
+    Input that one `np.loadtxt` pass reads into `group.rank` columns takes
+    that pass; everything else (lenient or malformed lines) goes through the
+    line loop `_parse_lines`, which decides what is accepted.
     """
+    lines = list(lines)  # read twice where the loop decides
+    coords = _loadtxt_coords(lines)
+    if coords is None or coords.shape[1] != group.rank:
+        return _parse_lines(group, lines)
+    check_enumerable(group)
+    return ravel_coords(group, coords % np.asarray(group.factors, dtype=np.int64))
+
+
+def _loadtxt_coords(lines: Sequence[str]) -> np.ndarray | None:
+    """The lines as an int64 array from one `np.loadtxt` pass, or None where it fails.
+
+    Only ASCII text without the separators \\x1c-\\x1f is tried.  There numpy's
+    integer parser accepts a subset of what `int` does, with the same values;
+    numpy strips those separators as spaces where `int` rejects them, and it
+    misreads non-ASCII text (the field '\\u01fe1\\u01fe' comes back as 46672).
+    Empty fields, `_`, `.`, `#`, values outside int64, embedded newlines and
+    ragged rows make numpy fail, and so fall to the line loop.
+    """
+    text = "".join(lines)
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+
+
+def _parse_lines(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
+    """The reference line loop of `parse_indices`; it raises on malformed lines."""
     flat: list[int] = []
     for text in lines:
         if not (line := text.strip()):

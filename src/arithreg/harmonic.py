@@ -327,7 +327,7 @@ def save_dense_fn(f: DenseFn, path) -> None:
 
 def load_dense_fn(group: GroupSpec, path) -> DenseFn:
     vals = np.zeros(group.order)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["element", "value"]:
@@ -347,6 +347,14 @@ def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
             fh.write(f"{group.element_at(int(x))}\n")
 
 
+def read_lines(path) -> list[str]:
+    """The stripped lines of a UTF-8 text file, broken at \\n, \\r and \\r\\n."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(map(str.strip, fh))
+    except UnicodeDecodeError as exc:
+        raise InvalidSpecError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_set(group: GroupSpec, path) -> np.ndarray:
-    with open(path) as fh:  # errors quote each line stripped
-        return parse_indices(group, map(str.strip, fh))
+    return parse_indices(group, read_lines(path))  # errors quote each line stripped

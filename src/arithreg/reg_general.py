@@ -152,10 +152,12 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
     """(cond1, cond2, worst char index) for every x at once.
 
     cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y), expanded through
-    three convolutions; cond2(x) is the exact sup over all N characters of
-    |((A^{+x} - alpha2(x)) psi2)^|, and worst(x) the first character that
-    attains it.  cond2 runs block by block through the workspace of the
-    cond2 kernel, so no temporary grows with the number of rows.
+    three convolutions; the expansion cancels, so a sum of squares that is 0
+    can come out near -1e-15, and cond1 is clamped at 0.  cond2(x) is the
+    exact sup over all N characters of |((A^{+x} - alpha2(x)) psi2)^|, and
+    worst(x) the first character that attains it.  cond2 runs block by block
+    through the workspace of the cond2 kernel, so no temporary grows with the
+    number of rows.
     """
     group = A.group
     n = group.order
@@ -166,6 +168,7 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
     smooth_sq = convolve(pair.psi1.psi, a2sq).values
     smooth = convolve(pair.psi1.psi, a2f).values
     cond1 = smooth_sq - 2.0 * a1 * smooth + a1 * a1
+    np.maximum(cond1, 0.0, out=cond1)
 
     cond2 = np.zeros(n)
     worst = np.zeros(n, dtype=np.int64)

@@ -238,6 +238,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: bad ")
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["regularize-f2", "--group", "2^3", "--set", "{path}", "--eps", "0.1"],
+            ["sumfree", "--n", "32", "--set", "{path}", "--eps", "0.01"],
+            ["bhk", "--interval", "32", "--set", "{path}", "--eps", "0.05"],
+            ["tower", "--n", "3", "--depth", "2", "--verify", "{path}"],
+        ],
+        ids=["set", "integer-set", "interval", "tower-basis"],
+    )
+    def test_undecodable_set_file_is_exit_two(self, args, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes("1\n".encode("utf-16"))  # starts with the bytes ff fe
+        assert run([str(path) if a == "{path}" else a for a in args]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: invalid start byte\n"
+
+    @pytest.mark.parametrize(
         "text, err",
         [
             ("1,2\n1,2,0\n", "element '1,2,0' has 3 coordinates, group 5x3 needs 2"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithreg import groups
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import (
     add,
@@ -27,6 +28,40 @@ from arithreg.groups import (
 )
 
 small_factors = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3)
+
+# fields the line loop accepts or rejects, including what numpy's integer
+# parser reads differently from `int` (separators, non-ASCII digits and text)
+reader_fields = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.integers(-(2**65), 2**65).map(str),
+    st.sampled_from([
+        "", " ", "\t", " 4", "2 ", "\t6\t", "+5", "-0", "007", "+-1", "- 1",
+        "1_0", str(2**63), str(-(2**63)), str(-(2**63) - 1), "\u0663", "\uff11",
+        "\u01fe1\u01fe", "\x1c1", "1\x1f", "\xa01", "1.0", "1e3", "#", "1 #2", "x",
+        "\r\n", "1\r\n2", "\x0b3\x0c",
+    ]),
+)
+
+
+@st.composite
+def reader_input(draw):
+    """A group and lines that are mostly rows of its rank, some ragged or blank."""
+    factors = draw(small_factors)
+    row = st.lists(reader_fields, min_size=len(factors), max_size=len(factors))
+    line = st.one_of(
+        row.map(",".join),
+        row.map(",".join),
+        st.lists(reader_fields, max_size=4).map(",".join),
+        st.sampled_from(["", "  ", "\t", "\r\n", "\n", ",", "1,2,", "1,2\r\n"]),
+    )
+    return make_group(factors), draw(st.lists(line, max_size=6))
+
+
+def parse_outcome(parse, group, lines):
+    try:
+        return parse(group, lines).tolist()
+    except InvalidSpecError as exc:
+        return type(exc), str(exc)
 
 
 class TestMakeGroup:
@@ -86,6 +121,15 @@ class TestMakeGroup:
         rows = [r[: g.rank] for r in rows]
         lines = [",".join(map(str, r)) + "\n" for r in rows]
         assert parse_indices(g, lines).tolist() == [g.element(r).index for r in rows]
+
+    @given(reader_input())
+    @settings(max_examples=500, deadline=None)
+    def test_parse_indices_matches_the_line_loop(self, case):
+        # the vectorized pass returns what the loop returns, and raises what it raises
+        g, lines = case
+        assert parse_outcome(parse_indices, g, lines) == parse_outcome(
+            groups._parse_lines, g, lines
+        )
 
     def test_enumeration_guard(self, monkeypatch):
         monkeypatch.setenv("ARITHREG_MAX_N", "100")

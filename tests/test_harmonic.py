@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_convolve, naive_dft, random_indicator, recursive_wht
 
+from arithreg import groups
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import make_group
 from arithreg.harmonic import (
@@ -200,6 +201,17 @@ class TestSerialization:
         path.write_text(f"\n 1 , 2 \n   \n\t\n3,0,\n-1,-1\n{2**64 + 1},{2**70}\n")
         expected = indicator(g, [1 * 3 + 2, 3 * 3 + 0, 4 * 3 + 2, 2 * 3 + 1])
         assert np.array_equal(indicator(g, load_set(g, path)).values, expected.values)
+
+    def test_saved_set_parses_without_the_line_loop(self, tmp_path, monkeypatch, rng):
+        def no_loop(group, lines):
+            raise AssertionError("the line loop ran")
+
+        g = make_group([2] * 12)
+        members = rng.permutation(g.order)[:1500].tolist()
+        path = tmp_path / "set.txt"
+        save_set(g, members, path)
+        monkeypatch.setattr(groups, "_parse_lines", no_loop)
+        assert load_set(g, path).tolist() == members
 
     def test_dense_fn_blank_element_field_rejected(self, tmp_path):
         g = make_group([3])

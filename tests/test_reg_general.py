@@ -125,6 +125,13 @@ class TestRegularValue:
             assert abs(cond2[x] - w.cond2_lhs) < 1e-9
             assert int(worst[x]) == w.worst_char.index
 
+    def test_profile_cond1_is_clamped_at_zero(self, rng):
+        # unclamped, the expansion reads -2e-16 on a random set, -2e-15 on the full one
+        pair = trivial_pair(G101, 1, 0.2)
+        for A in (random_indicator(G101, rng), constant(G101, 1.0)):
+            cond1, _, _ = regular_value_profile(A, pair)
+            assert cond1.min() >= 0
+
 
 class TestRegularPair:
     def test_trivial_sets_are_regular(self):
