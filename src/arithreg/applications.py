@@ -64,10 +64,6 @@ class IntegerSet:
         return self.size / self.n_max
 
 
-def make_integer_set(n_max: int, members: Sequence[int]) -> IntegerSet:
-    return IntegerSet(int(n_max), tuple(members))
-
-
 def _twice_index(group: GroupSpec) -> np.ndarray:
     """Index of 2x per element x."""
     c = coords_table(group)

@@ -432,8 +432,8 @@ def _sinh_coeffs(fs: FrequencySet, delta: float) -> np.ndarray:
 
 
 def random_frequency_set(group: GroupSpec, d: int, rng: np.random.Generator) -> FrequencySet:
-    """d distinct nontrivial characters drawn uniformly (requires d < N)."""
-    if d >= group.order:
+    """d distinct nontrivial characters drawn uniformly (requires 0 <= d < N)."""
+    if not 0 <= d < group.order:
         raise DomainMismatchError(f"cannot draw {d} distinct nontrivial characters")
     picks: list[int] = []
     while len(picks) < d:

@@ -190,9 +190,7 @@ def cmd_remove(args) -> dict:
     group = parse_group(args.group)
     sets = [_load_indicator(group, p) for p in args.sets]
     if group.is_f2 and len(sets) == 1:
-        survivor, removed, cert = remove_triangles_f2(
-            sets[0], args.eps if args.eps else None
-        )
+        survivor, removed, cert = remove_triangles_f2(sets[0], [args.eps] if args.eps else None)
         return {
             "group": str(group),
             "mode": "triangles-f2",
@@ -304,6 +302,8 @@ def cmd_bohr_check(args) -> dict:
     group = parse_group(args.group)
     if "iv" in args.parts and args.d < 1:
         raise InvalidSpecError("part iv needs --d >= 1")
+    if args.seed < 0:
+        raise InvalidSpecError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     fs = random_frequency_set(group, args.d, rng)
     reports = [check_bohr_growth(fs, args.delta).to_dict()]

@@ -95,11 +95,6 @@ class GroupSpec:
         for i in range(self.order):
             yield self.element_at(i)
 
-    def characters(self) -> Iterator["Character"]:
-        check_enumerable(self)
-        for i in range(self.order):
-            yield self.character_at(i)
-
     def __str__(self) -> str:
         return "x".join(str(m) for m in self.factors)
 
@@ -580,10 +575,6 @@ def f2_span(rows: Iterable[int], n: int) -> F2Subgroup:
 
 def f2_full(n: int) -> F2Subgroup:
     return F2Subgroup(n, tuple(1 << (n - 1 - j) for j in range(n)))
-
-
-def f2_trivial(n: int) -> F2Subgroup:
-    return F2Subgroup(n, ())
 
 
 def f2_nullspace(rows: Iterable[int], n: int) -> F2Subgroup:

@@ -12,7 +12,6 @@ in the test suite as the independent oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,11 +75,6 @@ def indicator(group: GroupSpec, members: Sequence[int] | np.ndarray) -> DenseFn:
     vals = np.zeros(group.order)
     vals[np.asarray(members, dtype=np.int64)] = 1.0
     return DenseFn(group, vals)
-
-
-def support(f: DenseFn) -> np.ndarray:
-    """Indices where a 0/1-valued function is 1."""
-    return np.flatnonzero(f.values > 0.5)
 
 
 def delta(group: GroupSpec, x: int = 0) -> DenseFn:
@@ -208,18 +202,9 @@ def dft(f: DenseFn) -> Spectrum:
     return Spectrum(f.group, _transform(f.group, f.values, inverse=False))
 
 
-def idft(F: Spectrum, return_residue: bool = False):
-    """Inverse transform f(x) = N^{-1} sum_gamma F(gamma) conj(gamma(x)).
-
-    Returns the real part; with return_residue=True also reports the largest
-    imaginary component left over (nonzero when F lacks conjugate symmetry).
-    """
-    out = _transform(F.group, F.values, inverse=True)
-    residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    f = DenseFn(F.group, out.real.copy())
-    if return_residue:
-        return f, residue
-    return f
+def idft(F: Spectrum) -> DenseFn:
+    """Inverse transform f(x) = N^{-1} sum_gamma F(gamma) conj(gamma(x)), real part."""
+    return DenseFn(F.group, _transform(F.group, F.values, inverse=True).real.copy())
 
 
 def dft_many(group: GroupSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,32 +299,8 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
 
 
 # ---------------------------------------------------------------------------
-# serialization (CSV for functions, one element per line for sets)
+# serialization (one element per line for sets)
 # ---------------------------------------------------------------------------
-
-def save_dense_fn(f: DenseFn, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "value"])
-        for i, v in enumerate(f.values):
-            writer.writerow([str(f.group.element_at(i)), repr(float(v))])
-
-
-def load_dense_fn(group: GroupSpec, path) -> DenseFn:
-    vals = np.zeros(group.order)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["element", "value"]:
-            raise DomainMismatchError(f"{path}: expected CSV header 'element,value'")
-        rows = [row for row in reader if row]
-    idx = parse_indices(group, [row[0] for row in rows])
-    if idx.size != len(rows):
-        raise InvalidSpecError(f"{path}: blank element field")
-    for i, row in zip(idx.tolist(), rows):  # in row order: the last duplicate wins
-        vals[i] = float(row[1])
-    return DenseFn(group, vals)
-
 
 def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
     with open(path, "w") as fh:

@@ -69,7 +69,11 @@ def is_regular_value_f2(f: DenseFn, H: F2Subgroup, g: int, eps: float) -> bool:
 
 
 class _CosetState:
-    """One coset-spectra pass of f over H: reps, spectra, sups, masses, index."""
+    """One coset-spectra pass of f over H: reps, spectra, sups, masses, index.
+
+    index is (1/N) sum_g (mass of f on H+g / |H|)^2; check(eps) counts the g
+    failing regularity (a property of the coset of g) and passes iff count < eps N.
+    """
 
     def __init__(self, f: DenseFn, H: F2Subgroup):
         self.f, self.H = f, H
@@ -84,20 +88,6 @@ class _CosetState:
     def check(self, eps: float) -> tuple[bool, int]:
         count = int(np.count_nonzero(self.irregular(eps))) * self.H.size
         return count < eps * self.f.group.order, count
-
-
-def is_regular_subgroup_f2(f: DenseFn, H: F2Subgroup, eps: float) -> tuple[bool, int]:
-    """Count values g failing regularity; the subgroup passes iff count < eps N.
-
-    Regularity of g depends only on its coset (translates share coefficient
-    moduli), so the count is coset count times |H|.
-    """
-    return _CosetState(f, H).check(eps)
-
-
-def index_f2(f: DenseFn, H: F2Subgroup) -> float:
-    """Mean squared coset density (1/N) sum_g (mass of f on H+g / |H|)^2."""
-    return _CosetState(f, H).index
 
 
 def _witnesses(state: _CosetState, eps: float) -> list[int]:
@@ -123,7 +113,7 @@ def _witnesses(state: _CosetState, eps: float) -> list[int]:
 def _refine(state: _CosetState, eps: float) -> tuple[_CosetState, list[int]]:
     """The refined subgroup's state and the witnesses that cut it out."""
     if state.check(eps)[0]:
-        raise DomainMismatchError("refine_step_f2 called on a regular subgroup")
+        raise DomainMismatchError("cannot refine a regular subgroup")
     lifted = _witnesses(state, eps)
     basis = state.H.annihilator().basis + tuple(lifted)
     refined = _CosetState(state.f, f2_nullspace(basis, state.f.group.rank))
@@ -133,12 +123,6 @@ def _refine(state: _CosetState, eps: float) -> tuple[_CosetState, list[int]]:
             f"index gain {gain} fell short of eps^3 = {eps**3}"
         )
     return refined, lifted
-
-
-def refine_step_f2(f: DenseFn, H: F2Subgroup, eps: float) -> F2Subgroup:
-    """Refine an irregular subgroup; the index gain of at least eps^3 is asserted."""
-    _require_f2(f.group)
-    return _refine(_CosetState(f, H), eps)[0].H
 
 
 @dataclass
@@ -242,12 +226,8 @@ def triangle_count_exact(A: DenseFn) -> int:
     return exact_zero_sum_tuples([A, A, A])
 
 
-def triangle_count_spectral(A: DenseFn) -> float:
-    return zero_sum_count([A, A, A])
-
-
 def remove_triangles_f2(
-    A: DenseFn, eps_schedule: "float | list[float] | None" = None
+    A: DenseFn, eps_schedule: "list[float] | None" = None
 ) -> tuple[DenseFn, int, dict]:
     """Remove elements until no zero-sum triple remains, reporting the route.
 
@@ -256,9 +236,7 @@ def remove_triangles_f2(
     triangle of the best candidate is deleted (`reg_general._removal_route`).
     """
     _indicator_required(A)
-    if eps_schedule is None:
-        eps_schedule = [0.02, 0.05, 0.1, 0.2, 0.3, 0.45]
-    schedule = [eps_schedule] if isinstance(eps_schedule, float) else list(eps_schedule)
+    schedule = [0.02, 0.05, 0.1, 0.2, 0.3, 0.45] if eps_schedule is None else list(eps_schedule)
     n_total = A.group.order
 
     def attempt(eps: float):
@@ -281,7 +259,7 @@ def remove_triangles_f2(
                                    lambda B: _strip_participants([B, B, B]))
     removed = int(A.values.sum() - reduced.values.sum())
     cert |= {
-        "spectral_triangles": triangle_count_spectral(reduced),
+        "spectral_triangles": zero_sum_count([reduced] * 3),
         "exact_triangles": 0,
         "removal_bound_ok": removed <= 3.0 * cert["eps"] ** (1.0 / 3.0) * n_total,
     }

@@ -242,16 +242,6 @@ class _PairState:
         self.index = index_general(self.As, pair)[1]
 
 
-def irregular_counts(As: Sequence[DenseFn], pair: RegPair) -> list[int]:
-    return _PairState(As, pair).counts
-
-
-def is_regular_pair(As: Sequence[DenseFn], pair: RegPair) -> tuple[bool, list[int]]:
-    """True iff every tracked set has fewer than eps N irregular values."""
-    state = _PairState(As, pair)
-    return state.regular, state.counts
-
-
 # ---------------------------------------------------------------------------
 # covering lemma
 # ---------------------------------------------------------------------------
@@ -638,21 +628,13 @@ def check_witness_stability(
 # reduced sets and zero-sum removal
 # ---------------------------------------------------------------------------
 
-def reduced_sets(As: Sequence[DenseFn], pair: RegPair) -> list[DenseFn]:
+def _reduce(state: _PairState) -> list[DenseFn]:
     """Delete irregular and low-density members of each set.
 
     x in A_i is dropped when it is not a regular value or when either
     smoothed density alpha_{i,1}(x) or alpha_{i,2}(x) is at most 4 eps^{1/k};
     the loss is at most 10 k eps^{1/k} N per set for a regular pair.
     """
-    if len(As) != pair.k:
-        raise DomainMismatchError("pair was built for a different number of sets")
-    for A in As:
-        _indicator_required(A)
-    return _reduce(_PairState(As, pair))
-
-
-def _reduce(state: _PairState) -> list[DenseFn]:
     eps, k = state.pair.eps, state.pair.k
     threshold = 4.0 * eps ** (1.0 / k)
     out = []

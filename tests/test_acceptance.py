@@ -13,10 +13,10 @@ from conftest import all_subspaces, naive_dft, random_indicator
 from test_bohr import simpson_smoothed_value
 
 from arithreg.applications import (
+    IntegerSet,
     bhk_witness_group,
     bhk_witness_interval,
     build_tower_function,
-    make_integer_set,
     nu_mass_identity,
     schur_triples,
     spanning_family,
@@ -27,9 +27,12 @@ from arithreg.applications import (
 from arithreg.bohr import (
     check_bohr_growth,
     check_cutoff_property,
+    fine_width,
     make_cutoff,
     make_frequency_set,
     norm_values,
+    part_iv_width,
+    part_ix_width,
     random_frequency_set,
     smoothed_beta,
     smoothed_indicator,
@@ -54,7 +57,7 @@ from arithreg.harmonic import (
     dft,
 )
 from arithreg.reg_f2 import (
-    is_regular_subgroup_f2,
+    _CosetState,
     regularize_f2,
     remove_triangles_f2,
     triangle_count_exact,
@@ -184,14 +187,14 @@ def test_criterion_3_bohr_inequality_suite():
 
         # parts iv and vi-ix under their stated hypotheses
         tau = float(rng.uniform(0.05, 0.24))
-        delta_iv = min(delta, 2.0**-12 * tau**2 / d) * 0.9
+        delta_iv = min(delta, part_iv_width(tau, d)) * 0.9
         rep = check_cutoff_property("iv", fs, delta_iv, tau=tau,
                                     chi=fs.chars[int(rng.integers(d))])
         if not (rep.hypothesis_ok and rep.holds and rep.details["consequent_holds"]):
             violations.append(("iv", draw))
 
         gamma2 = fs.extend(random_frequency_set(g, 1, rng).chars)
-        d2 = 2.0**-13 * delta * tau**2 / gamma2.d * 0.9
+        d2 = fine_width(delta, tau, gamma2.d) * 0.9
         for part, kwargs in (
             ("vi", {"m": int(rng.integers(1, 4))}),
             ("vii", {}),
@@ -208,7 +211,7 @@ def test_criterion_3_bohr_inequality_suite():
         best = int(np.argmax(hat))
         kappa = max(float(hat[best]) * 0.9, 1e-9)
         omega = float(rng.uniform(0.05, 0.5))
-        d2_ix = omega**2 * kappa**2 * delta / (2.0**13 * gamma2.d) * 0.9
+        d2_ix = part_ix_width(delta, kappa, omega, gamma2.d) * 0.9
         rep = check_cutoff_property(
             "ix", fs, delta, gamma2=gamma2, delta2=d2_ix,
             chi=g.character_at(best), kappa=kappa, omega=omega,
@@ -261,7 +264,7 @@ def test_criterion_4_f2_regularity():
             gains = np.diff(rep.index_trace)
             if rep.iterations and gains.min() < eps**3 - 1e-12:
                 failures.append(("gain", eps, i))
-            ok, count = is_regular_subgroup_f2(A, rep.subgroup, eps)
+            ok, count = _CosetState(A, rep.subgroup).check(eps)
             if not ok or count != rep.irregular_values:
                 failures.append(("recheck", eps, i))
     elapsed = time.monotonic() - t0
@@ -347,7 +350,7 @@ def test_criterion_6_removal_suite():
         members = sorted(
             rng.choice(range(1, n + 1), size=int(rng.integers(8, n // 2)), replace=False).tolist()
         )
-        B, C, cert = sum_free_decompose(make_integer_set(n, members), 0.05)
+        B, C, cert = sum_free_decompose(IntegerSet(n, tuple(members)), 0.05)
         if schur_triples(B) != 0:
             failures.append(("schur", t))
         if sorted(B.members + C.members) != members:
@@ -451,7 +454,7 @@ def test_criterion_8_progression_witnesses():
         members = sorted(
             rng.choice(range(1, n + 1), size=int(0.4 * n), replace=False).tolist()
         )
-        I = make_integer_set(n, members)
+        I = IntegerSet(n, tuple(members))
         w = bhk_witness_interval(I, eps)
         if w.d is None or abs(w.d) > eps * n:
             failures.append(("interval-cap", t))

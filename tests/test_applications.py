@@ -6,13 +6,13 @@ import pytest
 from conftest import random_indicator
 
 from arithreg.applications import (
+    IntegerSet,
     ap3_count,
     ap3_table,
     bhk_witness_group,
     bhk_witness_interval,
     build_tower_function,
     growth_step,
-    make_integer_set,
     nu_mass_identity,
     nu_weight,
     schur_triples,
@@ -38,14 +38,14 @@ class TestAp3:
     def test_difference_zero_counts_members(self, rng):
         A = random_indicator(G101, rng)
         assert ap3_count(A, 0) == int(A.values.sum())
-        I = make_integer_set(20, [2, 5, 9])
+        I = IntegerSet(20, (2, 5, 9))
         assert ap3_count(I, 0) == 3
 
     def test_small_integer_example(self):
-        assert ap3_count(make_integer_set(7, [1, 2, 3]), 1) == 1
+        assert ap3_count(IntegerSet(7, (1, 2, 3)), 1) == 1
 
     def test_interval_full_range(self):
-        assert ap3_count(make_integer_set(50, range(1, 51)), 1) == 48
+        assert ap3_count(IntegerSet(50, tuple(range(1, 51))), 1) == 48
 
     def test_group_count_matches_enumeration(self, rng):
         A = random_indicator(G101, rng, density=0.4)
@@ -135,7 +135,7 @@ class TestNuWeight:
         # regular non-degenerate pair; degenerate draws are recorded instead
         from arithreg.applications import _twice_index
         from arithreg.harmonic import convolve
-        from arithreg.reg_general import alpha, is_regular_pair
+        from arithreg.reg_general import _PairState, alpha
 
         eps = 0.4
         A = random_indicator(G101, rng)
@@ -143,8 +143,7 @@ class TestNuWeight:
         neg2 = indicator(G101, [(-2 * int(m)) % 101 for m in members])
         pair = trivial_pair(G101, 3, eps)
         assert not pair.degenerate
-        regular, _ = is_regular_pair([A, neg2, A], pair)
-        assert regular
+        assert _PairState([A, neg2, A], pair).regular
         a1 = alpha(A, pair.psi1).values
         halved = np.clip(pair.psi2.psi.values, 0, None)[_twice_index(G101)]
         a2 = convolve(A, DenseFn(G101, halved)).values
@@ -207,19 +206,19 @@ class TestBhkWitness:
 
 class TestBhkInterval:
     def test_full_interval(self):
-        A = make_integer_set(60, range(1, 61))
+        A = IntegerSet(60, tuple(range(1, 61)))
         w = bhk_witness_interval(A, 0.05)
         assert w.d == 1 and w.count == 58  # d=1 gives N-2 genuine progressions
         assert w.d_cap == 3
 
     def test_odd_numbers(self):
-        A = make_integer_set(101, range(1, 102, 2))
+        A = IntegerSet(101, tuple(range(1, 102, 2)))
         w = bhk_witness_interval(A, 0.05)
         assert w.d == 2
         assert w.count == ap3_count(A, 2) == 49
 
     def test_random_set_matches_exhaustive_table(self, rng):
-        A = make_integer_set(301, sorted(rng.choice(range(1, 302), 120, replace=False).tolist()))
+        A = IntegerSet(301, tuple(sorted(rng.choice(range(1, 302), 120, replace=False).tolist())))
         eps = 0.05
         w = bhk_witness_interval(A, eps)
         cap = math.floor(eps * 301)
@@ -228,35 +227,35 @@ class TestBhkInterval:
         assert abs(w.d) <= eps * 301
 
     def test_no_admissible_difference(self):
-        A = make_integer_set(10, [1, 5])
+        A = IntegerSet(10, (1, 5))
         w = bhk_witness_interval(A, 0.05)  # eps N < 1: no nonzero d allowed
         assert w.d is None and not w.bound_ok
 
 
 class TestSumFree:
     def test_odd_numbers_survive(self):
-        A = make_integer_set(64, range(1, 65, 2))
+        A = IntegerSet(64, tuple(range(1, 65, 2)))
         B, C, cert = sum_free_decompose(A, 0.01)
         assert B.members == A.members
         assert C.size == 0
         assert schur_triples(B) == 0
 
     def test_initial_segment(self):
-        A = make_integer_set(16, range(1, 17))
+        A = IntegerSet(16, tuple(range(1, 17)))
         B, C, cert = sum_free_decompose(A, 0.1)
         assert schur_triples(B) == 0
         assert set(B.members) | set(C.members) == set(A.members)
         assert not (set(B.members) & set(C.members))
 
     def test_top_half_is_already_sum_free(self):
-        A = make_integer_set(100, range(51, 101))
+        A = IntegerSet(100, tuple(range(51, 101)))
         assert schur_triples(A) == 0
         B, C, cert = sum_free_decompose(A, 0.01)
         assert B.members == A.members and C.size == 0
 
     def test_random_set_outputs_partition(self, rng):
         members = sorted(rng.choice(range(1, 129), 40, replace=False).tolist())
-        A = make_integer_set(128, members)
+        A = IntegerSet(128, tuple(members))
         B, C, cert = sum_free_decompose(A, 0.05)
         assert schur_triples(B) == 0
         assert sorted(B.members + C.members) == list(A.members)

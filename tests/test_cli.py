@@ -286,8 +286,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_bohr_part_iv_without_characters_is_exit_two(self, capsys):
-        assert run(["bohr-check", "--group", "101", "--d", "0", "--parts", "iv"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # a negative --d or --seed describes no frequency set either
+        for extra in (["--d", "0", "--parts", "iv"], ["--d", "-1", "--parts", "i"],
+                      ["--seed", "-1", "--parts", "i"]):
+            assert run(["bohr-check", "--group", "101"] + extra) == 2, extra
+            assert capsys.readouterr().err.startswith("error: "), extra
 
     def test_scale_in_faithful_mode_is_exit_two(self, workdir, capsys):
         assert run([

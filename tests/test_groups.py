@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arithreg import groups
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import (
+    F2Subgroup,
     add,
     char_arg_norm,
     char_eval,
@@ -19,7 +20,6 @@ from arithreg.groups import (
     f2_nullspace,
     f2_parity,
     f2_span,
-    f2_trivial,
     make_group,
     neg,
     parse_group,
@@ -269,7 +269,7 @@ class TestF2Subgroups:
 
     def test_coset_reps_examples(self):
         assert f2_full(3).coset_reps().tolist() == [0]
-        assert sorted(f2_trivial(2).coset_reps().tolist()) == [0, 1, 2, 3]
+        assert sorted(F2Subgroup(2, ()).coset_reps().tolist()) == [0, 1, 2, 3]
         # H = span{11} in (Z/2)^2 -> {00, 01}
         assert f2_span([0b11], 2).coset_reps().tolist() == [0b00, 0b01]
 
@@ -302,7 +302,7 @@ class TestF2Subgroups:
         # row i is {r_i + h : h in H} in coefficient order, and the rows
         # partition (Z/2)^n; dimension 0 and the full group included
         for n in range(6, 10):
-            subgroups = [f2_trivial(n), f2_full(n)]
+            subgroups = [F2Subgroup(n, ()), f2_full(n)]
             for _ in range(4):
                 rows = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(1, n)))]
                 subgroups.append(f2_span(rows, n))

@@ -4,20 +4,18 @@ import pytest
 from conftest import all_subspaces, gaussian_binomial, random_indicator
 
 from arithreg.errors import DomainMismatchError
-from arithreg.groups import f2_full, f2_span, f2_trivial, make_group
-from arithreg.harmonic import constant, indicator
+from arithreg.groups import F2Subgroup, f2_full, f2_span, make_group
+from arithreg.harmonic import constant, indicator, zero_sum_count
 from arithreg.reg_f2 import (
-    index_f2,
-    is_regular_subgroup_f2,
+    _CosetState,
+    _refine,
     is_regular_value_f2,
     local_fourier,
     local_triangle_count,
     reduced_set_f2,
     regularize_f2,
-    refine_step_f2,
     remove_triangles_f2,
     triangle_count_exact,
-    triangle_count_spectral,
     wht_last_axis,
 )
 
@@ -76,7 +74,7 @@ class TestRegularity:
     def test_full_set_always_regular(self):
         H = f2_span([0b110000], 6)
         assert is_regular_value_f2(constant(G6, 1.0), H, 3, 0.01)
-        ok, count = is_regular_subgroup_f2(constant(G6, 1.0), H, 0.01)
+        ok, count = _CosetState(constant(G6, 1.0), H).check(0.01)
         assert ok and count == 0
 
     def test_hyperplane_fails_for_every_translate(self):
@@ -84,7 +82,7 @@ class TestRegularity:
         H = f2_full(6)
         for g in range(0, 64, 7):
             assert not is_regular_value_f2(A, H, g, 0.4)
-        ok, count = is_regular_subgroup_f2(A, H, 0.1)
+        ok, count = _CosetState(A, H).check(0.1)
         assert not ok and count == 64
 
     def test_count_matches_per_value_definition(self, rng):
@@ -94,7 +92,7 @@ class TestRegularity:
         direct = sum(
             0 if is_regular_value_f2(A, H, g, eps) else 1 for g in range(64)
         )
-        _, count = is_regular_subgroup_f2(A, H, eps)
+        _, count = _CosetState(A, H).check(eps)
         assert count == direct
 
     def test_random_dense_set_is_usually_regular_at_loose_eps(self, rng):
@@ -103,7 +101,7 @@ class TestRegularity:
         for _ in range(10):
             A = random_indicator(g10, rng)
             H = f2_span([1 << j for j in range(9, -1, -1)][:10], 10)
-            ok, _ = is_regular_subgroup_f2(A, f2_full(10), 0.3)
+            ok, _ = _CosetState(A, f2_full(10)).check(0.3)
             hits += ok
         assert hits >= 8
 
@@ -112,11 +110,11 @@ class TestIndex:
     def test_full_group_gives_alpha_squared(self, rng):
         A = random_indicator(G8, rng, density=0.4)
         alpha = A.values.mean()
-        assert index_f2(A, f2_full(8)) == pytest.approx(alpha**2, abs=1e-12)
+        assert _CosetState(A, f2_full(8)).index == pytest.approx(alpha**2, abs=1e-12)
 
     def test_trivial_subgroup_gives_alpha(self, rng):
         A = random_indicator(G8, rng, density=0.3)
-        assert index_f2(A, f2_trivial(8)) == pytest.approx(A.values.mean(), abs=1e-12)
+        assert _CosetState(A, F2Subgroup(8, ())).index == pytest.approx(A.values.mean(), abs=1e-12)
 
     def test_matches_direct_double_loop(self, rng):
         A = random_indicator(G8, rng)
@@ -125,7 +123,7 @@ class TestIndex:
         for g in range(256):
             mass = sum(A.values[int(h) ^ g] for h in H.elements())
             total += (mass / H.size) ** 2
-        assert index_f2(A, H) == pytest.approx(total / 256, abs=1e-12)
+        assert _CosetState(A, H).index == pytest.approx(total / 256, abs=1e-12)
 
     def test_sandwich_over_every_subgroup(self, rng):
         A = random_indicator(G6, rng, density=0.45)
@@ -134,7 +132,7 @@ class TestIndex:
         for k in range(0, 7):
             for H in all_subspaces(6, k):
                 total += 1
-                ind = index_f2(A, H)
+                ind = _CosetState(A, H).index
                 assert alpha**2 - 1e-12 <= ind <= alpha + 1e-12
         assert total == sum(gaussian_binomial(6, k) for k in range(7))
 
@@ -142,12 +140,11 @@ class TestIndex:
 class TestRefinement:
     def test_hyperplane_example(self):
         xi = 0b101000
-        A = hyperplane(G6, xi)
-        H = f2_full(6)
-        assert index_f2(A, H) == pytest.approx(0.25)
-        refined = refine_step_f2(A, H, 0.1)
-        assert index_f2(A, refined) == pytest.approx(0.5)
-        assert all(bin(b & xi).count("1") % 2 == 0 for b in refined.basis)
+        state = _CosetState(hyperplane(G6, xi), f2_full(6))
+        assert state.index == pytest.approx(0.25)
+        refined, _ = _refine(state, 0.1)
+        assert refined.index == pytest.approx(0.5)
+        assert all(bin(b & xi).count("1") % 2 == 0 for b in refined.H.basis)
 
     def test_two_hyperplane_instance_needs_two_steps(self):
         xi1, xi2 = 0b101000, 0b000110
@@ -164,25 +161,22 @@ class TestRefinement:
         assert rep.subgroup.contains_subgroup(
             f2_span([b for b in rep.subgroup.basis], 6)
         )
-        ok, _ = is_regular_subgroup_f2(A, rep.subgroup, 0.1)
+        ok, _ = _CosetState(A, rep.subgroup).check(0.1)
         assert ok
 
     def test_gain_at_least_eps_cubed_on_every_invocation(self, rng):
         eps = 0.2
         for _ in range(6):
             A = random_indicator(G6, rng, density=float(rng.uniform(0.2, 0.8)))
-            H = f2_full(6)
-            while True:
-                ok, _ = is_regular_subgroup_f2(A, H, eps)
-                if ok:
-                    break
-                refined = refine_step_f2(A, H, eps)
-                assert index_f2(A, refined) - index_f2(A, H) >= eps**3 - 1e-12
-                H = refined
+            state = _CosetState(A, f2_full(6))
+            while not state.check(eps)[0]:
+                refined, _ = _refine(state, eps)
+                assert refined.index - state.index >= eps**3 - 1e-12
+                state = refined
 
     def test_refine_on_regular_subgroup_rejected(self):
-        with pytest.raises(DomainMismatchError):
-            refine_step_f2(constant(G6, 1.0), f2_full(6), 0.1)
+        with pytest.raises(DomainMismatchError, match="cannot refine a regular subgroup"):
+            _refine(_CosetState(constant(G6, 1.0), f2_full(6)), 0.1)
 
 
 class TestRegularize:
@@ -197,7 +191,7 @@ class TestRegularize:
         A = random_indicator(g10, rng)
         rep = regularize_f2(A, 0.3)
         assert rep.iterations <= int(0.3**-3)
-        ok, count = is_regular_subgroup_f2(A, rep.subgroup, 0.3)
+        ok, count = _CosetState(A, rep.subgroup).check(0.3)
         assert ok and count == rep.irregular_values
 
     def test_hyperplane_lands_inside_kernel(self):
@@ -330,7 +324,7 @@ class TestRemoval:
         g4 = make_group([2] * 4)
         out, removed, cert = remove_triangles_f2(constant(g4, 1.0))
         assert triangle_count_exact(out) == 0
-        assert abs(triangle_count_spectral(out)) < 1e-6
+        assert abs(zero_sum_count([out] * 3)) < 1e-6
 
     def test_planted_coset_union_instance(self, rng):
         # union of cosets of a medium subgroup, triangle-free by quotient choice,

@@ -18,6 +18,7 @@ from arithreg.harmonic import (
 from arithreg.reg_general import (
     RegPair,
     _PairState,
+    _reduce,
     _refine_pair_detailed,
     alpha,
     branch_decision,
@@ -29,9 +30,6 @@ from arithreg.reg_general import (
     cover_by_translates,
     exact_zero_sum_tuples,
     index_general,
-    irregular_counts,
-    is_regular_pair,
-    reduced_sets,
     regular_value_profile,
     regularize,
     trivial_pair,
@@ -136,8 +134,8 @@ class TestRegularValue:
 class TestRegularPair:
     def test_trivial_sets_are_regular(self):
         pair = trivial_pair(G101, 2, 0.2)
-        ok, counts = is_regular_pair([constant(G101, 1.0), indicator(G101, [])], pair)
-        assert ok and counts == [0, 0]
+        state = _PairState([constant(G101, 1.0), indicator(G101, [])], pair)
+        assert state.regular and state.counts == [0, 0]
 
     def test_random_dense_sets_usually_regular_at_loose_eps(self, rng):
         g = make_group([2] * 9)  # order 512
@@ -145,16 +143,19 @@ class TestRegularPair:
         hits = 0
         for _ in range(5):
             As = [random_indicator(g, rng) for _ in range(2)]
-            ok, counts = is_regular_pair(As, pair)
-            hits += ok
-            profile_counts = irregular_counts(As, pair)
-            assert counts == profile_counts
+            state = _PairState(As, pair)
+            hits += state.regular
+            profile_counts = [
+                int(np.count_nonzero((c1 > pair.eps**2) | (c2 > pair.eps)))
+                for c1, c2, _ in (regular_value_profile(A, pair) for A in As)
+            ]
+            assert state.counts == profile_counts
         assert hits >= 4
 
     def test_structured_set_fails_at_small_eps(self):
         pair = trivial_pair(G101, 1, 0.05)
-        ok, counts = is_regular_pair([qr_set()], pair)
-        assert not ok and counts[0] == 101
+        state = _PairState([qr_set()], pair)
+        assert not state.regular and state.counts[0] == 101
 
 
 class TestIndexGeneral:
@@ -370,8 +371,7 @@ class TestRegularize:
         assert trace["converged"]
         assert len(trace["iterations"]) == 1
         assert pair.d == 1
-        ok, _ = is_regular_pair([qr_set()], pair)
-        assert ok
+        assert _PairState([qr_set()], pair).regular
 
     def test_budget_exhaustion_is_flagged_not_raised(self):
         fs_set = qr_set()
@@ -393,7 +393,7 @@ class TestRegularize:
         gains = [step["index_gain"] for step in trace["iterations"]]
         assert gains[1] > 0 > gains[2]
         assert trace["final"] == pair.describe() | {
-            "per_set_irregular": irregular_counts(As, pair)
+            "per_set_irregular": _PairState(As, pair).counts
         }
 
     def test_seed_characters_prepopulate_r(self):
@@ -546,13 +546,13 @@ class TestWitnessStability:
 class TestReducedSets:
     def test_full_sets_survive_at_small_eps(self):
         pair = trivial_pair(G101, 3, 0.01)
-        out = reduced_sets([constant(G101, 1.0)] * 3, pair)
+        out = _reduce(_PairState([constant(G101, 1.0)] * 3, pair))
         for A in out:
             assert A.values.sum() == 101
 
     def test_empty_sets_stay_empty(self):
         pair = trivial_pair(G101, 3, 0.01)
-        out = reduced_sets([indicator(G101, [])] * 3, pair)
+        out = _reduce(_PairState([indicator(G101, [])] * 3, pair))
         for A in out:
             assert A.values.sum() == 0
 
@@ -560,7 +560,7 @@ class TestReducedSets:
         eps = 0.1
         pair = trivial_pair(G101, 3, eps)
         As = [random_indicator(G101, rng) for _ in range(3)]
-        out = reduced_sets(As, pair)
+        out = _reduce(_PairState(As, pair))
         for A, B in zip(As, out):
             assert np.all(B.values <= A.values)
             assert A.values.sum() - B.values.sum() <= 10 * 3 * eps ** (1 / 3) * 101

@@ -17,7 +17,7 @@ from conftest import random_indicator
 from arithreg import reg_general
 from arithreg.errors import InternalCheckError, ResourceBudgetError
 from arithreg.groups import BRUTE_FORCE_BUDGET, make_group
-from arithreg.harmonic import DenseFn, brute_force_zero_sum, indicator, support
+from arithreg.harmonic import DenseFn, brute_force_zero_sum, indicator
 from arithreg.reg_f2 import (
     reduced_set_f2,
     regularize_f2,
@@ -25,8 +25,9 @@ from arithreg.reg_f2 import (
     triangle_count_exact,
 )
 from arithreg.reg_general import (
+    _PairState,
+    _reduce,
     exact_zero_sum_tuples,
-    reduced_sets,
     regularize,
     zero_sum_removal,
 )
@@ -35,7 +36,7 @@ G101 = make_group([101])
 
 
 def members(A: DenseFn) -> set[int]:
-    return {int(x) for x in support(A)}
+    return {int(x) for x in np.flatnonzero(A.values > 0.5)}
 
 
 class TestParticipantDeletion:
@@ -48,7 +49,7 @@ class TestParticipantDeletion:
         assert cert["attempts"][0]["residual_tuples"] > 0
         assert exact_zero_sum_tuples(out) == 0
         pair, _ = regularize(As, 0.01, 64, mode="scaled")
-        candidate = reduced_sets(As, pair)
+        candidate = _reduce(_PairState(As, pair))
         R1, R2, R3 = (members(B) for B in candidate)
         gone = {x for x in R1 if any((x + y + z) % 101 == 0 for y in R2 for z in R3)}
         assert gone

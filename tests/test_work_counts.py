@@ -11,7 +11,7 @@ import pytest
 from conftest import random_indicator
 
 from arithreg import reg_f2, reg_general
-from arithreg.applications import make_integer_set, sum_free_decompose
+from arithreg.applications import IntegerSet, sum_free_decompose
 from arithreg.groups import f2_parity, make_group
 from arithreg.harmonic import indicator
 
@@ -98,6 +98,6 @@ def test_a_repeated_set_is_profiled_once_per_state(calls, rng):
 
 def test_sum_free_decompose_profiles_two_distinct_sets(calls, rng):
     members = (np.flatnonzero(rng.uniform(size=256) < 0.3) + 1).tolist()
-    _, _, cert = sum_free_decompose(make_integer_set(256, members), 0.05)
+    _, _, cert = sum_free_decompose(IntegerSet(256, tuple(members)), 0.05)
     states = calls["refine"] + len(cert["attempts"])
     assert calls["profile"] == 2 * states
