@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arithreg.bohr import (  # noqa: E402
     check_cutoff_property,
+    fine_width,
     make_cutoff,
     random_frequency_set,
     tail_bound,
@@ -47,7 +48,7 @@ def main() -> int:
         sup_rep = check_cutoff_property("iii", fs, delta)
         gamma2 = fs.extend(random_frequency_set(group, 1, rng).chars)
         tau = 0.2
-        d2 = 2.0**-13 * delta * tau**2 / gamma2.d * 0.9
+        d2 = fine_width(delta, tau, gamma2.d) * 0.9
         smooth_rep = check_cutoff_property(
             "vii", fs, delta, gamma2=gamma2, delta2=d2, tau=tau
         )

@@ -157,11 +157,15 @@ def bhk_witness_interval(A: IntegerSet, eps: float) -> BhkIntervalWitness:
     the count is compared against (alpha^3 - 47 eps) N.
     """
     n = A.n_max
+    if not math.isfinite(eps * n):
+        raise DomainMismatchError(f"eps * n_max = {eps * n} must be finite")
     d_cap = math.floor(eps * n)
     alpha_density = A.density
     bound = (alpha_density**3 - 47.0 * eps) * n
     best_d, best_count = None, -1
-    for d in range(1, d_cap + 1):
+    # no progression in [1, n] has a difference above (n - 1) // 2: those d
+    # count 0 and cannot beat d = 1
+    for d in range(1, min(d_cap, max(1, (n - 1) // 2)) + 1):
         c = ap3_count(A, d)
         if c > best_count:
             best_d, best_count = d, c
@@ -362,17 +366,12 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
     group = GroupSpec((2,) * n)
     check_enumerable(group)
     order = group.order
-    chain = []
-    cum = 0
-    for i in range(s + 1):
-        cum += dims[i]
-        chain.append(F2Subgroup(n, f2_full(n - cum).basis))
+    chain = [F2Subgroup(n, f2_full(n - sum(dims[: i + 1])).basis) for i in range(s + 1)]
 
     levels: list[int] = []
     xi_families: list[np.ndarray] = []
     b_sets: list[DenseFn] = []
     f_vals = np.zeros(order)
-    c_i = 0
     for i in range(s + 1):
         c_i = sum(dims[: i + 1])
         m = 1 << c_i

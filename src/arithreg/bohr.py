@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, InternalCheckError, UsageError
+from .errors import DomainMismatchError, InternalCheckError, UsageError, checked_pow
 from .groups import (
     Character,
     GroupSpec,
@@ -59,19 +59,11 @@ class FrequencySet:
         return len(self.chars)
 
     def extend(self, new_chars: Iterable[Character]) -> "FrequencySet":
-        merged = list(self.chars)
-        for c in new_chars:
-            if c not in merged:
-                merged.append(c)
-        return FrequencySet(self.group, tuple(merged))
+        return FrequencySet(self.group, tuple(dict.fromkeys((*self.chars, *new_chars))))
 
 
 def make_frequency_set(group: GroupSpec, chars: Sequence[Character] = ()) -> FrequencySet:
-    unique: list[Character] = []
-    for c in chars:
-        if c not in unique:
-            unique.append(c)
-    return FrequencySet(group, tuple(unique))
+    return FrequencySet(group, tuple(dict.fromkeys(chars)))
 
 
 @lru_cache(maxsize=256)
@@ -93,16 +85,21 @@ def norm_values(fs: FrequencySet) -> np.ndarray:
     return norm_numerators(fs) / fs.group.exponent_lcm
 
 
+def _scaled_bound(fs: FrequencySet, bound: float) -> Fraction:
+    """bound * lcm(factors) as an exact rational, for comparison with the numerators."""
+    if not math.isfinite(bound):
+        raise DomainMismatchError(f"norm bound {bound} is not finite")
+    return Fraction(bound) * fs.group.exponent_lcm
+
+
 def norm_le_mask(fs: FrequencySet, bound: float) -> np.ndarray:
     """Boolean mask of ||x||_Gamma <= bound, decided in exact arithmetic."""
-    L = fs.group.exponent_lcm
-    return norm_numerators(fs) <= math.floor(Fraction(bound) * L)
+    return norm_numerators(fs) <= math.floor(_scaled_bound(fs, bound))
 
 
 def norm_ge_mask(fs: FrequencySet, bound: float) -> np.ndarray:
     """Boolean mask of ||x||_Gamma >= bound, decided in exact arithmetic."""
-    L = fs.group.exponent_lcm
-    return norm_numerators(fs) >= math.ceil(Fraction(bound) * L)
+    return norm_numerators(fs) >= math.ceil(_scaled_bound(fs, bound))
 
 
 def bohr_set(fs: FrequencySet, delta: float) -> np.ndarray:
@@ -127,10 +124,8 @@ def smoothed_beta(fs: FrequencySet, delta: float) -> DenseFn:
 
 
 def _sup_norm_bound(delta: float, d: int, n: int) -> float:
-    denom = (delta**d) * n
-    if denom == 0.0:
-        return math.inf
-    return 3.0 / denom
+    denom = checked_pow(delta, d, "delta") * n
+    return 3.0 / denom if denom else math.inf
 
 
 class BohrCutoff:
@@ -218,7 +213,7 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
     n = fs.group.order
     size = int(norm_le_mask(fs, delta).sum())
     doubled = int(norm_le_mask(fs, 2.0 * delta).sum())
-    lower = (delta**fs.d) * n
+    lower = checked_pow(delta, fs.d, "delta") * n
     ratio_bound = 5.0**fs.d * size
     holds = size >= lower and doubled <= ratio_bound
     return IneqReport(
@@ -267,15 +262,16 @@ def _char_minus_one_l1(cutoff_psi: DenseFn, chi: Character) -> float:
 # The widest width each part's hypothesis allows: delta for part iv, the
 # finer delta' for parts vi-viii and for part ix.
 def part_iv_width(tau: float, d: int) -> float:
-    return 2.0**-12 * tau**2 / max(d, 1)
+    return 2.0**-12 * checked_pow(tau, 2, "tau") / max(d, 1)
 
 
 def fine_width(delta: float, tau: float, d2: int) -> float:
-    return 2.0**-13 * delta * tau**2 / max(d2, 1)
+    return 2.0**-13 * delta * checked_pow(tau, 2, "tau") / max(d2, 1)
 
 
 def part_ix_width(delta: float, kappa: float, omega: float, d2: int) -> float:
-    return omega**2 * kappa**2 * delta / (2.0**13 * max(d2, 1))
+    omega2, kappa2 = checked_pow(omega, 2, "omega"), checked_pow(kappa, 2, "kappa")
+    return omega2 * kappa2 * delta / (2.0**13 * max(d2, 1))
 
 
 def check_cutoff_property(

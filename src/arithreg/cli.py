@@ -52,13 +52,15 @@ from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_group
 from .harmonic import (
     DenseFn,
     brute_force_zero_sum,
+    dft,
     indicator,
     load_set,
+    parseval_gap,
     read_lines,
     zero_sum_count,
 )
 from .reg_f2 import regularize_f2, remove_triangles_f2
-from .reg_general import regularize, trivial_pair, zero_sum_removal
+from .reg_general import RegPair, regularize, trivial_pair, zero_sum_removal
 
 
 def _load_indicator(group: GroupSpec, path: str) -> DenseFn:
@@ -368,8 +370,6 @@ def cmd_selfcheck(args) -> dict:
         for spec in ("2^6", "3^3", "12", "101"):
             g = parse_group(spec)
             f = DenseFn(g, rng.standard_normal(g.order))
-            from .harmonic import dft
-
             fast = dft(f).values
             naive = character_table(g) @ f.values.astype(complex)
             if float(np.max(np.abs(fast - naive))) > 1e-9:
@@ -377,8 +377,6 @@ def cmd_selfcheck(args) -> dict:
 
     def parseval():
         rng = np.random.default_rng(8)
-        from .harmonic import parseval_gap
-
         for spec in ("2^8", "5x5x3"):
             g = parse_group(spec)
             f = DenseFn(g, rng.standard_normal(g.order))
@@ -422,8 +420,6 @@ def cmd_selfcheck(args) -> dict:
         rng = np.random.default_rng(11)
         for d, k, eps, eta in ((0, 1, 0.5, 1.0), (2, 3, 0.2, 0.4)):
             chars = random_frequency_set(g, d, rng)
-            from .reg_general import RegPair
-
             pair = RegPair(chars, eta, k, eps, "faithful")
             expected = min(2.0**-40 * eps**6 * eta / (max(d, 1) * k**4), eta)
             if abs(pair.eta2 - expected) > 1e-18 * max(expected, 1.0):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the overflow-checked power that raises one."""
 
 
 class InvalidSpecError(ValueError):
@@ -23,3 +23,11 @@ class UsageError(ValueError):
 
 class RetryExhaustedError(RuntimeError):
     """A randomized search ran out of attempts; retry with a different seed."""
+
+
+def checked_pow(base: float, exponent: float, name: str) -> float:
+    """base**exponent, or a DomainMismatchError naming the parameter when the power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise DomainMismatchError(f"{name}^{exponent} overflows at {name} = {base}") from None

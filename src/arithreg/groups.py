@@ -14,7 +14,6 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
@@ -284,23 +283,17 @@ def char_arg_norm(chars: Iterable[Character], x: GroupElement) -> float:
     """sup over gamma in the set of |arg gamma(x)| / (2*pi), in [0, 1/2].
 
     The argument convention is arg z in (-pi, pi]; the empty set yields 0.
+    The sup is taken over exact integer numerators, then divided once.
     """
-    return float(char_arg_norm_exact(chars, x))
-
-
-def char_arg_norm_exact(chars: Iterable[Character], x: GroupElement) -> Fraction:
-    """Exact rational value of the sup norm, for boundary-safe comparisons."""
-    best = Fraction(0)
+    best = 0
     L = x.group.exponent_lcm
     for gamma in chars:
         _same_group(gamma, x)
         num = sum(
             c * v * (L // m) for c, v, m in zip(gamma.freqs, x.coords, gamma.group.factors)
         ) % L
-        folded = min(num, L - num)
-        if Fraction(folded, L) > best:
-            best = Fraction(folded, L)
-    return best
+        best = max(best, min(num, L - num))
+    return best / L
 
 
 # ---------------------------------------------------------------------------

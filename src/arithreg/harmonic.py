@@ -236,8 +236,12 @@ def convolve(f: DenseFn, g: DenseFn) -> DenseFn:
     """(f * g)(x) = sum_y f(y) g(x - y), computed spectrally."""
     if f.group != g.group:
         raise DomainMismatchError("convolution operands on different groups")
-    prod = Spectrum(f.group, dft(f).values * dft(g).values)
-    return idft(prod)
+    return convolve_spectra(dft(f), dft(g))
+
+
+def convolve_spectra(F: Spectrum, G: Spectrum) -> DenseFn:
+    """f * g from stored transforms F of f and G of g, multiplied in that order (bitwise)."""
+    return idft(Spectrum(F.group, F.values * G.values))
 
 
 def _common_group(fs: Sequence[DenseFn]) -> GroupSpec:

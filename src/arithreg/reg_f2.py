@@ -6,7 +6,8 @@ basis coefficients, and its transform is an exact Walsh-Hadamard transform.
 Irregular cosets contribute witness characters whose annihilator refines the
 subgroup, increasing the mean-square coset density ("index") by at least
 eps^3 per step, which forces termination.  Each visited subgroup gets one
-coset-spectra pass; its count, index and witnesses are read from that state.
+coset-spectra pass; its count, index, witnesses and reduced set are read from
+that state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatchError, InternalCheckError
+from .errors import DomainMismatchError, InternalCheckError, checked_pow
 from .groups import F2Subgroup, GroupSpec, f2_full, f2_nullspace
 from .harmonic import (
     DenseFn,
@@ -132,6 +133,7 @@ class F2RegReport:
     irregular_values: int
     index_trace: list[float]
     iterations: int
+    state: _CosetState = field(repr=False, compare=False)  # the final subgroup's coset pass
     dims: list[int] = field(default_factory=list)
     irregular_counts: list[int] = field(default_factory=list)
     witnesses: list[list[int]] = field(default_factory=list)
@@ -156,12 +158,12 @@ def regularize_f2(f: DenseFn, eps: float) -> F2RegReport:
     n = _require_f2(f.group)
     if not 0.0 < eps < 0.5:
         raise DomainMismatchError("eps must lie in (0, 1/2)")
+    max_steps = math.floor(checked_pow(eps, -3, "eps"))
     state = _CosetState(f, f2_full(n))
     trace = [state.index]
     dims = [state.H.dim]
     counts: list[int] = []
     witnesses: list[list[int]] = []
-    max_steps = math.floor(eps**-3)
     iterations = 0
     while True:
         regular, count = state.check(eps)
@@ -181,6 +183,7 @@ def regularize_f2(f: DenseFn, eps: float) -> F2RegReport:
         irregular_values=count,
         index_trace=trace,
         iterations=iterations,
+        state=state,
         dims=dims,
         irregular_counts=counts,
         witnesses=witnesses,
@@ -202,15 +205,15 @@ def local_triangle_count(f: DenseFn, H: F2Subgroup, g1: int, g2: int, g3: int) -
     return float(np.sum(s1 * s2 * s3)) / H.size
 
 
-def reduced_set_f2(A: DenseFn, H: F2Subgroup, eps: float) -> DenseFn:
-    """Delete the contents of every irregular or low-density coset of H.
+def reduced_set_f2(state: _CosetState, eps: float) -> DenseFn:
+    """Delete from A = state.f the contents of every irregular or low-density coset of H = state.H.
 
     A coset is low-density when its intersection with A has at most
     (2 eps)^{1/3} |H| points.  The result loses at most 3 eps^{1/3} N elements
-    when H is eps-regular for A.
+    when H is eps-regular for A.  It reads the state's coset pass.
     """
+    A, H = state.f, state.H
     _indicator_required(A)
-    state = _CosetState(A, H)
     bad = state.irregular(eps) | (state.masses <= (2.0 * eps) ** (1.0 / 3.0) * H.size)
     kept = A.values.copy()
     kept[H.cosets(state.reps[bad])] = 0.0
@@ -241,7 +244,7 @@ def remove_triangles_f2(
 
     def attempt(eps: float):
         rep = regularize_f2(A, eps)
-        reduced = reduced_set_f2(A, rep.subgroup, eps)
+        reduced = reduced_set_f2(rep.state, eps)
         removed = int(A.values.sum() - reduced.values.sum())
         triangles = triangle_count_exact(reduced)
         bound = 3.0 * eps ** (1.0 / 3.0) * n_total

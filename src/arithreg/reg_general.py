@@ -7,9 +7,10 @@ stable across the psi1 window (condition 1) and the psi2-windowed remainder
 has a small Fourier sup-norm (condition 2).  Refinement either shrinks the
 width or adjoins witness characters, and drives up a bounded L2 energy, so
 the iteration terminates.  Each visited pair is evaluated once (every set's
-profile, irregular count and the index): the regularity test, refinement,
-trace and reduction all read that state, so k distinct set objects and s steps
-cost k(s+1) profiles.  Out of budget, the pair of highest index is returned.
+profile with its smoothed densities, irregular count and the index): the
+regularity test, refinement, trace and reduction all read that state, so k
+distinct set objects and s steps cost k(s+1) profiles.  Out of budget, the
+pair of highest index is returned.
 
 Faithful mode uses the constants verbatim, under which the narrow cutoff
 collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set, norm_le_mask
-from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError
+from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError, checked_pow
 from .groups import (
     Character,
     GroupSpec,
@@ -39,6 +40,8 @@ from .harmonic import (
     DenseFn,
     _indicator_required,
     convolve,
+    convolve_spectra,
+    dft,
     dft_many,
     zero_sum_count,
 )
@@ -79,13 +82,13 @@ class RegPair:
         self.mode = mode
         self.scale = float(scale)
         self.eta1 = self.eta
-        raw = self.const(-40) * eps**6 * eta / (max(chars.d, 1) * k**4)
+        raw = self.const(-40) * checked_pow(eps, 6, "eps") * eta / (max(chars.d, 1) * k**4)
         self.eta2 = min(raw, self.eta1)
         self.psi1 = make_cutoff(chars, self.eta1)
         self.psi2 = make_cutoff(chars, self.eta2)
-        self.compat_l1 = float(
-            np.sum(np.abs(convolve(self.psi1.psi, self.psi2.psi).values - self.psi1.psi.values))
-        )
+        self.compat_l1 = float(np.sum(np.abs(
+            convolve_spectra(self.psi1.psi_hat, self.psi2.psi_hat).values - self.psi1.psi.values
+        )))
         self.compat_bound = self.const(-12) * eps**3 / k**2
         self.degenerate = self.psi1.is_point_mass or self.psi2.is_point_mass
         if mode == FAITHFUL and not self.degenerate and self.compat_l1 > self.compat_bound:
@@ -136,7 +139,7 @@ def alpha(A: DenseFn, cutoff: BohrCutoff) -> DenseFn:
     """Smoothed local density A * psi."""
     if A.group != cutoff.group:
         raise DomainMismatchError("set and cutoff on different groups")
-    return convolve(A, cutoff.psi)
+    return convolve_spectra(dft(A), cutoff.psi_hat)
 
 
 @dataclass
@@ -148,25 +151,35 @@ class RegValueWitness:
     regular: bool
 
 
-def regular_value_profile(A: DenseFn, pair: RegPair):
-    """(cond1, cond2, worst char index) for every x at once.
+class RegProfile(NamedTuple):
+    """One set's regularity profile at one pair, with its smoothed densities a_i = A * psi_i."""
 
-    cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y), expanded through
-    three convolutions; the expansion cancels, so a sum of squares that is 0
-    can come out near -1e-15, and cond1 is clamped at 0.  cond2(x) is the
-    exact sup over all N characters of |((A^{+x} - alpha2(x)) psi2)^|, and
-    worst(x) the first character that attains it.  cond2 runs block by block
-    through the workspace of the cond2 kernel, so no temporary grows with the
-    number of rows.
+    cond1: np.ndarray
+    cond2: np.ndarray
+    worst: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+
+
+def regular_value_profile(A: DenseFn, pair: RegPair) -> RegProfile:
+    """(cond1, cond2, worst char index, a1, a2) for every x at once.
+
+    A is transformed once, and the cutoffs' stored transforms stand in for
+    fresh ones.  cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y),
+    expanded through three convolutions; the expansion cancels, so a sum of
+    squares that is 0 can come out near -1e-15, and cond1 is clamped at 0.
+    cond2(x) is the exact sup over all N characters of
+    |((A^{+x} - alpha2(x)) psi2)^|, and worst(x) the first character that
+    attains it.  cond2 runs block by block through the workspace of the cond2
+    kernel, so no temporary grows with the number of rows.
     """
     group = A.group
     n = group.order
-    a1 = alpha(A, pair.psi1).values
-    a2 = alpha(A, pair.psi2).values
-    a2f = DenseFn(group, a2)
-    a2sq = DenseFn(group, a2 * a2)
-    smooth_sq = convolve(pair.psi1.psi, a2sq).values
-    smooth = convolve(pair.psi1.psi, a2f).values
+    hat, psi1_hat = dft(A), pair.psi1.psi_hat
+    a1 = convolve_spectra(hat, psi1_hat).values
+    a2 = convolve_spectra(hat, pair.psi2.psi_hat).values
+    smooth_sq = convolve_spectra(psi1_hat, dft(DenseFn(group, a2 * a2))).values
+    smooth = convolve_spectra(psi1_hat, dft(DenseFn(group, a2))).values
     cond1 = smooth_sq - 2.0 * a1 * smooth + a1 * a1
     np.maximum(cond1, 0.0, out=cond1)
 
@@ -175,7 +188,7 @@ def regular_value_profile(A: DenseFn, pair: RegPair):
     for lo, hi, mags in _windowed_magnitudes(A, range(n), a2, pair):
         top = np.argmax(mags, axis=1, out=worst[lo:hi])
         cond2[lo:hi] = np.take_along_axis(mags, top[:, None], axis=1)[:, 0]
-    return cond1, cond2, worst
+    return RegProfile(cond1, cond2, worst, a1, a2)
 
 
 def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair):
@@ -217,29 +230,20 @@ def check_regular_value(A: DenseFn, pair: RegPair, x: int) -> RegValueWitness:
     )
 
 
-def index_general(As: Sequence[DenseFn], pair: RegPair) -> tuple[list[float], float]:
-    """Per-set energy N^{-1} ||A_i * psi1||_2^2 and its sum (at most k)."""
-    per = []
-    for A in As:
-        a1 = alpha(A, pair.psi1).values
-        per.append(float(np.sum(a1 * a1)) / pair.group.order)
-    return per, float(sum(per))
-
-
 class _PairState:
-    """One pair evaluated against the tracked sets: profiles, counts, index."""
+    """One pair against the tracked sets: profiles, irregular counts, index (read off each a1)."""
 
     def __init__(self, As: Sequence[DenseFn], pair: RegPair):
-        eps = pair.eps
+        eps, n = pair.eps, pair.group.order
         self.As, self.pair = list(As), pair
         distinct = {id(A): A for A in self.As}
         profiles = {key: regular_value_profile(A, pair) for key, A in distinct.items()}
         self.profiles = [profiles[id(A)] for A in self.As]
         self.counts = [
-            int(np.count_nonzero((c1 > eps**2) | (c2 > eps))) for c1, c2, _ in self.profiles
+            int(np.count_nonzero((p.cond1 > eps**2) | (p.cond2 > eps))) for p in self.profiles
         ]
-        self.regular = all(c < eps * pair.group.order for c in self.counts)
-        self.index = index_general(self.As, pair)[1]
+        self.regular = all(c < eps * n for c in self.counts)
+        self.index = float(sum(float(np.sum(p.a1 * p.a1)) / n for p in self.profiles))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
     if state.regular:
         raise DomainMismatchError("cannot refine a regular pair")
     i = int(np.argmax(counts))
-    cond1, cond2, worst = state.profiles[i]
+    cond1, cond2, worst = state.profiles[i][:3]
     info: dict = {
         "set": i,
         "per_set_irregular": counts,
@@ -377,14 +381,10 @@ def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
         new_eta = pair.const(-50) * eps**6 * pair.eta2 / (max(extended.d, 1) * k**4)
         new_pair = pair.with_state(extended, new_eta)
         info["witnesses"] = [list(c.freqs) for c in new_chars]
-        info["smoothing_l1"] = float(
-            np.sum(
-                np.abs(
-                    convolve(pair.psi2.psi, new_pair.psi1.psi).values
-                    - pair.psi2.psi.values
-                )
-            )
-        )
+        info["smoothing_l1"] = float(np.sum(np.abs(
+            convolve_spectra(pair.psi2.psi_hat, new_pair.psi1.psi_hat).values
+            - pair.psi2.psi.values
+        )))
 
     new_state = _PairState(state.As, new_pair)
     info["index_after"] = new_state.index
@@ -638,11 +638,8 @@ def _reduce(state: _PairState) -> list[DenseFn]:
     eps, k = state.pair.eps, state.pair.k
     threshold = 4.0 * eps ** (1.0 / k)
     out = []
-    for A, (cond1, cond2, _) in zip(state.As, state.profiles):
-        regular = (cond1 <= eps**2) & (cond2 <= eps)
-        a1 = alpha(A, state.pair.psi1).values
-        a2 = alpha(A, state.pair.psi2).values
-        keep = regular & (a1 > threshold) & (a2 > threshold)
+    for A, p in zip(state.As, state.profiles):
+        keep = (p.cond1 <= eps**2) & (p.cond2 <= eps) & (p.a1 > threshold) & (p.a2 > threshold)
         out.append(DenseFn(A.group, A.values * keep))
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_indicator
 
+from arithreg import applications
 from arithreg.applications import (
     IntegerSet,
     ap3_count,
@@ -230,6 +231,25 @@ class TestBhkInterval:
         A = IntegerSet(10, (1, 5))
         w = bhk_witness_interval(A, 0.05)  # eps N < 1: no nonzero d allowed
         assert w.d is None and not w.bound_ok
+
+    def test_huge_eps_searches_only_differences_that_fit(self, monkeypatch):
+        # no progression in [1, 30] has d > 14; eps = 1e6 once meant 3e7 calls
+        A = IntegerSet(30, (1, 2, 4, 7, 8, 12, 13, 15, 19, 22, 24, 28, 30))
+        small = bhk_witness_interval(A, 0.5)
+        seen = []
+
+        def counted(B, d):
+            assert d <= 14
+            seen.append(d)
+            return ap3_count(B, d)
+
+        monkeypatch.setattr(applications, "ap3_count", counted)
+        big = bhk_witness_interval(A, 1e6)
+        assert (big.d, big.count) == (small.d, small.count)
+        assert big.d_cap == 30_000_000 and seen == list(range(1, 15))
+        for n in (1, 2):  # d = 1 still reports its count 0
+            w = bhk_witness_interval(IntegerSet(n, tuple(range(1, n + 1))), 1e6)
+            assert (w.d, w.count) == (1, 0)
 
 
 class TestSumFree:

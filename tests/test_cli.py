@@ -302,6 +302,23 @@ class TestExitCodes:
     def test_non_finite_number_is_exit_two(self, workdir, capsys):
         assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["regularize", "--group", "101", "--sets", "evens101.txt", "--eps", "1e100"],
+        ["remove", "--group", "101", "--sets"] + ["evens101.txt"] * 3 + ["--eps", "1e100"],
+        ["sumfree", "--n", "32", "--set", "odds.txt", "--eps", "1e100"],
+        ["bhk", "--group", "101", "--set", "evens101.txt", "--eps", "1e200"],
+        ["regularize-f2", "--group", "2^6", "--set", "hyper6.txt", "--eps", "1e-200"],
+        ["bhk", "--interval", "32", "--set", "odds.txt", "--eps", "1e308"],
+        ["bohr-check", "--group", "101", "--delta", "1e308"],
+        ["bohr-check", "--group", "101", "--delta", "1e200", "--eta", "1e308"],
+        ["bohr-check", "--group", "101", "--tau", "1e308", "--parts", "iv"],
+        ["bohr-check", "--group", "101", "--tau", "1e200", "--parts", "vii"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a.endswith(".txt")))
+    def test_finite_number_out_of_range_is_exit_two(self, workdir, capsys, argv):
+        # a float power or product overflows on these finite flags
+        assert run([workdir / a if a.endswith(".txt") else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_library_value_error_is_not_exit_two(self, workdir, monkeypatch):
         def broken(fs):
             raise ValueError("operands could not be broadcast together")

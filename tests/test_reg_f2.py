@@ -263,12 +263,12 @@ class TestTriangleCounting:
 class TestReducedSet:
     def test_full_set_survives(self):
         A = constant(G6, 1.0)
-        out = reduced_set_f2(A, f2_full(6), 0.1)
+        out = reduced_set_f2(_CosetState(A, f2_full(6)), 0.1)
         assert np.array_equal(out.values, A.values)
 
     def test_empty_set_stays_empty(self):
         A = indicator(G6, [])
-        out = reduced_set_f2(A, f2_full(6), 0.1)
+        out = reduced_set_f2(_CosetState(A, f2_full(6)), 0.1)
         assert out.values.sum() == 0
 
     def test_deletion_bound(self, rng):
@@ -276,7 +276,8 @@ class TestReducedSet:
         for _ in range(10):
             A = random_indicator(G8, rng, density=float(rng.uniform(0.1, 0.9)))
             rep = regularize_f2(A, eps)
-            out = reduced_set_f2(A, rep.subgroup, eps)
+            assert rep.state.f is A and rep.state.H == rep.subgroup
+            out = reduced_set_f2(rep.state, eps)
             removed = A.values.sum() - out.values.sum()
             assert removed <= 3.0 * eps ** (1.0 / 3.0) * 256
             assert np.all(out.values <= A.values)
@@ -304,7 +305,7 @@ class TestReducedSet:
                     )
                     low = A.values[coset].sum() <= (2.0 * eps) ** (1.0 / 3.0) * H.size
                     expected[x] = A.values[x] if not (irregular or low) else 0.0
-                out = reduced_set_f2(A, H, eps)
+                out = reduced_set_f2(_CosetState(A, H), eps)
                 assert np.array_equal(out.values, expected)
                 deleted += int(A.values.sum() - out.values.sum())
                 kept += int(out.values.sum())

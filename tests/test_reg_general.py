@@ -29,7 +29,6 @@ from arithreg.reg_general import (
     check_witness_stability,
     cover_by_translates,
     exact_zero_sum_tuples,
-    index_general,
     regular_value_profile,
     regularize,
     trivial_pair,
@@ -116,7 +115,7 @@ class TestRegularValue:
     def test_profile_agrees_with_single_point_checks(self, rng):
         pair = trivial_pair(G101, 1, 0.2)
         A = random_indicator(G101, rng)
-        cond1, cond2, worst = regular_value_profile(A, pair)
+        cond1, cond2, worst = regular_value_profile(A, pair)[:3]
         for x in (0, 11, 64, 100):
             w = check_regular_value(A, pair, x)
             assert abs(cond1[x] - w.cond1_lhs) < 1e-9
@@ -127,7 +126,7 @@ class TestRegularValue:
         # unclamped, the expansion reads -2e-16 on a random set, -2e-15 on the full one
         pair = trivial_pair(G101, 1, 0.2)
         for A in (random_indicator(G101, rng), constant(G101, 1.0)):
-            cond1, _, _ = regular_value_profile(A, pair)
+            cond1 = regular_value_profile(A, pair).cond1
             assert cond1.min() >= 0
 
 
@@ -147,7 +146,7 @@ class TestRegularPair:
             hits += state.regular
             profile_counts = [
                 int(np.count_nonzero((c1 > pair.eps**2) | (c2 > pair.eps)))
-                for c1, c2, _ in (regular_value_profile(A, pair) for A in As)
+                for c1, c2, *_ in (regular_value_profile(A, pair) for A in As)
             ]
             assert state.counts == profile_counts
         assert hits >= 4
@@ -159,18 +158,20 @@ class TestRegularPair:
 
 
 class TestIndexGeneral:
+    """The index of a state is the sum of its one-set states' indices."""
+
     def test_trivial_pair_gives_alpha_squared(self, rng):
         pair = trivial_pair(G101, 1, 0.3)
         A = random_indicator(G101, rng, density=0.4)
-        per, total = index_general([A], pair)
-        assert per[0] == pytest.approx(A.values.mean() ** 2, abs=1e-12)
-        assert total == per[0]
+        per = _PairState([A], pair).index
+        assert per == pytest.approx(A.values.mean() ** 2, abs=1e-12)
+        assert _PairState([A, A], pair).index == 2 * per
 
     def test_full_set_has_index_one_for_any_pair(self, rng):
         fs = random_frequency_set(G101, 2, rng)
         pair = RegPair(fs, 0.2, 1, 0.3)
-        per, _ = index_general([constant(G101, 1.0)], pair)
-        assert per[0] == pytest.approx(1.0, abs=1e-10)
+        per = _PairState([constant(G101, 1.0)], pair).index
+        assert per == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_direct_computation_on_z64(self, rng):
         g = make_group([64])
@@ -183,22 +184,23 @@ class TestIndexGeneral:
                 for x in range(64)
             ]
         )
-        per, _ = index_general([A], pair)
-        assert per[0] == pytest.approx(float(np.sum(a1**2)) / 64, abs=1e-9)
+        per = _PairState([A], pair).index
+        assert per == pytest.approx(float(np.sum(a1**2)) / 64, abs=1e-9)
 
     def test_translation_invariance(self, rng):
         fs = random_frequency_set(G101, 1, rng)
         pair = RegPair(fs, 0.2, 2, 0.3)
         As = [random_indicator(G101, rng) for _ in range(2)]
         shifted = [DenseFn(G101, A.values[translate_indices(G101, 42)]) for A in As]
-        assert index_general(As, pair)[1] == pytest.approx(
-            index_general(shifted, pair)[1], abs=1e-10
+        assert _PairState(As, pair).index == pytest.approx(
+            _PairState(shifted, pair).index, abs=1e-10
         )
 
     def test_total_bounded_by_k(self, rng):
         pair = trivial_pair(G101, 3, 0.3)
         As = [random_indicator(G101, rng) for _ in range(3)]
-        _, total = index_general(As, pair)
+        total = _PairState(As, pair).index
+        assert total == sum(_PairState([A], pair).index for A in As)
         assert total <= 3.0
 
     def test_energy_drop_under_width_shrink_is_controlled(self, rng):
@@ -535,7 +537,7 @@ class TestWitnessStability:
         fs = make_frequency_set(G101, [G101.character([1])])
         pair = RegPair(fs, 0.45, 1, 0.12, "scaled", scale=2.0**152)
         A = indicator(G101, [(x + 25) % 101 for x in bohr_set(fs, 0.15)])
-        cond1, cond2, worst = regular_value_profile(A, pair)
+        cond1, cond2, worst = regular_value_profile(A, pair)[:3]
         x = int(np.argmax(cond2))
         chi = G101.character_at(int(worst[x]))
         rep = check_witness_stability(A, pair, x, chi)

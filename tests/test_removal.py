@@ -65,7 +65,7 @@ class TestParticipantDeletion:
         assert cert["pipeline"] == "reduced-set+participant-deletion"
         assert cert["attempts"][0]["residual_triangles"] > 0
         assert triangle_count_exact(out) == 0
-        candidate = reduced_set_f2(A, regularize_f2(A, 0.02).subgroup, 0.02)
+        candidate = reduced_set_f2(regularize_f2(A, 0.02).state, 0.02)
         R = members(candidate)
         gone = {x for x in R if any(x ^ y in R for y in R)}
         assert gone

@@ -43,7 +43,7 @@ from arithreg.harmonic import (
     dft_many,
     idft,
 )
-from arithreg.reg_general import SCALED, RegPair, alpha, regular_value_profile, trivial_pair
+from arithreg.reg_general import SCALED, RegPair, regular_value_profile, trivial_pair
 
 MIXED_SHAPES = ["2^3x7x2^2", "3x2^4x5", "2^6x35", "2^12"]
 TRANSLATE_SHAPES = ["2048", "2^11", "2049", "4096", "2^12", "4097", "2^6x35"]
@@ -211,11 +211,13 @@ def test_profile_matches_row_by_row_reference(spec, rng):
     rows_per_block = TRANSLATE_BLOCK_BYTES // (8 * g.order)
     xs = sorted({*range(0, g.order, 11), *range(g.order - g.order % rows_per_block, g.order)})
     for pair in profile_pairs(g):
-        a1 = alpha(A, pair.psi1).values
-        a2 = alpha(A, pair.psi2).values
+        a1 = convolve(A, pair.psi1.psi).values
+        a2 = convolve(A, pair.psi2.psi).values
         smooth_sq = convolve(pair.psi1.psi, DenseFn(g, a2 * a2)).values
         smooth = convolve(pair.psi1.psi, DenseFn(g, a2)).values
-        cond1, cond2, worst = regular_value_profile(A, pair)
+        cond1, cond2, worst, p_a1, p_a2 = regular_value_profile(A, pair)
+        # the stored cutoff transforms stand in for fresh ones bit for bit
+        assert np.array_equal(p_a1, a1) and np.array_equal(p_a2, a2)
         expanded = smooth_sq - 2.0 * a1 * smooth + a1 * a1
         assert expanded.min() > -1e-12  # only rounding is clamped away
         assert np.array_equal(cond1, np.maximum(expanded, 0.0))

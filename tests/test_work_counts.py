@@ -2,7 +2,7 @@
 
 Each visited pair is evaluated once (one profile per distinct set object) and
 each visited subgroup once (one coset-spectra pass); the regularity test, the
-refinement, the trace and the reduction all read that one evaluation.
+refinement, the trace, the index and the reduction all read that one evaluation.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_indicator
 
-from arithreg import reg_f2, reg_general
+from arithreg import harmonic, reg_f2, reg_general
 from arithreg.applications import IntegerSet, sum_free_decompose
 from arithreg.groups import f2_parity, make_group
 from arithreg.harmonic import indicator
@@ -80,6 +80,41 @@ def test_zero_sum_removal_counts_include_the_reduce(calls, rng):
     attempts = len(cert["attempts"])
     assert calls["refine"] > 0
     assert calls["profile"] == len(As) * (calls["refine"] + attempts)
+
+
+@pytest.fixture
+def single_transforms(monkeypatch):
+    """Count transforms of one function (dft and idft); blocks of rows are not counted."""
+    count = [0]
+    transform = harmonic._transform
+
+    def counted(group, values, *args, **kwargs):
+        count[0] += np.ndim(values) == 1
+        return transform(group, values, *args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "_transform", counted)
+    return count
+
+
+def test_a_repeated_set_adds_no_transform_and_reduce_makes_none(single_transforms, rng):
+    g = make_group([101])
+    A, B = (random_indicator(g, rng, density=0.4) for _ in range(2))
+    pair = reg_general.trivial_pair(g, 3, 0.1, "scaled", 2.0**40, [g.character_at(5)])
+    single_transforms[0] = 0
+    reg_general._PairState([A, B], pair)
+    two = single_transforms[0]
+    single_transforms[0] = 0
+    state = reg_general._PairState([A, A, B], pair)
+    assert single_transforms[0] == two
+    single_transforms[0] = 0
+    reg_general._reduce(state)
+    assert single_transforms[0] == 0
+
+
+def test_remove_triangles_f2_one_pass_per_visited_subgroup(calls, rng):
+    A = random_indicator(make_group([2] * 10), rng, density=0.3)
+    _, _, cert = reg_f2.remove_triangles_f2(A)
+    assert calls["coset_spectra"] == sum(a["iterations"] + 1 for a in cert["attempts"])
 
 
 def test_regularize_f2_one_pass_per_subgroup(calls):
