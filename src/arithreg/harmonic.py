@@ -77,10 +77,6 @@ def indicator(group: GroupSpec, members: Sequence[int] | np.ndarray) -> DenseFn:
     return DenseFn(group, vals)
 
 
-def delta(group: GroupSpec, x: int = 0) -> DenseFn:
-    return indicator(group, [x])
-
-
 def _indicator_required(f: DenseFn) -> None:
     if not np.all((f.values == 0.0) | (f.values == 1.0)):
         raise DomainMismatchError("operation requires a 0/1 indicator function")

@@ -12,6 +12,16 @@ regularity test, refinement, trace and reduction all read that state, so k
 distinct set objects and s steps cost k(s+1) profiles.  Out of budget, the
 pair of highest index is returned.
 
+Condition 2 is a sup over all N characters of one transformed row per x.
+The state's profile screens the rows first: at the trivial pair psi2 is
+uniform up to rounding, so one transform of A gives every row's magnitudes
+to within a certified margin, and a row that clears eps by that margin (and,
+when it fails, whose worst character is clearly in or out of perp) is
+decided without its own transform.  Only the other rows, and the rows whose
+worst characters become witnesses, go through the cond2 kernel.  Away from
+the trivial pair the margin exceeds every screened value and every row takes
+the kernel, as regular_value_profile does for all rows.
+
 Faithful mode uses the constants verbatim, under which the narrow cutoff
 collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
 mode multiplies every power-of-two constant by a user factor so the loop is
@@ -38,6 +48,7 @@ from .groups import (
 )
 from .harmonic import (
     DenseFn,
+    Spectrum,
     _indicator_required,
     convolve,
     convolve_spectra,
@@ -152,7 +163,11 @@ class RegValueWitness:
 
 
 class RegProfile(NamedTuple):
-    """One set's regularity profile at one pair, with its smoothed densities a_i = A * psi_i."""
+    """One set's regularity profile at one pair, with its smoothed densities a_i = A * psi_i.
+
+    In the state's screened profile a row decided without the kernel holds
+    its screened value as cond2 and its screened argmax as worst.
+    """
 
     cond1: np.ndarray
     cond2: np.ndarray
@@ -164,41 +179,53 @@ class RegProfile(NamedTuple):
 def regular_value_profile(A: DenseFn, pair: RegPair) -> RegProfile:
     """(cond1, cond2, worst char index, a1, a2) for every x at once.
 
-    A is transformed once, and the cutoffs' stored transforms stand in for
-    fresh ones.  cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y),
-    expanded through three convolutions; the expansion cancels, so a sum of
-    squares that is 0 can come out near -1e-15, and cond1 is clamped at 0.
     cond2(x) is the exact sup over all N characters of
     |((A^{+x} - alpha2(x)) psi2)^|, and worst(x) the first character that
-    attains it.  cond2 runs block by block through the workspace of the cond2
-    kernel, so no temporary grows with the number of rows.
+    attains it: every row goes through the cond2 kernel.  The regularity
+    state takes the screened profile instead; this one is its row-by-row
+    reference.
     """
-    group = A.group
-    n = group.order
-    hat, psi1_hat = dft(A), pair.psi1.psi_hat
+    cond1, a1, a2 = _local_densities(dft(A), pair)
+    cond2, worst = _cond2_rows(A, range(A.group.order), a2, pair)
+    return RegProfile(cond1, cond2, worst, a1, a2)
+
+
+def _local_densities(hat: Spectrum, pair: RegPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cond1, a1, a2) from the transform of A and the cutoffs' stored transforms.
+
+    cond1(x) = sum_y (alpha2(x+y) - alpha1(x))^2 psi1(y), expanded through
+    three convolutions; the expansion cancels, so a sum of squares that is 0
+    can come out near -1e-15, and cond1 is clamped at 0.
+    """
+    group, psi1_hat = hat.group, pair.psi1.psi_hat
     a1 = convolve_spectra(hat, psi1_hat).values
     a2 = convolve_spectra(hat, pair.psi2.psi_hat).values
     smooth_sq = convolve_spectra(psi1_hat, dft(DenseFn(group, a2 * a2))).values
     smooth = convolve_spectra(psi1_hat, dft(DenseFn(group, a2))).values
     cond1 = smooth_sq - 2.0 * a1 * smooth + a1 * a1
     np.maximum(cond1, 0.0, out=cond1)
+    return cond1, a1, a2
 
-    cond2 = np.zeros(n)
-    worst = np.zeros(n, dtype=np.int64)
-    for lo, hi, mags in _windowed_magnitudes(A, range(n), a2, pair):
+
+def _cond2_rows(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair):
+    """(cond2, worst) on the rows xs: each row's largest windowed magnitude and its first argmax."""
+    cond2 = np.zeros(len(xs))
+    worst = np.zeros(len(xs), dtype=np.int64)
+    for lo, hi, mags in _windowed_magnitudes(A, xs, a2, pair):
         top = np.argmax(mags, axis=1, out=worst[lo:hi])
         cond2[lo:hi] = np.take_along_axis(mags, top[:, None], axis=1)[:, 0]
-    return RegProfile(cond1, cond2, worst, a1, a2)
+    return cond2, worst
 
 
 def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: RegPair):
     """Yield (lo, hi, |((A^{+x} - alpha2(x)) psi2)^| over all characters) per block of xs.
 
-    The cond2 kernel of the profile, of check_regular_value and of the
+    The cond2 kernel of the profiles, of check_regular_value and of the
     stability check, one row per x.  It runs on one workspace: each
     translate block is windowed in place, transformed into one complex block
     (in place on (Z/2)^n), and its magnitudes are written back over it, so a
-    yielded block is valid until the next one is drawn.
+    yielded block is valid until the next one is drawn.  No temporary grows
+    with the number of rows.
     """
     psi = pair.psi2.psi.values
     spectra = None
@@ -210,34 +237,99 @@ def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: Re
         yield lo, hi, np.abs(dft_many(A.group, rows, out=spectra[: hi - lo]), out=rows)
 
 
+def _screened_profile(A: DenseFn, pair: RegPair, perp: np.ndarray) -> RegProfile:
+    """The state's profile: the kernel's decisions, the kernel run on undecided rows only.
+
+    With psi2 = 1/N + e and dev = sum |e|, the row of x transforms to
+    gamma(-x) A^(gamma)/N off gamma = 0 and A^(0)/N - alpha2(x) at 0, up to
+    spread(x) * dev, where spread(x) = max(max A - alpha2(x), alpha2(x) - min A).
+    So S(x) = max(max_{gamma != 0} |A^(gamma)|/N, |A^(0)/N - alpha2(x)|)
+    comes from one transform of A, and every magnitude the kernel computes
+    lies within M(x) = spread(x) dev + 64 log2(N) 2^-53 (sqrt(N) spread(x)
+    ||psi2||_2 + ||A||_2 / sqrt(N) + 1) of its screened value; the second
+    term (log2 N taken as at least 1) bounds the float64 transform error
+    (Schatzman 1996, Percival 2003).
+    S(x) > eps + M(x) fails cond2 and S(x) < eps - M(x) passes it.  A
+    failing row is decided only when the largest screened magnitudes inside
+    and outside perp are more than 2 M(x) apart, so that its worst
+    character's perp membership is certain.  The rest go through the kernel,
+    bitwise as in regular_value_profile.  A decided row holds S(x) as cond2
+    and the screened argmax as worst, each on the kernel's side of eps and
+    of perp; witnesses, where +-gamma tie, must come from kernel rows.  Only
+    near the trivial pair is dev small enough to decide any row.
+    """
+    n = A.group.order
+    hat = dft(A)
+    cond1, a1, a2 = _local_densities(hat, pair)
+    psi, values, eps = pair.psi2.psi.values, A.values, pair.eps
+    mags = np.abs(hat.values) / n
+    at_zero = np.abs(hat.values[0].real / n - a2)
+    top = 1 + int(np.argmax(mags[1:])) if n > 1 else 0
+    inside = np.max(mags[1:][perp[1:]], initial=-np.inf)
+    outside = np.max(mags[1:][~perp[1:]], initial=-np.inf)
+    if perp[0]:
+        inside = np.maximum(inside, at_zero)
+    else:
+        outside = np.maximum(outside, at_zero)
+    screened = np.maximum(inside, outside)
+    spread = np.maximum(values.max() - a2, a2 - values.min())
+    dev = float(np.sum(np.abs(psi - 1.0 / n)))
+    rounding = 64 * max(math.log2(n), 1.0) * 2.0**-53
+    margin = spread * dev + rounding * (
+        math.sqrt(n) * spread * math.sqrt(float(psi @ psi))
+        + math.sqrt(float(values @ values) / n)
+        + 1.0
+    )
+    decided = (screened < eps - margin) | (
+        (screened > eps + margin) & (np.abs(inside - outside) > 2.0 * margin)
+    )
+    cond2 = screened
+    worst = np.where(at_zero >= mags[top], 0, top)
+    rows = np.flatnonzero(~decided)
+    if rows.size:
+        cond2[rows], worst[rows] = _cond2_rows(A, rows, a2, pair)
+    return RegProfile(cond1, cond2, worst, a1, a2)
+
+
 def check_regular_value(A: DenseFn, pair: RegPair, x: int) -> RegValueWitness:
     """Evaluate both regularity conditions at a single point."""
+    return _regular_value(A, dft(A), pair, x)
+
+
+def _regular_value(A: DenseFn, hat: Spectrum, pair: RegPair, x: int) -> RegValueWitness:
+    """check_regular_value from a stored transform of A."""
     group = A.group
     idx = int(x)
     row = translate_indices(group, idx)
-    a1 = alpha(A, pair.psi1).values
-    a2 = alpha(A, pair.psi2).values
+    a1 = convolve_spectra(hat, pair.psi1.psi_hat).values
+    a2 = convolve_spectra(hat, pair.psi2.psi_hat).values
     cond1 = float(np.sum((a2[row] - a1[idx]) ** 2 * pair.psi1.psi.values))
-    _, _, mags = next(_windowed_magnitudes(A, [idx], a2, pair))
-    worst = int(np.argmax(mags[0]))
-    cond2 = float(mags[0, worst])
+    cond2, worst = _cond2_rows(A, [idx], a2, pair)
     return RegValueWitness(
         x_index=idx,
         cond1_lhs=cond1,
-        cond2_lhs=cond2,
-        worst_char=group.character_at(worst),
-        regular=bool(cond1 <= pair.eps**2 and cond2 <= pair.eps),
+        cond2_lhs=float(cond2[0]),
+        worst_char=group.character_at(int(worst[0])),
+        regular=bool(cond1 <= pair.eps**2 and cond2[0] <= pair.eps),
     )
 
 
 class _PairState:
-    """One pair against the tracked sets: profiles, irregular counts, index (read off each a1)."""
+    """One pair against the tracked sets: profiles, irregular counts, index (read off each a1).
+
+    Each distinct set gets one screened profile (_screened_profile): its
+    rows are decided from one transform of A where the margin allows, which
+    at the trivial pair is nearly every row, and the rest go through the
+    cond2 kernel.  perp, the near-orthogonal set of psi2, is fixed here so
+    the screen and the refinement read the same one.
+    """
 
     def __init__(self, As: Sequence[DenseFn], pair: RegPair):
         eps, n = pair.eps, pair.group.order
         self.As, self.pair = list(As), pair
+        self.perp = pair.psi2.psi_hat.values.real >= eps / 6.0
         distinct = {id(A): A for A in self.As}
-        profiles = {key: regular_value_profile(A, pair) for key, A in distinct.items()}
+        profiles = {key: _screened_profile(A, pair, self.perp) for key, A in distinct.items()}
         self.profiles = [profiles[id(A)] for A in self.As]
         self.counts = [
             int(np.count_nonzero((p.cond1 > eps**2) | (p.cond2 > eps))) for p in self.profiles
@@ -361,8 +453,7 @@ def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
         "eta2": pair.eta2,
     }
 
-    perp = pair.psi2.psi_hat.values.real >= eps / 6.0
-    decision = branch_decision(cond1, cond2, worst, perp, eps, k)
+    decision = branch_decision(cond1, cond2, worst, state.perp, eps, k)
     info["branch"] = decision["branch"]
     if decision["branch"] == "width-shrink":
         new_pair = pair.with_state(pair.chars, pair.eta2)
@@ -376,7 +467,10 @@ def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
         u_set = decision["escapers"]
         kappa = eps * pair.eta2 / 60.0
         _, centers = cover_by_translates(pair.group, u_set, kappa, pair.chars)
-        new_chars = list(dict.fromkeys(pair.group.character_at(int(worst[z])) for z in centers))
+        # a screened row's worst sits on the right side of perp, but +-gamma
+        # tie there: the witnesses come from kernel rows
+        _, witnesses = _cond2_rows(state.As[i], centers, state.profiles[i].a2, pair)
+        new_chars = list(dict.fromkeys(pair.group.character_at(int(w)) for w in witnesses))
         extended = pair.chars.extend(new_chars)
         new_eta = pair.const(-50) * eps**6 * pair.eta2 / (max(extended.d, 1) * k**4)
         new_pair = pair.with_state(extended, new_eta)
@@ -493,16 +587,17 @@ def weighted_T(
     if np.any(coords_table(group)[idxs].sum(0) % group.factors):
         raise DomainMismatchError("base points must sum to zero")
 
+    hats = [dft(A) for A in As]
     irregular = [
-        j for j, (A, x) in enumerate(zip(As, idxs))
-        if not check_regular_value(A, pair, x).regular
+        j for j, (A, hat, x) in enumerate(zip(As, hats, idxs))
+        if not _regular_value(A, hat, pair, x).regular
     ]
     value = zero_sum_count(_weighted_functions(As, pair, idxs))
     k = len(As)
     prod = 1.0
-    for j, (A, x) in enumerate(zip(As, idxs)):
+    for j, (hat, x) in enumerate(zip(hats, idxs)):
         cutoff = pair.psi1 if j in (0, k - 1) else pair.psi2
-        prod *= float(alpha(A, cutoff).values[x])
+        prod *= float(convolve_spectra(hat, cutoff.psi_hat).values[x])
     bound = 4.0 * 2.0**k * pair.eps
     return WeightedCountReport(
         value=value,

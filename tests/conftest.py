@@ -1,10 +1,11 @@
-"""Shared oracles and helpers: everything here is independent of the fast paths."""
+"""Shared oracles, helpers and work counters; the oracles are independent of the fast paths."""
 
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from arithreg import reg_general
 from arithreg.groups import F2Subgroup, GroupSpec, character_table
 from arithreg.harmonic import DenseFn
 
@@ -14,6 +15,20 @@ SEED = 20260810
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """[rows sent through the cond2 kernel], counted from here on."""
+    count = [0]
+    windowed = reg_general._windowed_magnitudes
+
+    def counted(A, xs, *args):
+        count[0] += len(xs)
+        return windowed(A, xs, *args)
+
+    monkeypatch.setattr(reg_general, "_windowed_magnitudes", counted)
+    return count
 
 
 def naive_dft(f: DenseFn) -> np.ndarray:

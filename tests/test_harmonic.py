@@ -15,7 +15,6 @@ from arithreg.harmonic import (
     brute_force_zero_sum,
     constant,
     convolve,
-    delta,
     dft,
     idft,
     indicator,
@@ -29,7 +28,7 @@ from arithreg.harmonic import (
 class TestDft:
     def test_point_mass_transforms_to_ones(self):
         g = make_group([4, 3])
-        F = dft(delta(g, 0))
+        F = dft(indicator(g, [0]))
         assert np.allclose(F.values, 1.0)
 
     def test_constant_transforms_to_point_mass(self):
@@ -69,7 +68,7 @@ class TestDft:
     def test_idft_examples(self):
         g = make_group([6])
         ones = Spectrum(g, np.ones(6, dtype=complex))
-        assert np.allclose(idft(ones).values, delta(g, 0).values, atol=1e-12)
+        assert np.allclose(idft(ones).values, indicator(g, [0]).values, atol=1e-12)
         point = np.zeros(6, dtype=complex)
         point[0] = 6.0
         assert np.allclose(idft(Spectrum(g, point)).values, 1.0)
@@ -93,7 +92,7 @@ class TestConvolve:
     def test_identity_element(self, rng):
         g = make_group([4, 3])
         f = DenseFn(g, rng.standard_normal(12))
-        out = convolve(f, delta(g, 0))
+        out = convolve(f, indicator(g, [0]))
         assert np.max(np.abs(out.values - f.values)) < 1e-10
 
     def test_matches_direct_sum_on_z12(self, rng):
@@ -132,7 +131,7 @@ class TestZeroSum:
 
     def test_point_masses(self):
         g = make_group([3, 3])
-        d0 = delta(g, 0)
+        d0 = indicator(g, [0])
         assert abs(zero_sum_count([d0] * 3) - 1.0) < 1e-10
         assert abs(brute_force_zero_sum([d0] * 3) - 1.0) < 1e-12
 

@@ -11,7 +11,6 @@ from arithreg.harmonic import (
     brute_force_zero_sum,
     constant,
     convolve,
-    delta,
     dft,
     indicator,
 )
@@ -494,7 +493,7 @@ class TestUniformWeightCount:
 class TestEnergyDifference:
     def test_point_mass_cutoffs_are_exactly_tight(self, rng):
         g = make_group([49])
-        d0 = delta(g, 0)
+        d0 = indicator(g, [0])
         f = DenseFn(g, rng.uniform(-1, 1, 49))
         rep = check_energy_difference(d0, d0, f)
         assert rep.details["kappa"] == pytest.approx(0.0, abs=1e-15)

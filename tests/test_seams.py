@@ -10,7 +10,10 @@ coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  The
 regularity profile runs on one reused workspace per call, so it is pinned
-bitwise to a one-row-per-call reference and its memory peak is bounded.
+bitwise to a one-row-per-call reference and its memory peak is bounded.  The
+regularity state decides most trivial-pair rows from one transform of A and
+sends only the rest through that kernel, so every decision it makes (counts,
+reduction, refinement step) is pinned to the state built on the exact profile.
 """
 
 import tracemalloc
@@ -22,7 +25,8 @@ import pytest
 from conftest import naive_dft
 
 from arithreg.applications import ap3_table, nu_weight
-from arithreg.bohr import make_frequency_set, random_frequency_set
+from arithreg import reg_general
+from arithreg.bohr import bohr_set, make_frequency_set, random_frequency_set
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
     character_table,
@@ -42,8 +46,17 @@ from arithreg.harmonic import (
     convolve,
     dft_many,
     idft,
+    indicator,
 )
-from arithreg.reg_general import SCALED, RegPair, regular_value_profile, trivial_pair
+from arithreg.reg_general import (
+    SCALED,
+    RegPair,
+    _PairState,
+    _reduce,
+    _refine_pair_detailed,
+    regular_value_profile,
+    trivial_pair,
+)
 
 MIXED_SHAPES = ["2^3x7x2^2", "3x2^4x5", "2^6x35", "2^12"]
 TRANSLATE_SHAPES = ["2048", "2^11", "2049", "4096", "2^12", "4097", "2^6x35"]
@@ -243,3 +256,74 @@ def test_profile_memory_peak_is_bounded(spec, rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def exact_state(As, pair, monkeypatch):
+    """The state on the exact profile (every row through the kernel) and its refinement step."""
+    with monkeypatch.context() as m:
+        m.setattr(reg_general, "_screened_profile",
+                  lambda A, pair, perp: regular_value_profile(A, pair))
+        state = _PairState(As, pair)
+        return state, None if state.regular else _refine_pair_detailed(state)[1]
+
+
+def assert_same_decisions(As, pair, monkeypatch):
+    """The screened state decides as the exact one: counts, reduction, one refinement step."""
+    screened = _PairState(As, pair)
+    exact, reference = exact_state(As, pair, monkeypatch)
+    assert screened.counts == exact.counts and screened.regular == exact.regular
+    for got, want in zip(_reduce(screened), _reduce(exact)):
+        assert np.array_equal(got.values, want.values)
+    if reference is not None:
+        # branch, aligned count, cond1/cond2 failure counts, witnesses, index gain, ...
+        assert _refine_pair_detailed(screened)[1] == reference
+
+
+def interval(g):
+    """{x : ||x||_gamma <= 1/6}, gamma the character at index 1: irregular at the trivial pair."""
+    return indicator(g, bohr_set(make_frequency_set(g, [g.character_at(1)]), 1 / 6))
+
+
+@pytest.mark.parametrize("spec", PROFILE_SHAPES)
+def test_screened_state_decides_as_the_exact_profile(spec, rng, monkeypatch, kernel_rows):
+    g = parse_group(spec)
+    random_set = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    trivial, *far = profile_pairs(g)
+    # the random set passes every row on the screen; the interval fails every
+    # row there, and its refinement step takes the witnesses from kernel rows
+    assert_same_decisions([random_set], trivial, monkeypatch)
+    assert_same_decisions([interval(g)], trivial, monkeypatch)
+    kernel_rows[0] = 0
+    _PairState([random_set, interval(g)], trivial)
+    assert kernel_rows[0] == 0
+    for pair in far:
+        # seeded and degenerate: psi2 is far from uniform, the screen decides
+        # no row, and the profile is the exact one bit for bit
+        kernel_rows[0] = 0
+        (got,) = _PairState([random_set], pair).profiles
+        assert kernel_rows[0] == g.order
+        want = regular_value_profile(random_set, pair)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_rows_at_eps_take_the_kernel(rng, monkeypatch, kernel_rows):
+    # eps = S(x) = max_{gamma != 0} |A^(gamma)| / N on every row: none is decided
+    g = parse_group("2049")
+    A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    eps = float(np.max(np.abs(dft_many(g, A.values[None])[0, 1:]) / g.order))
+    pair = trivial_pair(g, 3, eps)
+    assert_same_decisions([A], pair, monkeypatch)
+    kernel_rows[0] = 0
+    _PairState([A], pair)
+    assert kernel_rows[0] == g.order
+
+
+def test_screen_on_a_set_that_is_not_an_indicator(rng, monkeypatch, kernel_rows):
+    # values in [-0.5, 2]: the spread of A around alpha2 exceeds 1
+    g = parse_group("2^6x35")
+    A = DenseFn(g, 1.5 * interval(g).values + rng.uniform(-0.5, 0.5, g.order))
+    pair = trivial_pair(g, 3, 0.1)
+    assert_same_decisions([A], pair, monkeypatch)
+    kernel_rows[0] = 0
+    assert not _PairState([A], pair).regular
+    assert kernel_rows[0] == 0

@@ -3,6 +3,9 @@
 Each visited pair is evaluated once (one profile per distinct set object) and
 each visited subgroup once (one coset-spectra pass); the regularity test, the
 refinement, the trace, the index and the reduction all read that one evaluation.
+A profile sends through the cond2 kernel only the rows its screen leaves
+undecided: none for a random set at the trivial pair, every row once the
+cutoff is a real Bohr cutoff.
 """
 
 import numpy as np
@@ -28,8 +31,7 @@ def calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        reg_general, "regular_value_profile",
-        counted("profile", reg_general.regular_value_profile),
+        reg_general, "_screened_profile", counted("profile", reg_general._screened_profile)
     )
     monkeypatch.setattr(
         reg_general, "_refine_pair_detailed",
@@ -64,6 +66,42 @@ def test_regularize_one_step_on_z2049(calls):
     assert calls["profile"] == 1 * (1 + 1)
 
 
+@pytest.mark.parametrize("spec", [[4096], [2] * 11, [2] * 6 + [35]])
+def test_trivial_pair_of_a_random_set_takes_no_kernel_row(calls, kernel_rows, rng, spec):
+    g = make_group(spec)
+    A = random_indicator(g, rng, density=0.3)
+    state = reg_general._PairState([A], reg_general.trivial_pair(g, 3, 0.1))
+    assert state.regular
+    assert calls["profile"] == 1 and kernel_rows[0] == 0
+
+
+def test_seeded_pair_takes_every_row_through_the_kernel(kernel_rows, rng):
+    g = make_group([4096])
+    pair = reg_general.trivial_pair(g, 3, 0.1, "scaled", 2.0**60, [g.character_at(1)])
+    reg_general._PairState([random_indicator(g, rng, density=0.3)], pair)
+    assert kernel_rows[0] == g.order
+
+
+def test_irregular_trivial_pair_of_an_interval_takes_only_the_centers(kernel_rows, monkeypatch):
+    covers = []
+
+    def cover(*args):
+        covers.append(cover_by_translates(*args))
+        return covers[-1]
+
+    cover_by_translates = reg_general.cover_by_translates
+    monkeypatch.setattr(reg_general, "cover_by_translates", cover)
+    A = bohr_interval(2049, 2)
+    state = reg_general._PairState([A], reg_general.trivial_pair(A.group, 1, 0.1))
+    assert not state.regular and state.counts == [2049]
+    assert kernel_rows[0] == 0
+    _, info = reg_general._refine_pair_detailed(state)
+    (_, centers), = covers
+    assert info["branch"] == "new-characters" and info["witnesses"]
+    # the centers' rows, then every row of the refined pair
+    assert kernel_rows[0] == len(centers) + 2049
+
+
 def test_regularize_counts_k_times_steps_plus_one(calls, rng):
     g = make_group([101])
     As = [random_indicator(g, rng, density=0.4) for _ in range(2)]
@@ -84,13 +122,14 @@ def test_zero_sum_removal_counts_include_the_reduce(calls, rng):
 
 @pytest.fixture
 def single_transforms(monkeypatch):
-    """Count transforms of one function (dft and idft); blocks of rows are not counted."""
-    count = [0]
+    """Count transforms of one function: [dft and idft, dft only]; row blocks are not counted."""
+    count = [0, 0]
     transform = harmonic._transform
 
-    def counted(group, values, *args, **kwargs):
+    def counted(group, values, inverse, *args, **kwargs):
         count[0] += np.ndim(values) == 1
-        return transform(group, values, *args, **kwargs)
+        count[1] += np.ndim(values) == 1 and not inverse
+        return transform(group, values, inverse, *args, **kwargs)
 
     monkeypatch.setattr(harmonic, "_transform", counted)
     return count
@@ -109,6 +148,17 @@ def test_a_repeated_set_adds_no_transform_and_reduce_makes_none(single_transform
     single_transforms[0] = 0
     reg_general._reduce(state)
     assert single_transforms[0] == 0
+
+
+def test_weighted_count_transforms_each_set_once(single_transforms, rng):
+    # one forward transform per set for both conditions and the alpha product,
+    # and one per weighted function in the count: 12 when each slot smoothed again
+    g = make_group([101])
+    As = [random_indicator(g, rng, density=0.4) for _ in range(3)]
+    pair = reg_general.trivial_pair(g, 3, 0.1, "scaled", 2.0**40, [g.character_at(5)])
+    single_transforms[1] = 0
+    reg_general.weighted_T(As, pair, [3, 4, 94])
+    assert single_transforms[1] == 6
 
 
 def test_remove_triangles_f2_one_pass_per_visited_subgroup(calls, rng):
