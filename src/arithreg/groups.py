@@ -181,15 +181,40 @@ def parse_indices(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
     A line holds comma-separated residues (empty fields are dropped), each
     reduced mod its factor as a Python int.  Errors quote the line as given.
     Input that one `np.loadtxt` pass reads into `group.rank` columns takes
-    that pass; everything else (lenient or malformed lines) goes through the
-    line loop `_parse_lines`, which decides what is accepted.
+    that pass, and so does input whose only leniency is empty fields, once
+    one text pass has dropped them.  Everything else (other lenient or
+    malformed lines) goes through the line loop `_parse_lines`, which
+    decides what is accepted.
     """
     lines = list(lines)  # read twice where the loop decides
     coords = _loadtxt_coords(lines)
+    if coords is None and (compact := _without_empty_fields(lines)) is not None:
+        coords = _loadtxt_coords(compact)
     if coords is None or coords.shape[1] != group.rank:
         return _parse_lines(group, lines)
     check_enumerable(group)
     return ravel_coords(group, coords % np.asarray(group.factors, dtype=np.int64))
+
+
+def _without_empty_fields(lines: Sequence[str]) -> list[str] | None:
+    """The stripped lines with their empty fields dropped, as the line loop drops them.
+
+    None where there is nothing to drop, where a line holds a line break
+    inside it, or where a line holds only commas (the loop rejects it, and
+    without its empty fields it would read as blank).  String methods only,
+    so the pass costs a few copies of the text.
+    """
+    stripped = list(map(str.strip, lines))
+    text = "\n".join(stripped)
+    if text.count("\n") != len(stripped) - 1:
+        return None
+    compact = text
+    while ",," in compact:
+        compact = compact.replace(",,", ",")
+    if "\n,\n" in f"\n{compact}\n":
+        return None
+    compact = compact.replace(",\n", "\n").replace("\n,", "\n").strip(",")
+    return compact.split("\n") if len(compact) < len(text) else None
 
 
 def _loadtxt_coords(lines: Sequence[str]) -> np.ndarray | None:

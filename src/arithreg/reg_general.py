@@ -13,14 +13,17 @@ distinct set objects and s steps cost k(s+1) profiles.  Out of budget, the
 pair of highest index is returned.
 
 Condition 2 is a sup over all N characters of one transformed row per x.
-The state's profile screens the rows first: at the trivial pair psi2 is
-uniform up to rounding, so one transform of A gives every row's magnitudes
-to within a certified margin, and a row that clears eps by that margin (and,
-when it fails, whose worst character is clearly in or out of perp) is
-decided without its own transform.  Only the other rows, and the rows whose
-worst characters become witnesses, go through the cond2 kernel.  Away from
-the trivial pair the margin exceeds every screened value and every row takes
-the kernel, as regular_value_profile does for all rows.
+The state's profile decides rows on two certified bounds first.  At the
+trivial pair psi2 is uniform up to rounding, so one transform of A gives
+every row's magnitudes to within a certified margin, and a row that clears
+eps by that margin (and, when it fails, whose worst character is clearly in
+or out of perp) is decided without its own transform.  At every pair, for A
+with values in [0, 1], a row's L1 norm bounds all its magnitudes and comes
+from one convolution for every x; a row whose bound lies below eps passes.
+In faithful mode at desk-scale N psi2 is a point mass away from the
+trivial pair, and there every row of an indicator passes on that bound.  Only the other rows, and
+the rows whose worst characters become witnesses, go through the cond2
+kernel, as regular_value_profile does for all rows.
 
 Faithful mode uses the constants verbatim, under which the narrow cutoff
 collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -166,7 +170,9 @@ class RegProfile(NamedTuple):
     """One set's regularity profile at one pair, with its smoothed densities a_i = A * psi_i.
 
     In the state's screened profile a row decided without the kernel holds
-    its screened value as cond2 and its screened argmax as worst.
+    a certified value on the kernel's side of eps as cond2: its screened
+    value, with the screened argmax as worst, or for a row passed on the L1
+    bound that bound, with worst 0.
     """
 
     cond1: np.ndarray
@@ -237,28 +243,49 @@ def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: Re
         yield lo, hi, np.abs(dft_many(A.group, rows, out=spectra[: hi - lo]), out=rows)
 
 
-def _screened_profile(A: DenseFn, pair: RegPair, perp: np.ndarray) -> RegProfile:
+def _screened_profile(A: DenseFn, state: "_PairState") -> RegProfile:
     """The state's profile: the kernel's decisions, the kernel run on undecided rows only.
 
-    With psi2 = 1/N + e and dev = sum |e|, the row of x transforms to
-    gamma(-x) A^(gamma)/N off gamma = 0 and A^(0)/N - alpha2(x) at 0, up to
-    spread(x) * dev, where spread(x) = max(max A - alpha2(x), alpha2(x) - min A).
-    So S(x) = max(max_{gamma != 0} |A^(gamma)|/N, |A^(0)/N - alpha2(x)|)
-    comes from one transform of A, and every magnitude the kernel computes
-    lies within M(x) = spread(x) dev + 64 log2(N) 2^-53 (sqrt(N) spread(x)
-    ||psi2||_2 + ||A||_2 / sqrt(N) + 1) of its screened value; the second
-    term (log2 N taken as at least 1) bounds the float64 transform error
-    (Schatzman 1996, Percival 2003).
-    S(x) > eps + M(x) fails cond2 and S(x) < eps - M(x) passes it.  A
-    failing row is decided only when the largest screened magnitudes inside
+    Two certified bounds decide rows without their own transform; every
+    magnitude below is the kernel's float64 value, so a decided row falls on
+    the kernel's side of eps for every one of the N characters.
+
+    The screen.  With psi2 = 1/N + e and dev = sum |e|, the row of x
+    transforms to gamma(-x) A^(gamma)/N off gamma = 0 and A^(0)/N - alpha2(x)
+    at 0, up to spread(x) * dev, where spread(x) = max(max A - alpha2(x),
+    alpha2(x) - min A).  So S(x) = max(max_{gamma != 0} |A^(gamma)|/N,
+    |A^(0)/N - alpha2(x)|) comes from one transform of A, and every magnitude
+    lies within M(x) = spread(x) dev + K(x) + r ||A||_2 / sqrt(N) of its
+    screened value, where r = 64 log2(N) 2^-53 (log2 N taken as at least 1)
+    is the relative float64 transform error (Schatzman 1996, Percival 2003)
+    and K(x) = r (sqrt(N) spread(x) ||psi2||_2 + 1) bounds the kernel's own
+    rounding.  S(x) > eps + M(x) fails cond2 and S(x) < eps - M(x) passes it.
+    A failing row is decided only when the largest screened magnitudes inside
     and outside perp are more than 2 M(x) apart, so that its worst
-    character's perp membership is certain.  The rest go through the kernel,
-    bitwise as in regular_value_profile.  A decided row holds S(x) as cond2
-    and the screened argmax as worst, each on the kernel's side of eps and
-    of perp; witnesses, where +-gamma tie, must come from kernel rows.  Only
-    near the trivial pair is dev small enough to decide any row.
+    character's perp membership is certain.  Only near the trivial pair is
+    dev small enough to decide any row.
+
+    The L1 bound, at every pair, for A with values in [0, 1].  Each magnitude
+    is at most the row's L1 norm, and A - a = A (1 - a) - (1 - A) a gives
+    L(x) = |1 - alpha2(x)| c(x) + |alpha2(x)| (W - c(x)) >= that norm, with
+    c(x) = sum_y A(x+y) |psi2(y)| = (A * reach)(x), reach the state's
+    transform of y -> |psi2(-y)|, and W = sum |psi2| (equality for
+    indicators).  The convolution c is off by at most 4 r sqrt(N) ||A||_2
+    ||psi2||_2 (three transforms and a product), so M'(x) = K(x) + 4 r
+    sqrt(N) ||A||_2 ||psi2||_2 (|1 - alpha2(x)| + |alpha2(x)|).  A row the
+    screen leaves with L(x) + M'(x) < eps passes (the 1 in K also covers the
+    rounding of L itself).  In faithful mode at desk-scale N psi2 is a point mass away
+    from the trivial pair and L is about 1e-16, so every row of an
+    indicator passes there.
+
+    The rest go through the kernel, bitwise as in regular_value_profile.  A
+    row decided on the screen holds S(x) as cond2 and the screened argmax as
+    worst, each on the kernel's side of eps and of perp; witnesses, where
+    +-gamma tie, must come from kernel rows.  A row passed on the L1 bound
+    holds L(x) + M'(x) as cond2 and 0 as worst; no decision reads the worst
+    character of a passing row.
     """
-    n = A.group.order
+    n, pair, perp = A.group.order, state.pair, state.perp
     hat = dft(A)
     cond1, a1, a2 = _local_densities(hat, pair)
     psi, values, eps = pair.psi2.psi.values, A.values, pair.eps
@@ -272,20 +299,27 @@ def _screened_profile(A: DenseFn, pair: RegPair, perp: np.ndarray) -> RegProfile
     else:
         outside = np.maximum(outside, at_zero)
     screened = np.maximum(inside, outside)
-    spread = np.maximum(values.max() - a2, a2 - values.min())
+    low, high = float(values.min()), float(values.max())
+    spread = np.maximum(high - a2, a2 - low)
     dev = float(np.sum(np.abs(psi - 1.0 / n)))
     rounding = 64 * max(math.log2(n), 1.0) * 2.0**-53
-    margin = spread * dev + rounding * (
-        math.sqrt(n) * spread * math.sqrt(float(psi @ psi))
-        + math.sqrt(float(values @ values) / n)
-        + 1.0
-    )
+    psi_norm, a_norm = math.sqrt(float(psi @ psi)), math.sqrt(float(values @ values))
+    kernel_error = rounding * (math.sqrt(n) * spread * psi_norm + 1.0)
+    margin = spread * dev + kernel_error + rounding * a_norm / math.sqrt(n)
     decided = (screened < eps - margin) | (
         (screened > eps + margin) & (np.abs(inside - outside) > 2.0 * margin)
     )
     cond2 = screened
     worst = np.where(at_zero >= mags[top], 0, top)
     rows = np.flatnonzero(~decided)
+    if rows.size and 0.0 <= low and high <= 1.0:
+        a, c = a2[rows], convolve_spectra(hat, state.reach).values[rows]
+        up, down = np.abs(1.0 - a), np.abs(a)
+        bound = up * c + down * (float(np.sum(np.abs(psi))) - c) + kernel_error[rows]
+        bound += 4.0 * rounding * math.sqrt(n) * a_norm * psi_norm * (up + down)
+        passed = bound < eps
+        cond2[rows[passed]], worst[rows[passed]] = bound[passed], 0
+        rows = rows[~passed]
     if rows.size:
         cond2[rows], worst[rows] = _cond2_rows(A, rows, a2, pair)
     return RegProfile(cond1, cond2, worst, a1, a2)
@@ -318,10 +352,11 @@ class _PairState:
     """One pair against the tracked sets: profiles, irregular counts, index (read off each a1).
 
     Each distinct set gets one screened profile (_screened_profile): its
-    rows are decided from one transform of A where the margin allows, which
-    at the trivial pair is nearly every row, and the rest go through the
-    cond2 kernel.  perp, the near-orthogonal set of psi2, is fixed here so
-    the screen and the refinement read the same one.
+    rows are decided on certified bounds where they allow, which at the
+    trivial pair is nearly every row and at a faithful point-mass pair every
+    row of a set with values in [0, 1], and the rest go through the cond2
+    kernel.  perp, the near-orthogonal set of psi2, is fixed here so the
+    screen and the refinement read the same one.
     """
 
     def __init__(self, As: Sequence[DenseFn], pair: RegPair):
@@ -329,13 +364,19 @@ class _PairState:
         self.As, self.pair = list(As), pair
         self.perp = pair.psi2.psi_hat.values.real >= eps / 6.0
         distinct = {id(A): A for A in self.As}
-        profiles = {key: _screened_profile(A, pair, self.perp) for key, A in distinct.items()}
+        profiles = {key: _screened_profile(A, self) for key, A in distinct.items()}
         self.profiles = [profiles[id(A)] for A in self.As]
         self.counts = [
             int(np.count_nonzero((p.cond1 > eps**2) | (p.cond2 > eps))) for p in self.profiles
         ]
         self.regular = all(c < eps * n for c in self.counts)
         self.index = float(sum(float(np.sum(p.a1 * p.a1)) / n for p in self.profiles))
+
+    @cached_property
+    def reach(self) -> Spectrum:
+        """The transform of y -> |psi2(-y)| for the L1 bound, made when first needed."""
+        group = self.pair.group
+        return dft(DenseFn(group, np.abs(self.pair.psi2.psi.values)[neg_index(group)]))
 
 
 # ---------------------------------------------------------------------------

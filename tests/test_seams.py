@@ -11,9 +11,11 @@ rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  The
 regularity profile runs on one reused workspace per call, so it is pinned
 bitwise to a one-row-per-call reference and its memory peak is bounded.  The
-regularity state decides most trivial-pair rows from one transform of A and
-sends only the rest through that kernel, so every decision it makes (counts,
-reduction, refinement step) is pinned to the state built on the exact profile.
+regularity state decides most trivial-pair rows from one transform of A, and
+passing rows at every pair on a row's L1 bound, and sends only the rest
+through that kernel, so every decision it makes (counts, reduction,
+refinement step) is pinned to the state built on the exact profile, on fixed
+and on random pairs.
 """
 
 import tracemalloc
@@ -21,6 +23,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_dft
 
@@ -258,17 +262,37 @@ def test_profile_memory_peak_is_bounded(spec, rng):
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("spec", ["4096", "2^12"])
+def test_state_memory_peak_at_a_point_mass_is_bounded(spec, rng):
+    # the L1 bound passes every row here: a few length-N arrays per profile,
+    # no per-row temporaries
+    g = parse_group(spec)
+    A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    pair = profile_pairs(g)[-1]
+    _PairState([A], pair)  # fill the caches outside the measurement
+    tracemalloc.start()
+    try:
+        _PairState([A], pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def exact_state(As, pair, monkeypatch):
     """The state on the exact profile (every row through the kernel) and its refinement step."""
     with monkeypatch.context() as m:
         m.setattr(reg_general, "_screened_profile",
-                  lambda A, pair, perp: regular_value_profile(A, pair))
+                  lambda A, state: regular_value_profile(A, state.pair))
         state = _PairState(As, pair)
         return state, None if state.regular else _refine_pair_detailed(state)[1]
 
 
 def assert_same_decisions(As, pair, monkeypatch):
-    """The screened state decides as the exact one: counts, reduction, one refinement step."""
+    """The screened state decides as the exact one: counts, reduction, one refinement step.
+
+    Returns the exact state.
+    """
     screened = _PairState(As, pair)
     exact, reference = exact_state(As, pair, monkeypatch)
     assert screened.counts == exact.counts and screened.regular == exact.regular
@@ -277,6 +301,22 @@ def assert_same_decisions(As, pair, monkeypatch):
     if reference is not None:
         # branch, aligned count, cond1/cond2 failure counts, witnesses, index gain, ...
         assert _refine_pair_detailed(screened)[1] == reference
+    return exact
+
+
+def kernel_profile(A, pair, monkeypatch):
+    """The state's profile of A and the rows it sent through the cond2 kernel."""
+    sent: list[int] = []
+    rows = reg_general._cond2_rows
+
+    def recorded(A, xs, *args):
+        sent.extend(xs)
+        return rows(A, xs, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(reg_general, "_cond2_rows", recorded)
+        (profile,) = _PairState([A], pair).profiles
+    return profile, np.asarray(sent, dtype=np.int64)
 
 
 def interval(g):
@@ -297,13 +337,24 @@ def test_screened_state_decides_as_the_exact_profile(spec, rng, monkeypatch, ker
     _PairState([random_set, interval(g)], trivial)
     assert kernel_rows[0] == 0
     for pair in far:
-        # seeded and degenerate: psi2 is far from uniform, the screen decides
-        # no row, and the profile is the exact one bit for bit
-        kernel_rows[0] = 0
-        (got,) = _PairState([random_set], pair).profiles
-        assert kernel_rows[0] == g.order
-        want = regular_value_profile(random_set, pair)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # seeded and degenerate: psi2 is far from uniform and the screen
+        # decides no row; the L1 bound passes rows of local density near 0 or
+        # 1, and every other row is the exact profile's bit for bit
+        for A in (random_set, interval(g)):
+            (want,) = assert_same_decisions([A], pair, monkeypatch).profiles
+            got, rows = kernel_profile(A, pair, monkeypatch)
+            for field in ("cond1", "a1", "a2"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert np.array_equal(got.cond2[rows], want.cond2[rows])
+            assert np.array_equal(got.worst[rows], want.worst[rows])
+            passed = np.setdiff1d(np.arange(g.order), rows)
+            assert np.all(got.cond2[passed] < pair.eps)
+            assert np.all(got.cond2[passed] >= want.cond2[passed])  # a bound on the kernel's sup
+    # faithful mode collapses psi2 to a point mass: every row of an indicator
+    # is A(x) - alpha2(x), about 1e-16, and passes on the L1 bound
+    kernel_rows[0] = 0
+    _PairState([random_set, interval(g)], far[-1])
+    assert kernel_rows[0] == 0
 
 
 def test_rows_at_eps_take_the_kernel(rng, monkeypatch, kernel_rows):
@@ -316,6 +367,52 @@ def test_rows_at_eps_take_the_kernel(rng, monkeypatch, kernel_rows):
     kernel_rows[0] = 0
     _PairState([A], pair)
     assert kernel_rows[0] == g.order
+
+
+@st.composite
+def screened_cases(draw):
+    """(set, scaled pair) on a PROFILE_SHAPES group: an indicator or [0, 1]-valued set."""
+    g = parse_group(draw(st.sampled_from(PROFILE_SHAPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        members = rng.uniform(size=g.order) < draw(st.floats(0.01, 0.99))
+    else:
+        gamma = make_frequency_set(g, [g.character_at(int(rng.integers(1, g.order)))])
+        members = np.zeros(g.order, dtype=bool)
+        members[bohr_set(gamma, draw(st.floats(0.02, 0.45)))] = True
+    # blur 0 keeps the indicator; otherwise values move into (0, 1)
+    blur = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    shift = blur * rng.uniform(size=g.order)
+    A = DenseFn(g, np.where(members, 1.0 - shift, shift))
+    chars = make_frequency_set(
+        g, [g.character_at(int(c)) for c in rng.integers(1, g.order, draw(st.integers(0, 2)))]
+    )
+    eta = draw(st.sampled_from([1.0, 0.5, 0.2, 0.05, 0.02]))
+    eps = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    scale = 2.0 ** draw(st.integers(30, 70))
+    pair = RegPair(chars, eta, draw(st.integers(1, 3)), eps, SCALED, scale)
+    return A, pair
+
+
+# an example makes up to two all-rows profiles, about a second each on Z/4097
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(screened_cases())
+def test_screened_state_decides_as_the_exact_profile_on_random_pairs(monkeypatch, case):
+    A, pair = case
+    assert_same_decisions([A], pair, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", PROFILE_SHAPES)
+def test_a_set_outside_the_unit_interval_takes_the_kernel_at_a_point_mass(spec, rng, monkeypatch):
+    # values in [-0.25, 1.25]: the L1 bound needs 0 <= A <= 1, so every row
+    # of the degenerate pair goes through the kernel as in the exact profile
+    g = parse_group(spec)
+    A = DenseFn(g, 1.5 * interval(g).values - 0.25 + rng.uniform(0.0, 0.01, g.order))
+    pair = profile_pairs(g)[-1]
+    got, rows = kernel_profile(A, pair, monkeypatch)
+    assert np.array_equal(rows, np.arange(g.order))
+    assert all(np.array_equal(a, b) for a, b in zip(got, regular_value_profile(A, pair)))
 
 
 def test_screen_on_a_set_that_is_not_an_indicator(rng, monkeypatch, kernel_rows):

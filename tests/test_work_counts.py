@@ -3,9 +3,10 @@
 Each visited pair is evaluated once (one profile per distinct set object) and
 each visited subgroup once (one coset-spectra pass); the regularity test, the
 refinement, the trace, the index and the reduction all read that one evaluation.
-A profile sends through the cond2 kernel only the rows its screen leaves
-undecided: none for a random set at the trivial pair, every row once the
-cutoff is a real Bohr cutoff.
+A profile sends through the cond2 kernel only the rows its certified bounds
+leave undecided: none for a random set at the trivial pair or for an
+indicator at a faithful point-mass pair, and every row of local density away
+from 0 and 1 once the cutoff is a real Bohr cutoff.
 """
 
 import numpy as np
@@ -95,11 +96,13 @@ def test_irregular_trivial_pair_of_an_interval_takes_only_the_centers(kernel_row
     state = reg_general._PairState([A], reg_general.trivial_pair(A.group, 1, 0.1))
     assert not state.regular and state.counts == [2049]
     assert kernel_rows[0] == 0
-    _, info = reg_general._refine_pair_detailed(state)
+    refined, info = reg_general._refine_pair_detailed(state)
     (_, centers), = covers
     assert info["branch"] == "new-characters" and info["witnesses"]
-    # the centers' rows, then every row of the refined pair
-    assert kernel_rows[0] == len(centers) + 2049
+    # the centers' rows; the refined pair is a faithful point mass, where
+    # every row passes on the L1 bound
+    assert refined.pair.psi2.is_point_mass
+    assert kernel_rows[0] == len(centers)
 
 
 def test_regularize_counts_k_times_steps_plus_one(calls, rng):
