@@ -466,13 +466,18 @@ def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
     return translate_rows(group, range(x, x + 1))[0]
 
 
-def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
-    """gamma evaluated at every element, in canonical index order."""
+def _char_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
+    """Integer numerators of arg gamma(x)/2pi in [0, L) over L = lcm(factors), every x."""
     if gamma.group != group:
         raise DomainMismatchError("character belongs to a different group")
     L = group.exponent_lcm
     w = np.asarray([c * (L // m) for c, m in zip(gamma.freqs, group.factors)], dtype=np.int64)
-    num = (coords_table(group) @ w) % L
+    return (coords_table(group) @ w) % L
+
+
+def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
+    """gamma evaluated at every element, in canonical index order."""
+    num, L = _char_numerators(group, gamma), group.exponent_lcm
     if L <= 2:
         return np.where(num == 0, 1.0, -1.0).astype(np.complex128)
     return np.exp(2j * np.pi * num / L)
@@ -480,10 +485,8 @@ def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
 
 def char_norm_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
     """Integer numerators of |arg gamma(x)|/2pi over the common denominator lcm."""
-    L = group.exponent_lcm
-    w = np.asarray([c * (L // m) for c, m in zip(gamma.freqs, group.factors)], dtype=np.int64)
-    num = (coords_table(group) @ w) % L
-    return np.minimum(num, L - num)
+    num = _char_numerators(group, gamma)
+    return np.minimum(num, group.exponent_lcm - num)
 
 
 @lru_cache(maxsize=16)

@@ -13,20 +13,15 @@ distinct set objects and s steps cost k(s+1) profiles.  Out of budget, the
 pair of highest index is returned.
 
 Condition 2 is a sup over all N characters of one transformed row per x.
-The state's profile decides rows on two certified bounds first.  At the
-trivial pair psi2 is uniform up to rounding, so one transform of A gives
-every row's magnitudes to within a certified margin, and a row that clears
-eps by that margin (and, when it fails, whose worst character is clearly in
-or out of perp) is decided without its own transform.  At every pair, for A
-with values in [0, 1], a row's L1 norm bounds all its magnitudes and comes
-from one convolution for every x; a row whose bound lies below eps passes.
-In faithful mode at desk-scale N psi2 is a point mass away from the
-trivial pair, and there every row of an indicator passes on that bound.  Only the other rows, and
-the rows whose worst characters become witnesses, go through the cond2
-kernel, as regular_value_profile does for all rows.
+Where psi2 is uniform on K = ker R up to rounding (at the trivial pair,
+K = G, and at desk scale at every faithful pair), one transform per coset
+of K gives every row's magnitudes within a certified margin, and the state's
+profile decides each row that clears eps by it there (the coset screen).
+Only the other rows, and the rows whose worst characters become witnesses,
+go through the cond2 kernel, as regular_value_profile does for all rows.
 
 Faithful mode uses the constants verbatim, under which the narrow cutoff
-collapses to a point mass at desk-scale N (recorded, not hidden).  Scaled
+collapses onto ker R at desk-scale N (recorded, not hidden).  Scaled
 mode multiplies every power-of-two constant by a user factor so the loop is
 exercisable on small groups; gains are then measured rather than asserted.
 """
@@ -35,16 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bohr import BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set, norm_le_mask
+from .bohr import (BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set,
+                   norm_le_mask, norm_numerators)
 from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError, checked_pow
 from .groups import (
+    TRANSLATE_BLOCK_BYTES,
     Character,
     GroupSpec,
+    _char_numerators,
     coords_table,
     neg_index,
     translate_blocks,
@@ -169,10 +166,9 @@ class RegValueWitness:
 class RegProfile(NamedTuple):
     """One set's regularity profile at one pair, with its smoothed densities a_i = A * psi_i.
 
-    In the state's screened profile a row decided without the kernel holds
-    a certified value on the kernel's side of eps as cond2: its screened
-    value, with the screened argmax as worst, or for a row passed on the L1
-    bound that bound, with worst 0.
+    In the state's screened profile a row decided without the kernel holds its
+    screened value as cond2 and the screened argmax as worst, each on the
+    kernel's side of eps and of perp.
     """
 
     cond1: np.ndarray
@@ -246,80 +242,62 @@ def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: Re
 def _screened_profile(A: DenseFn, state: "_PairState") -> RegProfile:
     """The state's profile: the kernel's decisions, the kernel run on undecided rows only.
 
-    Two certified bounds decide rows without their own transform; every
-    magnitude below is the kernel's float64 value, so a decided row falls on
-    the kernel's side of eps for every one of the N characters.
-
-    The screen.  With psi2 = 1/N + e and dev = sum |e|, the row of x
-    transforms to gamma(-x) A^(gamma)/N off gamma = 0 and A^(0)/N - alpha2(x)
-    at 0, up to spread(x) * dev, where spread(x) = max(max A - alpha2(x),
-    alpha2(x) - min A).  So S(x) = max(max_{gamma != 0} |A^(gamma)|/N,
-    |A^(0)/N - alpha2(x)|) comes from one transform of A, and every magnitude
-    lies within M(x) = spread(x) dev + K(x) + r ||A||_2 / sqrt(N) of its
-    screened value, where r = 64 log2(N) 2^-53 (log2 N taken as at least 1)
-    is the relative float64 transform error (Schatzman 1996, Percival 2003)
-    and K(x) = r (sqrt(N) spread(x) ||psi2||_2 + 1) bounds the kernel's own
-    rounding.  S(x) > eps + M(x) fails cond2 and S(x) < eps - M(x) passes it.
-    A failing row is decided only when the largest screened magnitudes inside
-    and outside perp are more than 2 M(x) apart, so that its worst
-    character's perp membership is certain.  Only near the trivial pair is
-    dev small enough to decide any row.
-
-    The L1 bound, at every pair, for A with values in [0, 1].  Each magnitude
-    is at most the row's L1 norm, and A - a = A (1 - a) - (1 - A) a gives
-    L(x) = |1 - alpha2(x)| c(x) + |alpha2(x)| (W - c(x)) >= that norm, with
-    c(x) = sum_y A(x+y) |psi2(y)| = (A * reach)(x), reach the state's
-    transform of y -> |psi2(-y)|, and W = sum |psi2| (equality for
-    indicators).  The convolution c is off by at most 4 r sqrt(N) ||A||_2
-    ||psi2||_2 (three transforms and a product), so M'(x) = K(x) + 4 r
-    sqrt(N) ||A||_2 ||psi2||_2 (|1 - alpha2(x)| + |alpha2(x)|).  A row the
-    screen leaves with L(x) + M'(x) < eps passes (the 1 in K also covers the
-    rounding of L itself).  In faithful mode at desk-scale N psi2 is a point mass away
-    from the trivial pair and L is about 1e-16, so every row of an
-    indicator passes there.
-
-    The rest go through the kernel, bitwise as in regular_value_profile.  A
-    row decided on the screen holds S(x) as cond2 and the screened argmax as
-    worst, each on the kernel's side of eps and of perp; witnesses, where
-    +-gamma tie, must come from kernel rows.  A row passed on the L1 bound
-    holds L(x) + M'(x) as cond2 and 0 as worst; no decision reads the worst
-    character of a passing row.
+    The coset screen decides rows without their own transform, each on the side
+    of eps that the kernel's float64 values give it for all N characters.  With
+    psi2 = 1_K/|K| + e (the state's cosets) and C = x + K, the row of x against
+    1_K/|K| transforms to A(C)/|K| - alpha2(x) on K-perp and to gamma(-x)
+    T_C(gamma)/|K| off it, T_C the transform of A 1_C; e moves each magnitude
+    by at most spread(x) dev, where spread(x) = max(max A - alpha2(x),
+    alpha2(x) - min A).  So one transform per coset screens its rows: A's own
+    at K = G, none at K = {0}.  Each magnitude lies within M(x) = spread(x) dev
+    + K(x) + r sqrt(N) ||A||_2 / |K| of its screened value, r from _rounding
+    (whose factor 64 covers the roundings around a transform): the last term
+    bounds the rounding of T_C, as ||A 1_C||_2 <= ||A||_2, and K(x) = r
+    (sqrt(N) spread(x) ||psi2||_2 + 1) the kernel's.  The largest screened
+    magnitude S(x) passes cond2 if S(x) < eps - M(x).  It fails it if S(x) >
+    eps + M(x) and the largest screened magnitudes inside and outside perp are
+    over 2 M(x) apart, so the worst character's side of perp is certain.  A
+    decided row holds S(x) as cond2 and the screened argmax as worst;
+    witnesses, where +-gamma tie, come from kernel rows.  The kernel, bitwise
+    as in regular_value_profile, takes undecided rows, rows with M(x) >= eps
+    (their cosets take no transform) and all rows of a state without cosets.
     """
     n, pair, perp = A.group.order, state.pair, state.perp
     hat = dft(A)
     cond1, a1, a2 = _local_densities(hat, pair)
-    psi, values, eps = pair.psi2.psi.values, A.values, pair.eps
-    mags = np.abs(hat.values) / n
-    at_zero = np.abs(hat.values[0].real / n - a2)
-    top = 1 + int(np.argmax(mags[1:])) if n > 1 else 0
-    inside = np.max(mags[1:][perp[1:]], initial=-np.inf)
-    outside = np.max(mags[1:][~perp[1:]], initial=-np.inf)
-    if perp[0]:
-        inside = np.maximum(inside, at_zero)
-    else:
-        outside = np.maximum(outside, at_zero)
-    screened = np.maximum(inside, outside)
-    low, high = float(values.min()), float(values.max())
-    spread = np.maximum(high - a2, a2 - low)
-    dev = float(np.sum(np.abs(psi - 1.0 / n)))
-    rounding = 64 * max(math.log2(n), 1.0) * 2.0**-53
-    psi_norm, a_norm = math.sqrt(float(psi @ psi)), math.sqrt(float(values @ values))
-    kernel_error = rounding * (math.sqrt(n) * spread * psi_norm + 1.0)
-    margin = spread * dev + kernel_error + rounding * a_norm / math.sqrt(n)
-    decided = (screened < eps - margin) | (
-        (screened > eps + margin) & (np.abs(inside - outside) > 2.0 * margin)
-    )
-    cond2 = screened
-    worst = np.where(at_zero >= mags[top], 0, top)
+    if state.cosets is None:
+        return RegProfile(cond1, *_cond2_rows(A, range(n), a2, pair), a1, a2)
+    labels, size, dev, kperp = state.cosets
+    values, psi, eps = A.values, pair.psi2.psi.values, pair.eps
+    spread = np.maximum(values.max() - a2, a2 - values.min())
+    windowed = spread * math.sqrt(n * float(psi @ psi))  # K(x) = r (windowed + 1)
+    transformed = math.sqrt(n * float(values @ values)) / size  # sqrt(N) ||A||_2 / |K|
+    margin = spread * dev + _rounding(n) * (windowed + 1.0 + transformed)
+    screenable = margin < eps
+    total = values.copy() if size == 1 else np.zeros(n // size)  # A(C)
+    inside, outside = np.full((2, n // size), -np.inf)  # off K-perp, per coset
+    top = np.zeros(n // size, dtype=np.int64)
+    # the cosets holding screenable rows; at K = G the one coset, at K = {0} none
+    reps = np.flatnonzero(np.bincount(labels, screenable)) if 1 < size < n else labels[: size // n]
+    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * n))  # cosets per block of transforms
+    for lo in range(0, reps.size, step):
+        cs = reps[lo : lo + step]
+        spectra = hat.values[None] if size == n else dft_many(
+            A.group, np.where(labels == cs[:, None], values, 0.0))
+        total[cs] = spectra[:, 0].real
+        mags = np.abs(spectra) / size
+        mags[:, kperp] = -np.inf
+        top[cs] = np.argmax(mags, axis=1)
+        inside[cs] = np.max(mags, axis=1, initial=-np.inf, where=perp)
+        outside[cs] = np.max(mags, axis=1, initial=-np.inf, where=~perp)
+    at_k = np.abs(total[labels] / size - a2)  # every magnitude on K-perp
+    worst = np.where(at_k >= np.maximum(inside, outside)[labels], 0, top[labels])
+    inside = np.maximum(inside[labels], at_k) if np.any(kperp & perp) else inside[labels]
+    outside = np.maximum(outside[labels], at_k) if np.any(kperp & ~perp) else outside[labels]
+    cond2 = np.maximum(inside, outside)
+    apart = np.abs(inside - outside) > 2.0 * margin
+    decided = screenable & ((cond2 < eps - margin) | ((cond2 > eps + margin) & apart))
     rows = np.flatnonzero(~decided)
-    if rows.size and 0.0 <= low and high <= 1.0:
-        a, c = a2[rows], convolve_spectra(hat, state.reach).values[rows]
-        up, down = np.abs(1.0 - a), np.abs(a)
-        bound = up * c + down * (float(np.sum(np.abs(psi))) - c) + kernel_error[rows]
-        bound += 4.0 * rounding * math.sqrt(n) * a_norm * psi_norm * (up + down)
-        passed = bound < eps
-        cond2[rows[passed]], worst[rows[passed]] = bound[passed], 0
-        rows = rows[~passed]
     if rows.size:
         cond2[rows], worst[rows] = _cond2_rows(A, rows, a2, pair)
     return RegProfile(cond1, cond2, worst, a1, a2)
@@ -351,18 +329,16 @@ def _regular_value(A: DenseFn, hat: Spectrum, pair: RegPair, x: int) -> RegValue
 class _PairState:
     """One pair against the tracked sets: profiles, irregular counts, index (read off each a1).
 
-    Each distinct set gets one screened profile (_screened_profile): its
-    rows are decided on certified bounds where they allow, which at the
-    trivial pair is nearly every row and at a faithful point-mass pair every
-    row of a set with values in [0, 1], and the rest go through the cond2
-    kernel.  perp, the near-orthogonal set of psi2, is fixed here so the
-    screen and the refinement read the same one.
+    Each distinct set gets one screened profile (_screened_profile).  perp,
+    the near-orthogonal set of psi2, and the cosets of ker R are fixed here,
+    so the screen and the refinement read the same ones.
     """
 
     def __init__(self, As: Sequence[DenseFn], pair: RegPair):
         eps, n = pair.eps, pair.group.order
         self.As, self.pair = list(As), pair
         self.perp = pair.psi2.psi_hat.values.real >= eps / 6.0
+        self.cosets = _cosets(pair)
         distinct = {id(A): A for A in self.As}
         profiles = {key: _screened_profile(A, self) for key, A in distinct.items()}
         self.profiles = [profiles[id(A)] for A in self.As]
@@ -372,11 +348,32 @@ class _PairState:
         self.regular = all(c < eps * n for c in self.counts)
         self.index = float(sum(float(np.sum(p.a1 * p.a1)) / n for p in self.profiles))
 
-    @cached_property
-    def reach(self) -> Spectrum:
-        """The transform of y -> |psi2(-y)| for the L1 bound, made when first needed."""
-        group = self.pair.group
-        return dft(DenseFn(group, np.abs(self.pair.psi2.psi.values)[neg_index(group)]))
+
+def _rounding(n: int) -> float:
+    """r = 64 log2(N) 2^-53 (log2 N >= 1): relative FFT error (Schatzman 1996, Percival 2003)."""
+    return 64 * max(math.log2(n), 1.0) * 2.0**-53
+
+
+def _cosets(pair: RegPair) -> "tuple[np.ndarray, int, float, np.ndarray] | None":
+    """(coset label of each x, |K|, dev, K-perp mask) for K = ker R = {x : ||x||_R = 0}.
+
+    dev = sum |psi2 - 1_K/|K||.  psi2^ is within dev of 1 on K-perp and of 0
+    off it, and within r sqrt(N) ||psi2||_2 of its float64 value, so K-perp =
+    {psi2^ > 1/2} while those add to less than 1/2; else None.  Labels number
+    the cosets by the characters' numerators where 1 < |K| < N.
+    """
+    group, psi = pair.group, pair.psi2.psi.values
+    n, kernel = group.order, norm_numerators(pair.chars) == 0
+    size = int(np.count_nonzero(kernel))
+    dev = float(np.sum(np.abs(psi - kernel / size)))
+    if dev + _rounding(n) * math.sqrt(n * float(psi @ psi)) >= 0.5:
+        return None
+    labels = np.zeros(n, dtype=np.int64) if size > 1 else np.arange(n)
+    if 1 < size < n:
+        for gamma in pair.chars.chars:
+            key = labels * group.exponent_lcm + _char_numerators(group, gamma)
+            labels = np.unique(key, return_inverse=True)[1]
+    return labels, size, dev, pair.psi2.psi_hat.values.real > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  The
 regularity profile runs on one reused workspace per call, so it is pinned
 bitwise to a one-row-per-call reference and its memory peak is bounded.  The
-regularity state decides most trivial-pair rows from one transform of A, and
-passing rows at every pair on a row's L1 bound, and sends only the rest
+regularity state decides most rows from one transform per coset of ker R
+wherever psi2 is uniform on ker R up to rounding, and sends only the rest
 through that kernel, so every decision it makes (counts, reduction,
 refinement step) is pinned to the state built on the exact profile, on fixed
-and on random pairs.
+and on random pairs, and every value it screens to within its certified
+margin.
 """
 
 import tracemalloc
@@ -30,7 +31,7 @@ from conftest import naive_dft
 
 from arithreg.applications import ap3_table, nu_weight
 from arithreg import reg_general
-from arithreg.bohr import bohr_set, make_frequency_set, random_frequency_set
+from arithreg.bohr import bohr_set, make_frequency_set, norm_numerators, random_frequency_set
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
     character_table,
@@ -53,6 +54,7 @@ from arithreg.harmonic import (
     indicator,
 )
 from arithreg.reg_general import (
+    FAITHFUL,
     SCALED,
     RegPair,
     _PairState,
@@ -264,8 +266,8 @@ def test_profile_memory_peak_is_bounded(spec, rng):
 
 @pytest.mark.parametrize("spec", ["4096", "2^12"])
 def test_state_memory_peak_at_a_point_mass_is_bounded(spec, rng):
-    # the L1 bound passes every row here: a few length-N arrays per profile,
-    # no per-row temporaries
+    # the coset screen decides every row here with no transform (K = {0}): a
+    # few length-N arrays per profile, no per-row temporaries
     g = parse_group(spec)
     A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
     pair = profile_pairs(g)[-1]
@@ -277,6 +279,28 @@ def test_state_memory_peak_at_a_point_mass_is_bounded(spec, rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_state_memory_peak_with_many_cosets_is_bounded(rng, kernel_rows):
+    # eleven coordinate characters of (Z/2)^12 leave |ker R| = 2: 2,048
+    # cosets, each with its own transform, which the screen makes in blocks
+    g = parse_group("2^12")
+    chars = make_frequency_set(
+        g, [g.character([int(k == j) for k in range(12)]) for j in range(11)]
+    )
+    pair = RegPair(chars, 0.5, 3, 0.1)
+    assert not pair.degenerate and np.count_nonzero(norm_numerators(chars) == 0) == 2
+    A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
+    _PairState([A], pair)  # fill the caches outside the measurement
+    kernel_rows[0] = 0
+    tracemalloc.start()
+    try:
+        _PairState([A], pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert kernel_rows[0] == 0
 
 
 def exact_state(As, pair, monkeypatch):
@@ -337,9 +361,11 @@ def test_screened_state_decides_as_the_exact_profile(spec, rng, monkeypatch, ker
     _PairState([random_set, interval(g)], trivial)
     assert kernel_rows[0] == 0
     for pair in far:
-        # seeded and degenerate: psi2 is far from uniform and the screen
-        # decides no row; the L1 bound passes rows of local density near 0 or
-        # 1, and every other row is the exact profile's bit for bit
+        # seeded and degenerate: psi2 is uniform on ker R up to rounding where
+        # the seed character takes only the values +-1 or R spans the dual, and
+        # far from it otherwise; a decided row sits on the exact profile's side
+        # of eps within the screen's margin, and every other row is the exact
+        # profile's bit for bit
         for A in (random_set, interval(g)):
             (want,) = assert_same_decisions([A], pair, monkeypatch).profiles
             got, rows = kernel_profile(A, pair, monkeypatch)
@@ -347,14 +373,35 @@ def test_screened_state_decides_as_the_exact_profile(spec, rng, monkeypatch, ker
                 assert np.array_equal(getattr(got, field), getattr(want, field))
             assert np.array_equal(got.cond2[rows], want.cond2[rows])
             assert np.array_equal(got.worst[rows], want.worst[rows])
-            passed = np.setdiff1d(np.arange(g.order), rows)
-            assert np.all(got.cond2[passed] < pair.eps)
-            assert np.all(got.cond2[passed] >= want.cond2[passed])  # a bound on the kernel's sup
-    # faithful mode collapses psi2 to a point mass: every row of an indicator
-    # is A(x) - alpha2(x), about 1e-16, and passes on the L1 bound
+            decided = np.setdiff1d(np.arange(g.order), rows)
+            assert_screened(got, want, decided, pair, A)
+    # faithful mode collapses psi2 to a point mass: every row is
+    # A(x) - alpha2(x) at every character, and none takes the kernel
     kernel_rows[0] = 0
     _PairState([random_set, interval(g)], far[-1])
     assert kernel_rows[0] == 0
+
+
+def screen_margin(A, pair):
+    """M(x) of _screened_profile, restated: spread dev + K(x) + r sqrt(N) ||A||_2 / |K|."""
+    n, psi = A.group.order, pair.psi2.psi.values
+    kernel = (norm_numerators(pair.chars) == 0).astype(float)
+    a2 = convolve(A, pair.psi2.psi).values
+    spread = np.maximum(A.values.max() - a2, a2 - A.values.min())
+    dev = np.abs(psi - kernel / kernel.sum()).sum()
+    r = 64 * max(np.log2(n), 1.0) * 2.0**-53
+    kernel_error = r * (np.sqrt(n) * spread * np.linalg.norm(psi) + 1.0)
+    return spread * dev + kernel_error + r * np.sqrt(n) * np.linalg.norm(A.values) / kernel.sum()
+
+
+def assert_screened(got, want, decided, pair, A):
+    """Rows decided on the screen: the kernel's side of eps and of perp, within the margin."""
+    eps = pair.eps
+    perp = pair.psi2.psi_hat.values.real >= eps / 6.0
+    assert np.array_equal(got.cond2[decided] > eps, want.cond2[decided] > eps)
+    assert np.all(np.abs(got.cond2 - want.cond2)[decided] <= screen_margin(A, pair)[decided])
+    failed = decided[want.cond2[decided] > eps]
+    assert np.array_equal(perp[got.worst[failed]], perp[want.worst[failed]])
 
 
 def test_rows_at_eps_take_the_kernel(rng, monkeypatch, kernel_rows):
@@ -369,9 +416,26 @@ def test_rows_at_eps_take_the_kernel(rng, monkeypatch, kernel_rows):
     assert kernel_rows[0] == g.order
 
 
+def test_rows_within_the_margin_take_the_kernel(monkeypatch, kernel_rows):
+    # psi2 is 0.3 in L1 from uniform on the seed's kernel: every row of the
+    # interval screens to about 0.15 and is about 0.26, so at eps = 0.2 each
+    # lies within its margin and none is decided
+    g = parse_group("2^11")
+    pair = trivial_pair(g, 3, 0.2, SCALED, 2.0**58, seed_chars=[g.character_at(1)])
+    assert 0.25 < reg_general._cosets(pair)[2] < 0.5
+    assert_same_decisions([interval(g)], pair, monkeypatch)
+    kernel_rows[0] = 0
+    _PairState([interval(g)], pair)
+    assert kernel_rows[0] == g.order
+
+
 @st.composite
 def screened_cases(draw):
-    """(set, scaled pair) on a PROFILE_SHAPES group: an indicator or [0, 1]-valued set."""
+    """(set, pair) on a PROFILE_SHAPES group.
+
+    The set is an indicator, [0, 1]-valued, or stretched to [-0.25, 1.25];
+    the pair is scaled, or faithful, where psi2 is uniform on ker R.
+    """
     g = parse_group(draw(st.sampled_from(PROFILE_SHAPES)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -383,15 +447,17 @@ def screened_cases(draw):
     # blur 0 keeps the indicator; otherwise values move into (0, 1)
     blur = draw(st.sampled_from([0.0, 0.01, 0.2]))
     shift = blur * rng.uniform(size=g.order)
-    A = DenseFn(g, np.where(members, 1.0 - shift, shift))
+    stretch = draw(st.sampled_from([1.0, 1.5]))
+    A = DenseFn(g, stretch * (np.where(members, 1.0 - shift, shift) - 0.5) + 0.5)
     chars = make_frequency_set(
-        g, [g.character_at(int(c)) for c in rng.integers(1, g.order, draw(st.integers(0, 2)))]
+        g, [g.character_at(int(c)) for c in rng.integers(1, g.order, draw(st.integers(0, 3)))]
     )
     eta = draw(st.sampled_from([1.0, 0.5, 0.2, 0.05, 0.02]))
     eps = draw(st.sampled_from([0.05, 0.1, 0.3]))
-    scale = 2.0 ** draw(st.integers(30, 70))
-    pair = RegPair(chars, eta, draw(st.integers(1, 3)), eps, SCALED, scale)
-    return A, pair
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return A, RegPair(chars, eta, k, eps, FAITHFUL)
+    return A, RegPair(chars, eta, k, eps, SCALED, 2.0 ** draw(st.integers(30, 70)))
 
 
 # an example makes up to two all-rows profiles, about a second each on Z/4097
@@ -400,19 +466,23 @@ def screened_cases(draw):
 @given(screened_cases())
 def test_screened_state_decides_as_the_exact_profile_on_random_pairs(monkeypatch, case):
     A, pair = case
-    assert_same_decisions([A], pair, monkeypatch)
+    (want,) = assert_same_decisions([A], pair, monkeypatch).profiles
+    got, rows = kernel_profile(A, pair, monkeypatch)
+    assert np.array_equal(got.cond2[rows], want.cond2[rows])
+    assert_screened(got, want, np.setdiff1d(np.arange(A.group.order), rows), pair, A)
 
 
 @pytest.mark.parametrize("spec", PROFILE_SHAPES)
 def test_a_set_outside_the_unit_interval_takes_the_kernel_at_a_point_mass(spec, rng, monkeypatch):
-    # values in [-0.25, 1.25]: the L1 bound needs 0 <= A <= 1, so every row
-    # of the degenerate pair goes through the kernel as in the exact profile
+    # values in [-0.25, 1.25]: the screen needs no range of values, and at the
+    # degenerate pair (ker R = {0}) it decides every row with no transform
     g = parse_group(spec)
     A = DenseFn(g, 1.5 * interval(g).values - 0.25 + rng.uniform(0.0, 0.01, g.order))
     pair = profile_pairs(g)[-1]
+    (want,) = assert_same_decisions([A], pair, monkeypatch).profiles
     got, rows = kernel_profile(A, pair, monkeypatch)
-    assert np.array_equal(rows, np.arange(g.order))
-    assert all(np.array_equal(a, b) for a, b in zip(got, regular_value_profile(A, pair)))
+    assert rows.size == 0
+    assert_screened(got, want, np.arange(g.order), pair, A)
 
 
 def test_screen_on_a_set_that_is_not_an_indicator(rng, monkeypatch, kernel_rows):

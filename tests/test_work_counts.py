@@ -3,10 +3,11 @@
 Each visited pair is evaluated once (one profile per distinct set object) and
 each visited subgroup once (one coset-spectra pass); the regularity test, the
 refinement, the trace, the index and the reduction all read that one evaluation.
-A profile sends through the cond2 kernel only the rows its certified bounds
-leave undecided: none for a random set at the trivial pair or for an
-indicator at a faithful point-mass pair, and every row of local density away
-from 0 and 1 once the cutoff is a real Bohr cutoff.
+A profile sends through the cond2 kernel only the rows its coset screen
+leaves undecided: none for a random set at the trivial pair or at a faithful
+pair, where psi2 is uniform on ker R, and every row once psi2 is far from
+that, as at a seeded scaled pair.  A refinement step adds the rows of its
+cover centers, whose worst characters become witnesses.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import random_indicator
 
 from arithreg import harmonic, reg_f2, reg_general
 from arithreg.applications import IntegerSet, sum_free_decompose
+from arithreg.bohr import norm_numerators
 from arithreg.groups import f2_parity, make_group
 from arithreg.harmonic import indicator
 
@@ -100,9 +102,29 @@ def test_irregular_trivial_pair_of_an_interval_takes_only_the_centers(kernel_row
     (_, centers), = covers
     assert info["branch"] == "new-characters" and info["witnesses"]
     # the centers' rows; the refined pair is a faithful point mass, where
-    # every row passes on the L1 bound
+    # the screen decides every row with no transform
     assert refined.pair.psi2.is_point_mass
     assert kernel_rows[0] == len(centers)
+
+
+@pytest.mark.parametrize("spec", [[2] * 12, [2] * 6 + [35]])
+def test_faithful_path_of_an_interval_takes_only_the_centers(kernel_rows, monkeypatch, spec):
+    # each refined pair's psi2 is uniform on a nontrivial subgroup ker R, and
+    # the screen decides every row from one transform per coset
+    centers = []
+
+    def cover(*args):
+        out = cover_by_translates(*args)
+        centers.extend(out[1])
+        return out
+
+    cover_by_translates = reg_general.cover_by_translates
+    monkeypatch.setattr(reg_general, "cover_by_translates", cover)
+    g = make_group(spec)
+    pair, trace = reg_general.regularize([indicator(g, range(g.order // 3))], 0.1, 3)
+    assert [step["branch"] for step in trace["iterations"]] == ["new-characters"] * 3
+    assert 1 < np.count_nonzero(norm_numerators(pair.chars) == 0) < g.order
+    assert centers and kernel_rows[0] == len(centers)
 
 
 def test_regularize_counts_k_times_steps_plus_one(calls, rng):
