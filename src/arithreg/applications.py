@@ -358,7 +358,9 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
     """
     if n < 1 or s < 0:
         raise DomainMismatchError(f"tower needs n >= 1 and depth >= 0, got n = {n}, depth = {s}")
-    dims = tuple(tower_sequence(i) for i in range(s + 1))
+    dims = (0,)
+    while len(dims) <= s and sum(dims) <= n:  # stop past n: d_6 = 2^(2^521 + 521)
+        dims += (growth_step(2 ** sum(dims)),)
     if sum(dims) > n:
         raise DomainMismatchError(
             f"chain dimensions {dims} need {sum(dims)} coordinates, only {n} available"

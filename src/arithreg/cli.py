@@ -92,12 +92,16 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         text = _flatten_csv(payload)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    _write(getattr(args, "out", None), text)
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write a report or a trace to path, or to stdout without one; main exits 2 on an OSError."""
+    if not path:
         sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _jsonable(obj):
@@ -142,8 +146,7 @@ def cmd_regularize_f2(args) -> dict:
     rep = regularize_f2(A, args.eps)
     trace = rep.to_dict()
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(trace, fh, sort_keys=True, indent=2, default=_jsonable)
+        _write(args.trace, json.dumps(trace, sort_keys=True, indent=2, default=_jsonable))
     return {
         "group": str(group),
         "set_size": int(A.values.sum()),
@@ -167,8 +170,7 @@ def cmd_regularize(args) -> dict:
         seed_chars=seed_chars,
     )
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(trace, fh, sort_keys=True, indent=2, default=_jsonable)
+        _write(args.trace, json.dumps(trace, sort_keys=True, indent=2, default=_jsonable))
     return {
         "group": str(group),
         "set_sizes": [int(A.values.sum()) for A in sets],
@@ -551,6 +553,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report = args.func(args)
+        _emit(report, args)
     except (InvalidSpecError, DomainMismatchError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -560,7 +563,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
-    _emit(report, args)
     return int(report.get("exit_code", 0)) if isinstance(report, dict) else 0
 
 

@@ -396,16 +396,12 @@ def _window_rows(window: np.ndarray, xs: Sequence[int]) -> np.ndarray:
     return window[np.asarray(xs, dtype=np.int64)]
 
 
-def translate_rows(
-    group: GroupSpec, xs: Sequence[int], out: np.ndarray | None = None
-) -> np.ndarray:
+def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
     """(len(xs), N) index rows; row i lists the index of x_i + n over all n.
 
     Built digit by digit: XOR on each run of 2-factors, addition mod m on
-    every other factor; the last digit writes into out when it is given (an
-    int64 array of that shape).  On a cyclic group the rows come from a
-    window over a doubled arange, zero-copy and read-only when xs is a step-1
-    range, and out is not used.
+    every other factor.  On a cyclic group the rows come from a window over a
+    doubled arange, zero-copy and read-only when xs is a step-1 range.
     """
     if _is_cyclic(group):
         return _window_rows(_cyclic_window(group.order), xs)
@@ -413,11 +409,10 @@ def translate_rows(
     rows = np.zeros((xs.size, 1), dtype=np.int64)
     for size, stride, is_run in index_digits(group):
         d = xs // stride % size
-        dest = None if out is None or stride > 1 else out.reshape(xs.size, -1, size)
         if is_run:  # size is 2^r, so rows * size + (d ^ j) = (rows * size + d) ^ j
-            rows = np.bitwise_xor((rows * size + d[:, None])[:, :, None], np.arange(size), out=dest)
+            rows = np.bitwise_xor((rows * size + d[:, None])[:, :, None], np.arange(size))
         else:
-            rows = np.add((rows * size)[:, :, None], _cyclic_window(size)[d][:, None, :], out=dest)
+            rows = (rows * size)[:, :, None] + _cyclic_window(size)[d][:, None, :]
         rows = rows.reshape(xs.size, -1)
     return rows
 
@@ -432,10 +427,12 @@ def translate_blocks(
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lo, hi, translate_values(group, values, xs[lo:hi])) over all of xs.
 
-    A block holds about TRANSLATE_BLOCK_BYTES of float64 rows, whatever N is.
-    The yielded block is scratch: one buffer (and one buffer of index rows)
-    is refilled for every block, so a block is valid until the next one is
-    drawn, and the caller may overwrite it.
+    A block holds about TRANSLATE_BLOCK_BYTES of float64 rows, whatever N is,
+    so each block's temporaries (its index rows off cyclic groups) are bounded
+    by a small multiple of TRANSLATE_BLOCK_BYTES, whatever len(xs) is.  The
+    yielded block is scratch: one value buffer is refilled for every block,
+    so a block is valid until the next one is drawn, and the caller may
+    overwrite it.
     """
     n = group.order
     step = max(1, TRANSLATE_BLOCK_BYTES // (8 * n))
@@ -444,8 +441,6 @@ def translate_blocks(
     if cyclic:
         doubled = np.concatenate([values, values])
         window = sliding_window_view(doubled, n)
-    else:
-        index = np.empty(buf.shape, dtype=np.int64)
     for lo in range(0, len(xs), step):
         hi = min(len(xs), lo + step)
         rows, part = buf[: hi - lo], xs[lo:hi]
@@ -455,8 +450,7 @@ def translate_blocks(
             for row, x in zip(rows, np.asarray(part).tolist()):
                 row[...] = doubled[x : x + n]
         else:
-            index_rows = translate_rows(group, part, index[: hi - lo])
-            np.take(values, index_rows, out=rows, mode="wrap")
+            np.take(values, translate_rows(group, part), out=rows, mode="wrap")
         yield lo, hi, rows
 
 

@@ -90,7 +90,7 @@ _SHORT_RUN = 16  # elements: butterfly stages with shorter contiguous runs go tr
 _SLAB_BYTES = 1 << 19  # bytes of one transposed slab of those stages
 
 
-def _butterflies(a: np.ndarray, scratch: np.ndarray | None = None) -> None:
+def _butterflies(a: np.ndarray) -> None:
     """In place +-1 butterflies over axis -2 of a C-contiguous (..., 2^r, s) array.
 
     This is the Walsh-Hadamard transform of a run of r consecutive 2-factors,
@@ -100,9 +100,9 @@ def _butterflies(a: np.ndarray, scratch: np.ndarray | None = None) -> None:
     elements.  The stages with runs under _SHORT_RUN stay inside chunks of
     m*s elements and run on transposed slabs of chunks, where one run spans
     the slab.  Every element gets the same adds and subtracts in the same
-    order, so the result is bitwise that of the plain stage loop.  scratch
-    (flat, a's dtype, 1.5 a.size elements or more; fresh when None) holds
-    the low-half copies and a slab of up to _SLAB_BYTES.
+    order, so the result is bitwise that of the plain stage loop.  One fresh
+    scratch holds the low-half copies (half of a) and a slab of up to
+    _SLAB_BYTES.
     """
     n, s = a.shape[-2], a.shape[-1]
     m = 1
@@ -112,8 +112,7 @@ def _butterflies(a: np.ndarray, scratch: np.ndarray | None = None) -> None:
     chunks = a.reshape(-1, chunk)
     step = max(1, min(len(chunks), _SLAB_BYTES // (chunk * a.itemsize)))
     half = a.size // 2
-    if scratch is None:
-        scratch = np.empty(half + (step * chunk if m > 1 else 0), dtype=a.dtype)
+    scratch = np.empty(half + (step * chunk if m > 1 else 0), dtype=a.dtype)
     lows, slab = scratch[:half], scratch[half:]
     _stages(a.reshape(-1, n, s), m, lows)
     if m == 1:
@@ -147,42 +146,28 @@ def wht_last_axis(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform(
-    group: GroupSpec, values: np.ndarray, inverse: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Transform along the last axis, one index digit at a time, most significant first.
+def _transform(group: GroupSpec, values: np.ndarray, inverse: bool) -> np.ndarray:
+    """Transform of a copy of values along the last axis, one index digit at a time.
 
-    A run of 2-factors is one digit and goes through the butterflies in one
-    pass; any other factor goes through numpy's FFT, in place.  Real input
-    stays float64 until the first non-2 factor, so (Z/2)^n transforms of real
-    rows come back real.  Without out the input is copied.  With out (complex128,
-    the shape of values) float64 values are scratch: the real stretch runs on
-    them, with out as the butterflies' scratch, and the complex stretch in out.
+    Digits go most significant first.  A run of 2-factors is one digit and
+    goes through the butterflies in one pass; any other factor goes through
+    numpy's FFT, in place.  Real input stays float64 until the first non-2
+    factor, so (Z/2)^n transforms of real rows come back real.
     """
     lead = values.shape[:-1]
     n = group.order
     digits = index_digits(group)
     real = values.dtype.kind != "c" and bool(digits) and digits[0][2]
-    if out is None:
-        a = values.astype(np.float64 if real else np.complex128, order="C")
-    elif real:
-        a = values
-    else:
-        np.copyto(out, values)
-        a = out
+    a = values.astype(np.float64 if real else np.complex128, order="C")
     a = a.reshape(lead + tuple(size for size, _, _ in digits))
     for axis, (size, stride, is_run) in enumerate(digits, start=len(lead)):
         if is_run:
-            real_stretch = out is not None and a.dtype.kind != "c"  # out is still free
-            spare = out.reshape(-1).view(np.float64) if real_stretch else None
-            _butterflies(a.reshape(lead + (n // (size * stride), size, stride)), spare)
+            _butterflies(a.reshape(lead + (n // (size * stride), size, stride)))
             if inverse:
                 a *= 1.0 / size
             continue
         if a.dtype.kind != "c":  # the first FFT digit after a real run
-            c = np.empty(a.shape, np.complex128) if out is None else out.reshape(a.shape)
-            np.copyto(c, a)
-            a = c
+            a = a.astype(np.complex128)
         if inverse:
             np.fft.fft(a, axis=axis, out=a)
             a /= size
@@ -203,15 +188,13 @@ def idft(F: Spectrum) -> DenseFn:
     return DenseFn(F.group, _transform(F.group, F.values, inverse=True).real.copy())
 
 
-def dft_many(group: GroupSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward transform applied to each row of a (B, N) array.
+def dft_many(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """Forward transform applied to each row of a (B, N) array, into a fresh array.
 
     Complex, except on (Z/2)^n with real rows, where the transform is real
-    and comes back as float64.  With out (complex128, the shape of rows) the
-    transform allocates no block: C-contiguous float64 rows are overwritten
-    and the result is out, or rows itself when it stays real.
+    and comes back as float64.  rows is left as it is.
     """
-    return _transform(group, np.asarray(rows), inverse=False, out=out)
+    return _transform(group, np.asarray(rows), inverse=False)
 
 
 def parseval_gap(f: DenseFn, F: Spectrum | None = None) -> float:

@@ -223,20 +223,15 @@ def _windowed_magnitudes(A: DenseFn, xs: Sequence[int], a2: np.ndarray, pair: Re
     """Yield (lo, hi, |((A^{+x} - alpha2(x)) psi2)^| over all characters) per block of xs.
 
     The cond2 kernel of the profiles, of check_regular_value and of the
-    stability check, one row per x.  It runs on one workspace: each
-    translate block is windowed in place, transformed into one complex block
-    (in place on (Z/2)^n), and its magnitudes are written back over it, so a
-    yielded block is valid until the next one is drawn.  No temporary grows
-    with the number of rows.
+    stability check, one row per x.  Each translate block is windowed in
+    place and transformed by dft_many, so a block's temporaries are bounded
+    by a few times TRANSLATE_BLOCK_BYTES, whatever len(xs) is.
     """
     psi = pair.psi2.psi.values
-    spectra = None
     for lo, hi, rows in translate_blocks(A.group, A.values, xs):
         rows -= a2[xs[lo:hi], None]
         rows *= psi
-        if spectra is None:
-            spectra = np.empty(rows.shape, dtype=np.complex128)
-        yield lo, hi, np.abs(dft_many(A.group, rows, out=spectra[: hi - lo]), out=rows)
+        yield lo, hi, np.abs(dft_many(A.group, rows))
 
 
 def _screened_profile(A: DenseFn, state: "_PairState") -> RegProfile:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,44 @@ class TestExitCodes:
             monkeypatch.setenv("ARITHREG_MAX_N", max_n)
         assert run(["tower", "--n", n, "--depth", depth]) == code
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--group", "5", "--sets", "{z5}", "{z5}", "{z5}", "--out", "{path}"],
+            ["regularize-f2", "--group", "2^6", "--set", "{f2}", "--eps", "0.1",
+             "--trace", "{path}"],
+            ["selfcheck", "--out", "{path}"],
+        ],
+        ids=["report", "trace", "selfcheck-report"],
+    )
+    @pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_is_exit_two(self, args, target, workdir, capsys):
+        paths = {"{z5}": workdir / "full5.txt", "{f2}": workdir / "hyper6.txt",
+                 "{path}": workdir / target}
+        assert run([paths.get(a, a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # selfcheck lists its suites on stderr before the report is written
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert args[0] == "selfcheck" or captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("depth", ["6", "60"])
+    def test_tower_past_the_fifth_level_is_exit_two(self, depth):
+        # d_5 = 2^521 and d_6 = growth_step(2^(2^521 + 523)): the dimensions are
+        # built only while they fit, so the rejection comes at once; a child
+        # process with a timeout keeps a regression from hanging the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = os.environ | {"PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "arithreg.cli", "tower", "--n", "11", "--depth", depth],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: chain dimensions (0, 1, 2, 8, 512) need 523 coordinates, only 11 available\n"
+        )
 
     def test_bhk_on_group_of_order_one_is_exit_two(self, tmp_path, capsys):
         path = tmp_path / "z1.txt"

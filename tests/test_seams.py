@@ -9,8 +9,8 @@ and are built digit by digit otherwise; both are checked against the
 coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  The
-regularity profile runs on one reused workspace per call, so it is pinned
-bitwise to a one-row-per-call reference and its memory peak is bounded.  The
+regularity profile runs on blocks of translate rows, so it is pinned bitwise
+to a one-row-per-call reference and its memory peak is bounded.  The
 regularity state decides most rows from one transform per coset of ker R
 wherever psi2 is uniform on ker R up to rounding, and sends only the rest
 through that kernel, so every decision it makes (counts, reduction,
@@ -249,7 +249,7 @@ def test_profile_matches_row_by_row_reference(spec, rng):
 
 @pytest.mark.parametrize("spec", ["4096", "2^12"])
 def test_profile_memory_peak_is_bounded(spec, rng):
-    # one reused workspace per profile: about 6 MiB at most; per-block
+    # 1 MiB blocks of rows and their transforms: about 4.4-5.3 MiB; per-block
     # temporaries of 256 rows took 32-48 MiB here
     g = parse_group(spec)
     A = DenseFn(g, (rng.uniform(size=g.order) < 0.3).astype(float))
@@ -427,6 +427,44 @@ def test_rows_within_the_margin_take_the_kernel(monkeypatch, kernel_rows):
     kernel_rows[0] = 0
     _PairState([interval(g)], pair)
     assert kernel_rows[0] == g.order
+
+
+def test_a_pair_far_from_uniform_on_its_kernel_sends_every_row_to_the_kernel(
+    monkeypatch, kernel_rows
+):
+    # this wide psi2 is about 0.9 in L1 from uniform on the seed's kernel, so
+    # K-perp is not certain and no coset screens; the set's values lie in
+    # [0.4, 0.6], so spread dev stays under eps and a screen that took the
+    # pair anyway would decide rows
+    g = parse_group("2^11")
+    pair = trivial_pair(g, 3, 0.3, SCALED, 2.0**66, seed_chars=[g.character_at(1)])
+    kernel = norm_numerators(pair.chars) == 0
+    assert np.abs(pair.psi2.psi.values - kernel / kernel.sum()).sum() > 0.5
+    A = DenseFn(g, 0.4 + 0.2 * interval(g).values)
+    assert screen_margin(A, pair).max() < pair.eps
+    assert_same_decisions([A], pair, monkeypatch)
+    kernel_rows[0] = 0
+    _PairState([A], pair)
+    assert kernel_rows[0] == g.order
+
+
+def test_failing_rows_level_across_perp_take_the_kernel(kernel_rows):
+    # at the trivial pair every row of the interval fails on the screen, at
+    # |A^(+-gamma)| / N with gamma the character at index 1.  The pair's own
+    # perp is even, so it holds both or neither; a perp holding gamma but not
+    # -gamma puts equal screened maxima on its two sides, and which side the
+    # worst character lies on is then not certain: every row takes the kernel
+    g = parse_group("2049")
+    A, pair = interval(g), trivial_pair(g, 3, 0.1)
+    state = _PairState([A], pair)
+    state.perp = np.isin(np.arange(g.order), [0, 1])
+    want = regular_value_profile(A, pair)
+    assert np.all(want.cond2 > pair.eps + screen_margin(A, pair))
+    assert set(want.worst) <= {1, g.order - 1}
+    kernel_rows[0] = 0
+    got = reg_general._screened_profile(A, state)
+    assert kernel_rows[0] == g.order
+    assert np.array_equal(got.cond2, want.cond2) and np.array_equal(got.worst, want.worst)
 
 
 @st.composite
