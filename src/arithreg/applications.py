@@ -3,7 +3,12 @@ witnesses, and the tower-type lower-bound construction on (Z/2)^n.
 
 Progression search is exhaustive over the common difference (O(N^2) total):
 at desk scale the claim itself is directly checkable, and the cutoff-weight
-aggregation path is computed alongside for cross-reporting.
+aggregation path is computed alongside for cross-reporting.  Progression
+counts of a set are integers by construction: popcounts of packed 64-bit
+words on a cyclic group, sums of 0/1 translate-row products on other shapes,
+and counts of a 0/1 array's sliced ANDs on an interval; ap3_table hands them
+out as float64 only at its boundary.  Each witness recounts its chosen
+difference with ap3_count before it reports it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainMismatchError,
@@ -25,14 +31,17 @@ from .groups import (
     DUAL_SWEEP_MAX_DIM,
     F2Subgroup,
     GroupSpec,
+    TRANSLATE_BLOCK_BYTES,
+    _is_cyclic,
     check_enumerable,
     coords_table,
     f2_full,
     f2_parity,
     ravel_coords,
     translate_blocks,
+    translate_indices,
 )
-from .harmonic import DenseFn, indicator, wht_last_axis, zero_sum_count
+from .harmonic import DenseFn, _indicator_required, indicator, wht_last_axis, zero_sum_count
 from .reg_general import RegPair, zero_sum_removal
 
 
@@ -74,16 +83,18 @@ def _twice_index(group: GroupSpec) -> np.ndarray:
 def ap3_count(A: "DenseFn | IntegerSet", d: int) -> int:
     """Number of x with x, x+d, x+2d all in A.
 
-    Group case: modular, exact integer from the indicator.  Integer-set
-    case: genuine integer progressions inside [1, n_max] (d may be negative;
-    d = 0 counts the constant progressions, one per member).
+    Group case: modular, exact integer from the indicator over one translate
+    row r of d (x + 2d is r[r[x]]).  Integer-set case: genuine integer
+    progressions inside [1, n_max] (d may be negative; d = 0 counts the
+    constant progressions, one per member).
     """
     if isinstance(A, IntegerSet):
         step = int(d)
         mem = set(A.members)
         return sum(1 for x in A.members if x + step in mem and x + 2 * step in mem)
-    idx = int(d) % A.group.order
-    return int(round(_progression_sums(A.group, A.values, A.values, A.values, [idx])[0]))
+    v = A.values
+    row = translate_indices(A.group, d)
+    return int(round(float(np.sum(v * v[row] * v[row[row]]))))
 
 
 def _progression_sums(group: GroupSpec, f, g, h, ds: Sequence[int]) -> np.ndarray:
@@ -96,8 +107,46 @@ def _progression_sums(group: GroupSpec, f, g, h, ds: Sequence[int]) -> np.ndarra
     return out
 
 
+def _packed_ap3_counts(a: np.ndarray) -> np.ndarray:
+    """P(A; d) for every d on Z/N as int64, from the 0/1 bool array a of A.
+
+    Row r of `shifted` packs a read cyclically from r on, so the W words of
+    A + s are the W consecutive words of row s mod 64 from word s // 64.  Bits
+    past N in packed A's last word are zero and mask the partial word.  A
+    block of d's gathers about TRANSLATE_BLOCK_BYTES of words per operand;
+    `shifted` is about 16 N bytes.
+    """
+    n = a.size
+    w = -(-n // 64)  # words per row
+    row_words = (n - 1) // 64 + w  # every start s < N has its W words in a row
+    packed = np.packbits(np.pad(a, (0, 64 * w - n)), bitorder="little").view("<u8")
+    repeated = np.resize(a, 64 * row_words + 63)  # a repeated cyclically
+    windows = sliding_window_view(repeated, 64 * row_words)[:64]
+    shifted = np.packbits(windows, axis=1, bitorder="little").view("<u8").reshape(-1)
+    rows = sliding_window_view(shifted, w)
+    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * w))
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, step):
+        d = np.arange(lo, min(n, lo + step))
+        twice = 2 * d % n
+        words = rows[(d & 63) * row_words + (d >> 6)]
+        words &= rows[(twice & 63) * row_words + (twice >> 6)]
+        words &= packed
+        out[lo : lo + d.size] = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    return out
+
+
 def ap3_table(A: DenseFn) -> np.ndarray:
-    """P(A; d) for every d, as exact integers (float array)."""
+    """P(A; d) for every d, as exact integer counts in a float64 array.
+
+    A must be an indicator.  On a cyclic group the counts are int64
+    popcounts of packed words, A AND (A + d) AND (A + 2d); other shapes sum
+    the 0/1 products of blocks of translate rows, which is exact too.  Every
+    count is at most N < 2^53, so the float64 boundary keeps it exactly.
+    """
+    _indicator_required(A)
+    if _is_cyclic(A.group):
+        return _packed_ap3_counts(A.values == 1.0).astype(np.float64)
     return _progression_sums(A.group, A.values, A.values, A.values, range(A.group.order))
 
 
@@ -127,6 +176,8 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
     n = group.order
     table = ap3_table(A)
     d = int(np.argmax(table[1:])) + 1
+    if ap3_count(A, d) != table[d]:
+        raise InternalCheckError(f"progression table entry {table[d]} at d = {d} fails its recount")
     alpha_density = float(A.values.sum()) / n
     bound = (alpha_density**3 - eps) * n
     return BhkGroupWitness(
@@ -137,6 +188,24 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
         bound_ok=bool(table[d] >= bound),
         n=n,
         table=table,
+    )
+
+
+def _interval_ap3_counts(A: IntegerSet, d_max: int) -> np.ndarray:
+    """ap3_count(A, d) for d = 1, ..., d_max at entry d - 1, as int64.
+
+    One AND of three slices of the 0/1 array over [0, n] per d; d_max is at
+    most max(1, (n - 1) // 2), so no slice bound goes negative.
+    """
+    n = A.n_max
+    x = np.zeros(n + 1, dtype=bool)
+    x[np.array(A.members, dtype=np.intp)] = True
+    return np.array(
+        [
+            np.count_nonzero(x[1 : n + 1 - 2 * d] & x[1 + d : n + 1 - d] & x[1 + 2 * d :])
+            for d in range(1, d_max + 1)
+        ],
+        dtype=np.int64,
     )
 
 
@@ -162,15 +231,15 @@ def bhk_witness_interval(A: IntegerSet, eps: float) -> BhkIntervalWitness:
     d_cap = math.floor(eps * n)
     alpha_density = A.density
     bound = (alpha_density**3 - 47.0 * eps) * n
-    best_d, best_count = None, -1
     # no progression in [1, n] has a difference above (n - 1) // 2: those d
     # count 0 and cannot beat d = 1
-    for d in range(1, min(d_cap, max(1, (n - 1) // 2)) + 1):
-        c = ap3_count(A, d)
-        if c > best_count:
-            best_d, best_count = d, c
-    if best_d is None:
+    counts = _interval_ap3_counts(A, min(d_cap, max(1, (n - 1) // 2)))
+    if not counts.size:
         return BhkIntervalWitness(None, 0, alpha_density, bound, False, d_cap)
+    best_d = int(np.argmax(counts)) + 1  # the first best d wins
+    best_count = int(counts[best_d - 1])
+    if ap3_count(A, best_d) != best_count:
+        raise InternalCheckError(f"progression count {best_count} at d = {best_d} fails recount")
     return BhkIntervalWitness(
         d=best_d,
         count=best_count,

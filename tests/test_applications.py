@@ -59,6 +59,12 @@ class TestAp3:
             )
             assert ap3_count(A, d) == direct
 
+    def test_table_needs_an_indicator(self):
+        with pytest.raises(DomainMismatchError):
+            ap3_table(constant(G101, 0.5))
+        with pytest.raises(DomainMismatchError):
+            ap3_table(constant(make_group([3, 5]), 2.0))
+
     def test_total_count_matches_spectral_identity(self, rng):
         # sum over d of P(A;d) equals the zero-sum count of (A, -2A, A)
         A = random_indicator(G101, rng, density=0.35)
@@ -227,26 +233,35 @@ class TestBhkInterval:
         assert w.count == ap3_count(A, best)
         assert abs(w.d) <= eps * 301
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 4001])
+    def test_counts_match_the_set_loop(self, rng, n):
+        x = rng.uniform(size=n) < 0.4
+        x[[0, -1]] = True
+        A = IntegerSet(n, tuple(np.flatnonzero(x) + 1))
+        d_max = max(1, (n - 1) // 2)
+        counts = applications._interval_ap3_counts(A, d_max)
+        assert counts.tolist() == [ap3_count(A, d) for d in range(1, d_max + 1)]
+
     def test_no_admissible_difference(self):
         A = IntegerSet(10, (1, 5))
         w = bhk_witness_interval(A, 0.05)  # eps N < 1: no nonzero d allowed
         assert w.d is None and not w.bound_ok
 
     def test_huge_eps_searches_only_differences_that_fit(self, monkeypatch):
-        # no progression in [1, 30] has d > 14; eps = 1e6 once meant 3e7 calls
+        # no progression in [1, 30] has d > 14; eps = 1e6 once meant 3e7 counts
         A = IntegerSet(30, (1, 2, 4, 7, 8, 12, 13, 15, 19, 22, 24, 28, 30))
         small = bhk_witness_interval(A, 0.5)
-        seen = []
+        asked = []
 
-        def counted(B, d):
-            assert d <= 14
-            seen.append(d)
-            return ap3_count(B, d)
+        def counted(B, d_max):
+            asked.append(d_max)
+            return interval_counts(B, d_max)
 
-        monkeypatch.setattr(applications, "ap3_count", counted)
+        interval_counts = applications._interval_ap3_counts
+        monkeypatch.setattr(applications, "_interval_ap3_counts", counted)
         big = bhk_witness_interval(A, 1e6)
         assert (big.d, big.count) == (small.d, small.count)
-        assert big.d_cap == 30_000_000 and seen == list(range(1, 15))
+        assert big.d_cap == 30_000_000 and asked == [14]
         for n in (1, 2):  # d = 1 still reports its count 0
             w = bhk_witness_interval(IntegerSet(n, tuple(range(1, n + 1))), 1e6)
             assert (w.d, w.count) == (1, 0)

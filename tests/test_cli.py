@@ -361,6 +361,20 @@ class TestExitCodes:
         assert run([workdir / a if a.endswith(".txt") else a for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["bhk", "--group", "101", "--set", "evens101.txt", "--eps", "0.05"], "ap3_table"),
+        (["bhk", "--interval", "32", "--set", "odds.txt", "--eps", "0.1"], "_interval_ap3_counts"),
+    ], ids=["group", "interval"])
+    def test_witness_failing_its_recount_is_exit_four(
+        self, workdir, monkeypatch, capsys, argv, name
+    ):
+        import arithreg.applications as app
+
+        real = getattr(app, name)
+        monkeypatch.setattr(app, name, lambda *args: real(*args) + 1)
+        assert run([workdir / a if a.endswith(".txt") else a for a in argv]) == 4
+        assert "recount" in capsys.readouterr().err
+
     def test_library_value_error_is_not_exit_two(self, workdir, monkeypatch):
         def broken(fs):
             raise ValueError("operands could not be broadcast together")

@@ -8,7 +8,10 @@ the integer transform.  Translate rows come from a window on cyclic groups
 and are built digit by digit otherwise; both are checked against the
 coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
-partial, and the brute-force oracle against a literal tuple sum.  The
+partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
+group the progression table is a popcount of packed 64-bit words, so it is
+checked where the last word is partial or full and where N is even, and its
+memory peak is held below that of the float translate rows.  The
 regularity profile runs on blocks of translate rows, so it is pinned bitwise
 to a one-row-per-call reference and its memory peak is bounded.  The
 regularity state decides most rows from one transform per coset of ker R
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_dft
 
-from arithreg.applications import ap3_table, nu_weight
+from arithreg.applications import _progression_sums, ap3_table, nu_weight
 from arithreg import reg_general
 from arithreg.bohr import bohr_set, make_frequency_set, norm_numerators, random_frequency_set
 from arithreg.groups import (
@@ -67,6 +70,8 @@ from arithreg.reg_general import (
 MIXED_SHAPES = ["2^3x7x2^2", "3x2^4x5", "2^6x35", "2^12"]
 TRANSLATE_SHAPES = ["2048", "2^11", "2049", "4096", "2^12", "4097", "2^6x35"]
 BLOCK_SHAPES = ["2^6x35", "3^7", "4097"]
+# partial last words, exact multiples of 64, and even N, where 2d mod N repeats
+CYCLIC_AP3_ORDERS = [1, 63, 64, 65, 127, 129, 4096, 4097]
 # last profile block partial (2049, 4097, 2^6x35), a 2-run after an FFT digit
 # (3x2^4x5, 2^3x7x2^2), and pure (Z/2)^11
 PROFILE_SHAPES = ["2049", "4097", "2^6x35", "3x2^4x5", "2^3x7x2^2", "2^11"]
@@ -158,6 +163,32 @@ def test_progression_sums_match_coordinates(spec, rng):
     psi2 = np.clip(pair.psi2.psi.values, 0.0, None)
     halved = np.array([psi2[coordinate_row(g, y)[y]] for y in range(g.order)])
     assert np.array_equal(nu_weight(pair).values, progression_formula(g, s, halved, s))
+
+
+@pytest.mark.parametrize("n", CYCLIC_AP3_ORDERS)
+def test_packed_progression_table_matches_coordinates(n, rng):
+    g = parse_group(str(n))
+    a = (rng.uniform(size=n) < 0.4).astype(float)
+    assert np.array_equal(ap3_table(DenseFn(g, a)), progression_formula(g, a, a, a))
+    assert np.array_equal(ap3_table(DenseFn(g, np.ones(n))), np.full(n, float(n)))
+
+
+def _peak_bytes(fn, *args) -> int:
+    fn(*args)  # fill the caches outside the measurement
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["2001", "4097"])
+def test_packed_table_peak_is_below_the_float_rows(spec, rng):
+    g = parse_group(spec)
+    a = (rng.uniform(size=g.order) < 0.3).astype(float)
+    float_rows = _peak_bytes(_progression_sums, g, a, a, a, range(g.order))
+    assert _peak_bytes(ap3_table, DenseFn(g, a)) <= float_rows
 
 
 def test_brute_force_zero_sum_matches_literal_sum(rng):

@@ -7,7 +7,9 @@ A profile sends through the cond2 kernel only the rows its coset screen
 leaves undecided: none for a random set at the trivial pair or at a faithful
 pair, where psi2 is uniform on ker R, and every row once psi2 is far from
 that, as at a seeded scaled pair.  A refinement step adds the rows of its
-cover centers, whose worst characters become witnesses.
+cover centers, whose worst characters become witnesses.  The progression
+table on a cyclic group takes no translate row at all, and the witness
+search one, for the recount at its chosen difference.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import random_indicator
 
-from arithreg import harmonic, reg_f2, reg_general
+from arithreg import applications, harmonic, reg_f2, reg_general
 from arithreg.applications import IntegerSet, sum_free_decompose
 from arithreg.bohr import norm_numerators
 from arithreg.groups import f2_parity, make_group
@@ -211,3 +213,31 @@ def test_sum_free_decompose_profiles_two_distinct_sets(calls, rng):
     _, _, cert = sum_free_decompose(IntegerSet(256, tuple(members)), 0.05)
     states = calls["refine"] + len(cert["attempts"])
     assert calls["profile"] == 2 * states
+
+
+@pytest.fixture
+def translate_calls(monkeypatch):
+    """(layer, rows) per call that applications makes to the translate rows."""
+    calls = []
+    blocks, indices = applications.translate_blocks, applications.translate_indices
+
+    def counted_blocks(group, values, xs):
+        calls.append(("translate_blocks", len(xs)))
+        return blocks(group, values, xs)
+
+    def counted_indices(group, x):
+        calls.append(("translate_indices", 1))
+        return indices(group, x)
+
+    monkeypatch.setattr(applications, "translate_blocks", counted_blocks)
+    monkeypatch.setattr(applications, "translate_indices", counted_indices)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2001, 4097])
+def test_cyclic_progression_table_takes_no_translate_row(translate_calls, rng, n):
+    A = random_indicator(make_group([n]), rng, density=0.3)
+    applications.ap3_table(A)
+    assert translate_calls == []
+    applications.bhk_witness_group(A, 0.05)
+    assert translate_calls == [("translate_indices", 1)]
