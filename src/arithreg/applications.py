@@ -424,6 +424,10 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
     inside the remaining space and its family is verifiable; each built level
     contributes a set meeting every coset of the level subgroup in exactly
     half, weighted by 4^{-i}, and the total is halved into [0, 2/3].
+
+    Level i depends only on the top c_i bits v and the next next_dim bits u of
+    x, b_i(x) = 1 - parity(u & family[v]): its (2^c_i, 2^next_dim) table is
+    broadcast over the low bits into b_i and, weighted, into f.
     """
     if n < 1 or s < 0:
         raise DomainMismatchError(f"tower needs n >= 1 and depth >= 0, got n = {n}, depth = {s}")
@@ -451,19 +455,16 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
             break
         family = spanning_family(m, seed + i)
         shift = n - c_i - next_dim
-        full_masks = family << shift
-        # b_vals stays in b_sets: allocated before the level's temporaries, it
-        # leaves no freed block under it (a lower peak RSS in the tower jobs)
-        b_vals = np.empty(order)
-        # x & full_masks[x >> (n - c_i)], where every mask sits below bit n - c_i
-        masked = full_masks[:, None] & np.arange(order >> c_i)
-        np.subtract(1.0, f2_parity(masked.reshape(-1)), out=b_vals)
+        table = 1.0 - f2_parity(family[:, None] & np.arange(1 << next_dim))
+        blocks = (m, 1 << next_dim, 1 << shift)
+        b_vals = np.empty(order)  # written in place: no 2^n temporary per level
+        b_vals.reshape(blocks)[...] = table[:, :, None]
         if int(b_vals.sum()) != order // 2:
             raise InternalCheckError("level set does not have cardinality N/2")
         levels.append(i)
-        xi_families.append(full_masks)
+        xi_families.append(family << shift)
         b_sets.append(DenseFn(group, b_vals))
-        f_vals += 4.0**-i * b_vals
+        f_vals.reshape(blocks)[...] += 4.0**-i * table[:, :, None]
     f_vals *= 0.5
     spec = TowerSpec(
         n=n,
@@ -487,6 +488,13 @@ def verify_tower_step(
     ("escaping" v), the local coefficient of f at that vector must be at
     least (1/16) 4^{-i} of |H| for every coset of H inside the level slab;
     the fraction of escaping v is reported against eps.
+
+    H <= H_i lives in the low h = n - c_i bits, so v's slab is f's block v << h.
+    It is folded along each basis row b of H, highest pivot p first: x meets
+    x ^ b, added or subtracted as <b, xi_v> is 0 or 1, leaving one coefficient
+    per coset.  Tower values are multiples of 2^-(2s+1) below 1 and a
+    coefficient sums at most 2^24 of them, so each partial sum is exact in
+    float64, in any order.
     """
     if i not in spec.levels:
         raise UsageError(f"level {i} was not built (available: {spec.levels})")
@@ -495,23 +503,20 @@ def verify_tower_step(
         raise DomainMismatchError("H is not contained in the level subgroup")
 
     family = spec.xi_families[spec.levels.index(i)]
-    helts = H.elements_by_coeff()
-    # H <= H_i keeps every basis row below bit h_i_dim, so these are the
-    # cosets of H that tile the level slab of block 0
-    slab = H.cosets(F2Subgroup(h_i_dim, H.basis).coset_reps())
-    block = 0
     # v escapes when some basis row of H is not orthogonal to its block vector
     basis = np.array(H.basis, dtype=np.int64)
     escaping = np.flatnonzero(f2_parity(family[:, None] & basis).any(axis=1))
 
     min_ratio = math.inf
     threshold = (1.0 / 16.0) * 4.0**-i
-    for v_idx, xi in zip(escaping.tolist(), family[escaping]):
-        signs = 1.0 - 2.0 * f2_parity(helts & xi)
-        slab ^= block ^ (v_idx << h_i_dim)  # move the cosets to block v_idx, in place
-        block = v_idx << h_i_dim
-        coeffs = np.sum(f.values[slab] * signs, axis=1)
-        min_ratio = min(min_ratio, float(np.min(np.abs(coeffs) / H.size)))
+    for v_idx, xi in zip(escaping.tolist(), family[escaping].tolist()):
+        coeffs = f.values[v_idx << h_i_dim : (v_idx + 1) << h_i_dim]
+        for b, p in zip(H.basis, H.pivots):
+            lo, hi = coeffs.reshape(-1, 2, 1 << p).swapaxes(0, 1)
+            if b ^ (1 << p):
+                hi = hi[:, np.arange(1 << p) ^ (b ^ (1 << p))]
+            coeffs = lo - hi if (b & xi).bit_count() & 1 else lo + hi
+        min_ratio = min(min_ratio, float(np.min(np.abs(coeffs)) / H.size))
     frac = len(escaping) / family.size
     return {
         "i": i,

@@ -285,10 +285,11 @@ def _screened_profile(A: DenseFn, state: "_PairState") -> RegProfile:
         top[cs] = np.argmax(mags, axis=1)
         inside[cs] = np.max(mags, axis=1, initial=-np.inf, where=perp)
         outside[cs] = np.max(mags, axis=1, initial=-np.inf, where=~perp)
-    at_k = np.abs(total[labels] / size - a2)  # every magnitude on K-perp
-    worst = np.where(at_k >= np.maximum(inside, outside)[labels], 0, top[labels])
-    inside = np.maximum(inside[labels], at_k) if np.any(kperp & perp) else inside[labels]
-    outside = np.maximum(outside[labels], at_k) if np.any(kperp & ~perp) else outside[labels]
+    at = labels if 1 < size < n else slice(None)  # K = G broadcasts, K = {0} is per row
+    at_k = np.abs(total[at] / size - a2)  # every magnitude on K-perp
+    worst = np.where(at_k >= np.maximum(inside, outside)[at], 0, top[at])
+    inside = np.maximum(inside[at], at_k) if np.any(kperp & perp) else inside[at]
+    outside = np.maximum(outside[at], at_k) if np.any(kperp & ~perp) else outside[at]
     cond2 = np.maximum(inside, outside)
     apart = np.abs(inside - outside) > 2.0 * margin
     decided = screenable & ((cond2 < eps - margin) | ((cond2 > eps + margin) & apart))

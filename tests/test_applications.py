@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -394,6 +395,25 @@ class TestTowerConstruction:
                 inside = b.values[int(rep) ^ helts].sum()
                 assert inside == H_i.size / 2
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 11, 12, 16])
+    def test_levels_equal_the_per_element_parity(self, n):
+        # the per-element form: x & full_masks[x >> (n - c_i)] over the whole group
+        order = 1 << n
+        for depth, seed in itertools.product(range(4), range(4)):
+            try:
+                spec, f = build_tower_function(n, depth, seed)
+            except DomainMismatchError:
+                continue
+            want = np.zeros(order)
+            for k, i in enumerate(spec.levels):
+                full_masks = spec.xi_families[k]
+                c_i = spec.cumulative(i)
+                b = 1 - f2_parity((full_masks[:, None] & np.arange(order >> c_i)).reshape(-1))
+                assert np.array_equal(spec.b_sets[k].values, b)
+                want += 4.0**-i * b
+            want *= 0.5
+            assert np.array_equal(f.values, want)
+
     def test_local_transform_matches_naive(self, rng):
         spec, f = build_tower_function(6, 2, seed=5)
         H = spec.chain[1]
@@ -409,12 +429,18 @@ class TestTowerConstruction:
 
 
 class TestVerifyTowerStep:
-    def test_inside_next_level_is_vacuous(self):
+    def test_inside_next_level_is_vacuous(self, rng):
         # a subgroup inside H_{i+1} annihilates every level-i block vector
         spec, f = build_tower_function(11, 3, seed=7)
-        rep = verify_tower_step(spec, f, spec.chain[1], 0, eps=0.04)
-        assert rep["escaping_count"] == 0
-        assert rep["coefficient_bound_ok"]
+        for i in spec.levels:
+            inner = spec.n - spec.cumulative(i + 1)
+            rows = [int(x) for x in rng.integers(1, 1 << inner, size=3)] if inner else []
+            for H in (spec.chain[i + 1], f2_span([], spec.n), f2_span(rows, spec.n)):
+                rep = verify_tower_step(spec, f, H, i, eps=0.04)
+                assert self._oracle(spec, f, H, i) == (0, None)
+                assert rep["escaping_count"] == 0
+                assert rep["min_coefficient_ratio"] is None
+                assert rep["coefficient_bound_ok"]
 
     def test_full_level_subgroup_escapes_and_meets_bound(self):
         spec, f = build_tower_function(3, 2, seed=1)
@@ -470,15 +496,16 @@ class TestVerifyTowerStep:
         return escaping, (min(ratios) if ratios else None)
 
     def test_values_match_coset_oracle(self, rng):
+        # tower values are dyadic, so there the fold and the oracle agree exactly
         spec, tower = build_tower_function(11, 3, seed=7)
         noisy = DenseFn(tower.group, tower.values + 1e-3 * rng.standard_normal(tower.group.order))
-        escaped = 0
+        escaped = below_pivots = 0
         for f in (tower, noisy):
             for i in spec.levels:
                 h_dim = spec.n - spec.cumulative(i)
-                for dim in (1, 2, 4):
-                    H = f2_span([], spec.n)
-                    while H.dim < dim:
+                for dim in (1, 2, 4, None):
+                    H = f2_span([], spec.n) if dim else spec.chain[i]
+                    while dim and H.dim < dim:
                         H = f2_span(H.basis + (int(rng.integers(1, 1 << h_dim)),), spec.n)
                     assert spec.chain[i].contains_subgroup(H)
                     rep = verify_tower_step(spec, f, H, i, eps=0.04)
@@ -486,7 +513,11 @@ class TestVerifyTowerStep:
                     assert rep["escaping_count"] == count
                     if ratio is None:
                         assert rep["min_coefficient_ratio"] is None
+                    elif f is tower:
+                        assert rep["min_coefficient_ratio"] == ratio
                     else:
                         assert rep["min_coefficient_ratio"] == pytest.approx(ratio, abs=1e-12)
                     escaped += count > 0
-        assert escaped >= 6
+                    below_pivots += any(b ^ (1 << p) for b, p in zip(H.basis, H.pivots))
+        assert escaped >= 12
+        assert below_pivots >= 6

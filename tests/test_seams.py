@@ -11,7 +11,9 @@ rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
 group the progression table is a popcount of packed 64-bit words, so it is
 checked where the last word is partial or full and where N is even, and its
-memory peak is held below that of the float translate rows.  The
+memory peak is held below that of the float translate rows.  The tower levels
+are broadcast from per-prefix tables and checked by folding f's blocks, so
+their peaks are held to the arrays the construction keeps.  The
 regularity profile runs on blocks of translate rows, so it is pinned bitwise
 to a one-row-per-call reference and its memory peak is bounded.  The
 regularity state decides most rows from one transform per coset of ker R
@@ -32,7 +34,13 @@ from hypothesis import strategies as st
 
 from conftest import naive_dft
 
-from arithreg.applications import _progression_sums, ap3_table, nu_weight
+from arithreg.applications import (
+    _progression_sums,
+    ap3_table,
+    build_tower_function,
+    nu_weight,
+    verify_tower_step,
+)
 from arithreg import reg_general
 from arithreg.bohr import bohr_set, make_frequency_set, norm_numerators, random_frequency_set
 from arithreg.groups import (
@@ -189,6 +197,19 @@ def test_packed_table_peak_is_below_the_float_rows(spec, rng):
     a = (rng.uniform(size=g.order) < 0.3).astype(float)
     float_rows = _peak_bytes(_progression_sums, g, a, a, a, range(g.order))
     assert _peak_bytes(ap3_table, DenseFn(g, a)) <= float_rows
+
+
+def test_tower_check_peak_is_below_f():
+    # the check folds f's own blocks: no coset grid, no gather of f through it
+    spec, f = build_tower_function(18, 3, 0)
+    assert _peak_bytes(verify_tower_step, spec, f, spec.chain[0], 0, 0.04) < f.values.nbytes
+
+
+def test_tower_build_peak_is_the_levels_it_keeps():
+    # each level is broadcast from its table: no 2^n index array or parity pass
+    spec, f = build_tower_function(18, 3, 0)
+    kept = (len(spec.levels) + 1) * f.values.nbytes
+    assert _peak_bytes(build_tower_function, 18, 3, 0) <= kept + 2**20
 
 
 def test_brute_force_zero_sum_matches_literal_sum(rng):
