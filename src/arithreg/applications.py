@@ -157,7 +157,6 @@ class BhkGroupWitness:
     alpha: float
     bound: float
     bound_ok: bool
-    n: int
     table: np.ndarray = field(repr=False, compare=False)  # ap3_table(A)
 
 
@@ -186,7 +185,6 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
         alpha=alpha_density,
         bound=bound,
         bound_ok=bool(table[d] >= bound),
-        n=n,
         table=table,
     )
 
@@ -405,13 +403,11 @@ class TowerSpec:
     """
 
     n: int
-    s: int
     dims: tuple[int, ...]
     levels: tuple[int, ...]
     chain: list[F2Subgroup]
     xi_families: list[np.ndarray] = field(default_factory=list)
-    b_sets: list[DenseFn] = field(default_factory=list)
-    seed: int = 0
+    level_sizes: tuple[int, ...] = ()  # checked |b_i| = N/2, one per built level
 
     def cumulative(self, i: int) -> int:
         return sum(self.dims[: i + 1])
@@ -426,8 +422,9 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
     half, weighted by 4^{-i}, and the total is halved into [0, 2/3].
 
     Level i depends only on the top c_i bits v and the next next_dim bits u of
-    x, b_i(x) = 1 - parity(u & family[v]): its (2^c_i, 2^next_dim) table is
-    broadcast over the low bits into b_i and, weighted, into f.
+    x, b_i(x) = 1 - parity(u & family[v]): the set is kept as that
+    (2^c_i, 2^next_dim) table, whose size times 2^shift is checked to be N/2,
+    and the table, weighted, is broadcast over the low bits into f.
     """
     if n < 1 or s < 0:
         raise DomainMismatchError(f"tower needs n >= 1 and depth >= 0, got n = {n}, depth = {s}")
@@ -445,7 +442,7 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
 
     levels: list[int] = []
     xi_families: list[np.ndarray] = []
-    b_sets: list[DenseFn] = []
+    level_sizes: list[int] = []
     f_vals = np.zeros(order)
     for i in range(s + 1):
         c_i = sum(dims[: i + 1])
@@ -456,25 +453,21 @@ def build_tower_function(n: int, s: int, seed: int) -> tuple[TowerSpec, DenseFn]
         family = spanning_family(m, seed + i)
         shift = n - c_i - next_dim
         table = 1.0 - f2_parity(family[:, None] & np.arange(1 << next_dim))
-        blocks = (m, 1 << next_dim, 1 << shift)
-        b_vals = np.empty(order)  # written in place: no 2^n temporary per level
-        b_vals.reshape(blocks)[...] = table[:, :, None]
-        if int(b_vals.sum()) != order // 2:
+        size = int(table.sum()) << shift  # 0/1 entries, at most 2^24: exact
+        if size != order // 2:
             raise InternalCheckError("level set does not have cardinality N/2")
         levels.append(i)
         xi_families.append(family << shift)
-        b_sets.append(DenseFn(group, b_vals))
-        f_vals.reshape(blocks)[...] += 4.0**-i * table[:, :, None]
+        level_sizes.append(size)
+        f_vals.reshape(m, 1 << next_dim, 1 << shift)[...] += 4.0**-i * table[:, :, None]
     f_vals *= 0.5
     spec = TowerSpec(
         n=n,
-        s=s,
         dims=dims,
         levels=tuple(levels),
         chain=chain,
         xi_families=xi_families,
-        b_sets=b_sets,
-        seed=seed,
+        level_sizes=tuple(level_sizes),
     )
     return spec, DenseFn(group, f_vals)
 

@@ -288,7 +288,7 @@ def cmd_tower(args) -> dict:
         "depth": args.depth,
         "dims": list(spec.dims),
         "levels_built": list(spec.levels),
-        "level_sizes": [int(b.values.sum()) for b in spec.b_sets],
+        "level_sizes": list(spec.level_sizes),
         "sup_f": float(f.values.max()),
         "level_checks": level_checks,
     }
@@ -520,7 +520,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tower", help="tower-type hard instance construction")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed", type=int, default=0,
+        help="draws the spanning families of levels with 2^c_i >= 20; the first "
+        "needs n >= 523, so no enumerable tower depends on it",
+    )
     sp.add_argument("--eps", type=finite_float, default=0.04)
     sp.add_argument("--verify", help="file of subgroup basis elements to check")
     common(sp)

@@ -65,7 +65,7 @@ def _sup_nontrivial(spectra: np.ndarray) -> np.ndarray:
 
 def is_regular_value_f2(f: DenseFn, H: F2Subgroup, g: int, eps: float) -> bool:
     """True iff every nontrivial local coefficient has modulus <= eps |H|."""
-    spec = wht_last_axis(local_values(f, H, g))
+    spec = local_fourier(f, H, g).values.real
     return bool(_sup_nontrivial(spec[None, :])[0] <= eps * H.size)
 
 
@@ -199,9 +199,7 @@ def local_triangle_count(f: DenseFn, H: F2Subgroup, g1: int, g2: int, g3: int) -
 
     Computed from the subgroup-local spectra: |H|^{-1} sum_u of the product.
     """
-    s1 = wht_last_axis(local_values(f, H, g1))
-    s2 = wht_last_axis(local_values(f, H, g2))
-    s3 = wht_last_axis(local_values(f, H, g3))
+    s1, s2, s3 = (local_fourier(f, H, g).values.real for g in (g1, g2, g3))
     return float(np.sum(s1 * s2 * s3)) / H.size
 
 

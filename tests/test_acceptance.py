@@ -499,7 +499,9 @@ def test_criterion_9_tower_construction():
             failures.append(("hyperplane", m))
 
     spec, f = build_tower_function(11, 3, seed=7)
-    if [int(b.values.sum()) for b in spec.b_sets] != [1024, 1024, 1024]:
+    # level i of f = (1/2) sum_j 4^-j b_j, read back exactly from f
+    levels = [np.floor(2 * f.values * 4.0**i) % 4 for i in spec.levels]
+    if [int(b.sum()) for b in levels] != [1024, 1024, 1024] or spec.level_sizes != (1024,) * 3:
         failures.append("level-sizes")
     if f.values.min() < 0 or f.values.max() > 1:
         failures.append("range")

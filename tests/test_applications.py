@@ -352,11 +352,17 @@ class TestSpanningFamily:
 
 
 class TestTowerConstruction:
+    @staticmethod
+    def _level(f, i):
+        # f = (1/2) sum_j 4^-j b_j with 0/1 levels, exact in float64: read b_i back
+        return np.floor(2 * f.values * 4.0**i) % 4
+
     def test_levels_and_sizes_at_11_3(self):
         spec, f = build_tower_function(11, 3, seed=7)
         assert spec.dims == (0, 1, 2, 8)
         assert spec.levels == (0, 1, 2)
-        assert [int(b.values.sum()) for b in spec.b_sets] == [1024, 1024, 1024]
+        assert spec.level_sizes == (1024, 1024, 1024)
+        assert [int(self._level(f, i).sum()) for i in spec.levels] == [1024, 1024, 1024]
         assert f.values.min() >= 0.0 and f.values.max() <= 1.0
         assert f.values.max() <= 2.0 / 3.0
 
@@ -370,7 +376,8 @@ class TestTowerConstruction:
         spec, f = build_tower_function(3, 2, seed=1)
         assert spec.dims == (0, 1, 2)
         assert spec.levels == (0, 1)  # the third level needs 8 more coordinates
-        assert all(int(b.values.sum()) == 4 for b in spec.b_sets)
+        assert spec.level_sizes == (4, 4)
+        assert all(int(self._level(f, i).sum()) == 4 for i in spec.levels)
 
     def test_dimension_budget_enforced(self):
         with pytest.raises(DomainMismatchError):
@@ -388,11 +395,12 @@ class TestTowerConstruction:
 
     def test_level_sets_halve_every_coset(self):
         spec, f = build_tower_function(11, 3, seed=3)
-        for lvl, b in zip(spec.levels, spec.b_sets):
+        for lvl in spec.levels:
+            b = self._level(f, lvl)
             H_i = spec.chain[lvl]
             helts = H_i.elements_by_coeff()
             for rep in H_i.coset_reps()[:8]:
-                inside = b.values[int(rep) ^ helts].sum()
+                inside = b[int(rep) ^ helts].sum()
                 assert inside == H_i.size / 2
 
     @pytest.mark.parametrize("n", [1, 3, 6, 11, 12, 16])
@@ -409,10 +417,11 @@ class TestTowerConstruction:
                 full_masks = spec.xi_families[k]
                 c_i = spec.cumulative(i)
                 b = 1 - f2_parity((full_masks[:, None] & np.arange(order >> c_i)).reshape(-1))
-                assert np.array_equal(spec.b_sets[k].values, b)
+                assert np.array_equal(self._level(f, i), b)
                 want += 4.0**-i * b
             want *= 0.5
             assert np.array_equal(f.values, want)
+            assert spec.level_sizes == (order // 2,) * len(spec.levels)
 
     def test_local_transform_matches_naive(self, rng):
         spec, f = build_tower_function(6, 2, seed=5)

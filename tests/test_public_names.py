@@ -29,7 +29,6 @@ ALLOWED = {
     "harmonic.constant": "test fixture",
     "harmonic.save_set": "set-file writer",
     "reg_f2.is_regular_value_f2": "oracle",
-    "reg_f2.local_fourier": "oracle",
     "reg_f2.local_triangle_count": "lemma checker",
     "reg_general.check_energy_difference": "lemma checker",
     "reg_general.check_low_density_count": "lemma checker",

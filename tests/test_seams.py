@@ -205,11 +205,10 @@ def test_tower_check_peak_is_below_f():
     assert _peak_bytes(verify_tower_step, spec, f, spec.chain[0], 0, 0.04) < f.values.nbytes
 
 
-def test_tower_build_peak_is_the_levels_it_keeps():
-    # each level is broadcast from its table: no 2^n index array or parity pass
+def test_tower_build_peak_is_f_alone():
+    # each level stays its (prefix, block) table: no 2^n level set, index array or parity pass
     spec, f = build_tower_function(18, 3, 0)
-    kept = (len(spec.levels) + 1) * f.values.nbytes
-    assert _peak_bytes(build_tower_function, 18, 3, 0) <= kept + 2**20
+    assert _peak_bytes(build_tower_function, 18, 3, 0) <= f.values.nbytes + 2**20
 
 
 def test_brute_force_zero_sum_matches_literal_sum(rng):
