@@ -1,10 +1,11 @@
 """Finite abelian groups as explicit products of cyclic factors.
 
-A group is a tuple of factors (m_1, ..., m_r); elements and characters are
-residue tuples under the same mixed-radix indexing (first coordinate most
-significant).  For (Z/2)^n the canonical index doubles as an integer bitmask
-with the first coordinate in the most significant bit, which is what the
-GF(2) linear algebra below operates on.
+A group is a tuple of factors (m_1, ..., m_r).  An element is its canonical
+index: the mixed-radix index of its residue tuple, first coordinate most
+significant.  A character is a residue tuple of frequencies, indexed the same
+way.  For (Z/2)^n the canonical index doubles as an integer bitmask with the
+first coordinate in the most significant bit, which is what the GF(2) linear
+algebra below operates on.
 """
 
 from __future__ import annotations
@@ -68,14 +69,8 @@ class GroupSpec:
     def exponent_lcm(self) -> int:
         return math.lcm(*self.factors)
 
-    def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(int(c) % m for c, m in zip(coords, self.factors)))
-
     def character(self, freqs: Sequence[int]) -> "Character":
         return Character(self, tuple(int(c) % m for c, m in zip(freqs, self.factors)))
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
 
     def index_of(self, coords: Sequence[int]) -> int:
         idx = 0
@@ -83,16 +78,8 @@ class GroupSpec:
             idx = idx * m + c
         return idx
 
-    def element_at(self, index: int) -> "GroupElement":
-        return GroupElement(self, _coords_at(self.factors, index))
-
     def character_at(self, index: int) -> "Character":
         return Character(self, _coords_at(self.factors, index))
-
-    def elements(self) -> Iterator["GroupElement"]:
-        check_enumerable(self)
-        for i in range(self.order):
-            yield self.element_at(i)
 
     def __str__(self) -> str:
         return "x".join(str(m) for m in self.factors)
@@ -109,19 +96,6 @@ def _coords_at(factors: tuple[int, ...], index: int) -> tuple[int, ...]:
         coords.append(index % m)
         index //= m
     return tuple(reversed(coords))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    group: GroupSpec
-    coords: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.coords)
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -268,59 +242,6 @@ def check_enumerable(group: GroupSpec) -> None:
         )
 
 
-def _same_group(a, b) -> None:
-    if a.group != b.group:
-        raise DomainMismatchError(f"operands live on different groups: {a.group} vs {b.group}")
-
-
-# ---------------------------------------------------------------------------
-# group law
-# ---------------------------------------------------------------------------
-
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    _same_group(a, b)
-    return GroupElement(
-        a.group, tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, a.group.factors))
-    )
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return GroupElement(a.group, tuple((-x) % m for x, m in zip(a.coords, a.group.factors)))
-
-
-def scalar_mul(k: int, a: GroupElement) -> GroupElement:
-    return GroupElement(a.group, tuple((k * x) % m for x, m in zip(a.coords, a.group.factors)))
-
-
-def char_eval(gamma: Character, x: GroupElement) -> complex:
-    """Evaluate gamma(x) on the unit circle."""
-    _same_group(gamma, x)
-    L = gamma.group.exponent_lcm
-    num = sum(c * v * (L // m) for c, v, m in zip(gamma.freqs, x.coords, gamma.group.factors)) % L
-    if L == 1 or num == 0:
-        return complex(1.0)
-    if 2 * num == L:
-        return complex(-1.0)
-    return complex(np.exp(2j * np.pi * num / L))
-
-
-def char_arg_norm(chars: Iterable[Character], x: GroupElement) -> float:
-    """sup over gamma in the set of |arg gamma(x)| / (2*pi), in [0, 1/2].
-
-    The argument convention is arg z in (-pi, pi]; the empty set yields 0.
-    The sup is taken over exact integer numerators, then divided once.
-    """
-    best = 0
-    L = x.group.exponent_lcm
-    for gamma in chars:
-        _same_group(gamma, x)
-        num = sum(
-            c * v * (L // m) for c, v, m in zip(gamma.freqs, x.coords, gamma.group.factors)
-        ) % L
-        best = max(best, min(num, L - num))
-    return best / L
-
-
 # ---------------------------------------------------------------------------
 # cached index machinery (arrays indexed by canonical element order)
 # ---------------------------------------------------------------------------
@@ -390,21 +311,12 @@ def _cyclic_window(m: int) -> np.ndarray:
     return sliding_window_view(np.tile(np.arange(m), 2), m)[:m]
 
 
-def _window_rows(window: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-    if isinstance(xs, range) and xs.step == 1:
-        return window[xs.start : xs.stop]
-    return window[np.asarray(xs, dtype=np.int64)]
-
-
 def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
     """(len(xs), N) index rows; row i lists the index of x_i + n over all n.
 
     Built digit by digit: XOR on each run of 2-factors, addition mod m on
-    every other factor.  On a cyclic group the rows come from a window over a
-    doubled arange, zero-copy and read-only when xs is a step-1 range.
+    every other factor.
     """
-    if _is_cyclic(group):
-        return _window_rows(_cyclic_window(group.order), xs)
     xs = np.asarray(xs, dtype=np.int64)
     rows = np.zeros((xs.size, 1), dtype=np.int64)
     for size, stride, is_run in index_digits(group):
@@ -417,15 +329,10 @@ def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def translate_values(group: GroupSpec, values: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-    """values[translate_rows(group, xs)]: row i holds n -> values(x_i + n)."""
-    return values[translate_rows(group, xs)]
-
-
 def translate_blocks(
     group: GroupSpec, values: np.ndarray, xs: Sequence[int]
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, translate_values(group, values, xs[lo:hi])) over all of xs.
+    """Yield (lo, hi, values[translate_rows(group, xs[lo:hi])]) over all of xs.
 
     A block holds about TRANSLATE_BLOCK_BYTES of float64 rows, whatever N is,
     so each block's temporaries (its index rows off cyclic groups) are bounded
@@ -455,9 +362,14 @@ def translate_blocks(
 
 
 def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
-    """Row of indices of x + n over all n, i.e. f.values[row][n] = f(x + n)."""
+    """Row of indices of x + n over all n, i.e. f.values[row][n] = f(x + n).
+
+    On a cyclic group the row is a read-only view of the cyclic window.
+    """
     x = int(x_index) % group.order
-    return translate_rows(group, range(x, x + 1))[0]
+    if _is_cyclic(group):
+        return _cyclic_window(group.order)[x]
+    return translate_rows(group, [x])[0]
 
 
 def _char_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
@@ -561,9 +473,6 @@ class F2Subgroup:
         for b in self.basis:
             arr = np.concatenate([arr, arr ^ b])
         return arr
-
-    def elements(self) -> np.ndarray:
-        return np.sort(self.elements_by_coeff())
 
     def cosets(self, reps: np.ndarray) -> np.ndarray:
         """(len(reps), |H|) grid; row i is reps[i] + H in coefficient order."""

@@ -65,11 +65,6 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
 
 
-def constant(group: GroupSpec, value: float) -> DenseFn:
-    check_enumerable(group)
-    return DenseFn(group, np.full(group.order, float(value)))
-
-
 def indicator(group: GroupSpec, members: Sequence[int] | np.ndarray) -> DenseFn:
     check_enumerable(group)
     vals = np.zeros(group.order)
@@ -286,9 +281,11 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
 # ---------------------------------------------------------------------------
 
 def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
+    """Write each member (a canonical index) as its residues joined by commas, one per line."""
+    coords = np.unravel_index(np.fromiter(members, dtype=np.int64), group.factors)
+    rows = zip(*(c.tolist() for c in coords))
     with open(path, "w") as fh:
-        for x in members:
-            fh.write(f"{group.element_at(int(x))}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def read_lines(path) -> list[str]:

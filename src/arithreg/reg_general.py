@@ -83,6 +83,8 @@ class RegPair:
             raise DomainMismatchError(f"unknown constants mode {mode!r}")
         if mode == FAITHFUL and scale != 1.0:
             raise DomainMismatchError(f"faithful mode uses no scale, got scale {scale}")
+        if scale <= 0:
+            raise DomainMismatchError(f"scaled mode needs scale > 0, got scale {scale}")
         if not 0.0 < eta <= 1.0:
             raise DomainMismatchError("eta must lie in (0, 1]")
         if eps <= 0 or k < 1:

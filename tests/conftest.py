@@ -5,6 +5,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from oracles import element, element_at
+
 from arithreg import reg_general
 from arithreg.groups import F2Subgroup, GroupSpec, character_table
 from arithreg.harmonic import DenseFn
@@ -42,11 +44,11 @@ def naive_convolve(f: DenseFn, g: DenseFn) -> np.ndarray:
     n = grp.order
     out = np.zeros(n)
     for x in range(n):
-        ex = grp.element_at(x)
+        ex = element_at(grp, x)
         for y in range(n):
-            ey = grp.element_at(y)
-            diff = grp.element(
-                tuple((a - b) % m for a, b, m in zip(ex.coords, ey.coords, grp.factors))
+            ey = element_at(grp, y)
+            diff = element(
+                grp, tuple((a - b) % m for a, b, m in zip(ex.coords, ey.coords, grp.factors))
             )
             out[x] += f.values[y] * g.values[diff.index]
     return out

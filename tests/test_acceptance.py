@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from conftest import all_subspaces, naive_dft, random_indicator
+from oracles import subgroup_elements
 from test_bohr import simpson_smoothed_value
 
 from arithreg.applications import (
@@ -313,7 +314,7 @@ def test_criterion_6_removal_suite():
     K = f2_span([1 << j for j in range(4)], 8)
     for t in range(6):
         quotient = [0b10000000 ^ (v << 4) for v in (0, 1, 2, 4)]
-        members = sorted({c ^ int(h) for c in quotient for h in K.elements()})
+        members = sorted({c ^ int(h) for c in quotient for h in subgroup_elements(K)})
         drop = set(rng.choice(members, size=3 + t, replace=False).tolist())
         instances.append(indicator(g8, [m for m in members if m not in drop]))
     for xi in (0b10000000, 0b00110000, 0b10101010):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_indicator
+from oracles import constant, subgroup_elements
 
 from arithreg import applications
 from arithreg.applications import (
@@ -25,7 +26,7 @@ from arithreg.applications import (
 )
 from arithreg.errors import DomainMismatchError, ResourceBudgetError, UsageError
 from arithreg.groups import f2_parity, f2_span, make_group
-from arithreg.harmonic import DenseFn, constant, indicator, zero_sum_count
+from arithreg.harmonic import DenseFn, indicator, zero_sum_count
 from arithreg.reg_f2 import local_fourier
 from arithreg.reg_general import RegPair, trivial_pair
 from arithreg.bohr import random_frequency_set
@@ -488,7 +489,7 @@ class TestVerifyTowerStep:
     def _oracle(spec, f, H, i):
         """Escaping count and min |coefficient| / |H| from Python sets."""
         h_dim = spec.n - spec.cumulative(i)
-        helts = {int(h) for h in H.elements()}
+        helts = {int(h) for h in subgroup_elements(H)}
         cosets = {frozenset(r ^ h for h in helts) for r in range(1 << h_dim)}
         family = spec.xi_families[spec.levels.index(i)]
         escaping, ratios = 0, []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arithreg.bohr import part_iv_width, part_ix_width
 from arithreg.cli import main
 from arithreg.groups import make_group
 from arithreg.harmonic import save_set
@@ -168,6 +169,25 @@ class TestCommands:
         rep = load(out)["report"]
         assert {c["part"] for c in rep["checks"]} >= {"i", "ii", "iii", "v", "vii"}
         assert all(c["holds"] for c in rep["checks"])
+
+    @pytest.mark.parametrize("group", ["101", "5x5x3"])
+    def test_bohr_check_builds_the_hypotheses_of_parts_iv_viii_ix(self, workdir, group):
+        out = workdir / "bohr.json"
+        rc = run(["bohr-check", "--group", group, "--parts", "iv", "viii", "ix", "--out", out])
+        assert rc == 0
+        payload = load(out)
+        config, checks = payload["config"], payload["report"]["checks"]
+        parts = {c["part"]: c for c in checks if c["part"] in ("iv", "viii", "ix")}
+        assert sorted(parts) == ["iv", "ix", "viii"]
+        assert all(c["hypothesis_ok"] is True for c in parts.values())
+        # part iv runs at 0.9 of its narrow width when --delta is wider
+        tau, d, delta = config["tau"], config["d"], config["delta"]
+        assert delta > part_iv_width(tau, d)
+        assert parts["iv"]["delta"] == 0.9 * part_iv_width(tau, d)
+        ix = parts["ix"]
+        assert ix["delta"] == delta
+        assert ix["deltaPrime"] == part_ix_width(delta, ix["kappa"], ix["omega"], ix["d_prime"])
+        assert parts["viii"]["d_prime"] == ix["d_prime"] == d + 1
 
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck", "--out", "/dev/null"]) == 0
@@ -340,6 +360,21 @@ class TestExitCodes:
             "--mode", "faithful", "--scale", "1e12",
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["regularize", "--group", "101", "--sets", "evens101.txt", "--eps", "0.1",
+         "--mode", "scaled"],
+        ["remove", "--group", "101", "--sets"] + ["evens101.txt"] * 3 + ["--eps", "0.1"],
+        ["sumfree", "--n", "32", "--set", "odds.txt", "--eps", "0.01"],
+    ], ids=lambda argv: argv[0])
+    def test_nonpositive_scale_is_exit_two(self, workdir, capsys, argv, scale):
+        # rejected where the pair is built, with the value, not as a cutoff width
+        argv = [workdir / a if a.endswith(".txt") else a for a in argv]
+        assert run(argv + ["--scale", scale]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scaled mode needs scale > 0, got scale {float(scale)}\n"
+        )
 
     def test_non_finite_number_is_exit_two(self, workdir, capsys):
         assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2

@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_convolve, naive_dft, random_indicator, recursive_wht
+from oracles import constant, element_at, set_file_text
 
 from arithreg import groups
 from arithreg.errors import DomainMismatchError, ResourceBudgetError
-from arithreg.groups import make_group
+from arithreg.groups import make_group, parse_group
 from arithreg.harmonic import (
     DenseFn,
     Spectrum,
     _transform,
     brute_force_zero_sum,
-    constant,
     convolve,
     dft,
     idft,
@@ -154,7 +154,7 @@ class TestZeroSum:
         for x in range(6):
             for y in range(6):
                 for z in range(6):
-                    ex, ey, ez = (g.element_at(i) for i in (x, y, z))
+                    ex, ey, ez = (element_at(g, i) for i in (x, y, z))
                     s = tuple(
                         (a + b + c) % m
                         for a, b, c, m in zip(ex.coords, ey.coords, ez.coords, g.factors)
@@ -204,3 +204,14 @@ class TestSerialization:
         monkeypatch.setattr(groups, "_parse_lines", no_loop)
         assert load_set(g, path).tolist() == members
 
+
+    @pytest.mark.parametrize("spec", ["2^3x7", "5x5x3", "1x4", "2^6"])
+    def test_saved_bytes_match_the_reference_writer(self, spec, tmp_path, rng):
+        # every element in order, then random members with repeats, as a list
+        # and as an index array
+        g = parse_group(spec)
+        members = list(range(g.order)) + rng.integers(0, g.order, 2 * g.order).tolist()
+        for arg, path in ((members, tmp_path / "a.txt"), (np.array(members), tmp_path / "b.txt")):
+            save_set(g, arg, path)
+            assert path.read_bytes() == set_file_text(g, members).encode()
+            assert load_set(g, path).tolist() == members

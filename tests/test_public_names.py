@@ -5,9 +5,10 @@ A name passes when some Python file under src/, scripts/ or perfbench/ reaches
 it as module.name, imports it from its module, or loads it as a bare name
 inside its own module; or when ALLOWED gives the reason it stays although
 only the tests use it.  A bare name elsewhere is not enough: a parameter
-`delta` or a call `seen.add` is not a use of `harmonic.delta` or `groups.add`.  A method is listed as
-module.Class.method and passes on any attribute load of its name, since the
-receiver's class is not known statically.
+`alpha` or a call `np.convolve` is not a use of `reg_general.alpha` or
+`harmonic.convolve`.  A method is listed as module.Class.method and passes on
+any attribute load of its name, since the receiver's class is not known
+statically.
 """
 
 import ast
@@ -16,17 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
-    "groups.F2Subgroup.elements": "element reference",
-    "groups.GroupSpec.element": "element reference",
-    "groups.GroupSpec.elements": "element reference",
-    "groups.GroupSpec.identity": "element reference",
-    "groups.add": "element reference",
-    "groups.char_eval": "element reference",
-    "groups.char_arg_norm": "element reference",
-    "groups.neg": "element reference",
-    "groups.scalar_mul": "element reference",
-    "groups.translate_values": "oracle",
-    "harmonic.constant": "test fixture",
     "harmonic.save_set": "set-file writer",
     "reg_f2.is_regular_value_f2": "oracle",
     "reg_f2.local_triangle_count": "lemma checker",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_indicator
+from oracles import constant, element
 
 from arithreg.bohr import bohr_set, make_cutoff, make_frequency_set, random_frequency_set
 from arithreg.errors import DomainMismatchError
@@ -9,7 +10,6 @@ from arithreg.groups import make_group, translate_indices
 from arithreg.harmonic import (
     DenseFn,
     brute_force_zero_sum,
-    constant,
     convolve,
     dft,
     indicator,
@@ -251,6 +251,13 @@ class TestPairConstruction:
             regularize([constant(G101, 1.0)], 0.1, 4, mode="faithful", scale=2.0)
         assert RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "faithful", 1.0).scale == 1.0
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, -0.0])
+    def test_scaled_mode_rejects_a_nonpositive_scale(self, scale):
+        # the widths scale with it, so a zero or negative scale has no cutoff
+        with pytest.raises(DomainMismatchError, match=f"got scale {scale}$"):
+            RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "scaled", scale)
+        assert RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "scaled", 1e-300).scale == 1e-300
+
 
 class TestCovering:
     def test_single_element(self, rng):
@@ -461,7 +468,7 @@ class TestWeightedCount:
         # the rejected ones are off by one in a single coordinate
         g = make_group(factors)
         pair = trivial_pair(g, 3, 0.2)
-        xs = [g.element(c).index for c in coords]
+        xs = [element(g, c).index for c in coords]
         As = [constant(g, 1.0)] * 3
         if zero_sum:
             assert weighted_T(As, pair, xs).value > 0

@@ -4,9 +4,9 @@ The transform runs the +-1 butterflies over each run of 2-factors and numpy's
 FFT over every other factor, so groups mixing the two are checked against the
 character-matrix oracle.  The butterflies run their short stages on
 transposed slabs, so they are pinned bitwise to the plain stage loop and to
-the integer transform.  Translate rows come from a window on cyclic groups
-and are built digit by digit otherwise; both are checked against the
-coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
+the integer transform.  Translate rows are built digit by digit, and a
+single row on a cyclic group is a view of a window over a doubled arange;
+both are checked against the coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
 group the progression table is a popcount of packed 64-bit words, so it is
@@ -33,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dft
+from oracles import translate_values
 
 from arithreg.applications import (
     _progression_sums,
@@ -51,7 +52,6 @@ from arithreg.groups import (
     ravel_coords,
     translate_indices,
     translate_rows,
-    translate_values,
 )
 from arithreg.harmonic import (
     DenseFn,
@@ -145,6 +145,9 @@ def test_translate_indices_match_coordinates(spec, rng):
     g = parse_group(spec)
     for x in _sample(g, rng):
         assert np.array_equal(translate_indices(g, x), coordinate_row(g, x))
+    # on a cyclic group every row is a view of one window, not a fresh array
+    cyclic = len(g.factors) == 1
+    assert np.shares_memory(translate_indices(g, 0), translate_indices(g, 1)) == cyclic
 
 
 def progression_formula(g, f: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
