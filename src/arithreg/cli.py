@@ -313,15 +313,8 @@ def cmd_bohr_check(args) -> dict:
     reports = [check_bohr_growth(fs, args.delta).to_dict()]
     cutoff = make_cutoff(fs, args.delta)
     eta = args.eta if args.eta is not None else 4.0 * args.delta
-    reports.append(
-        {
-            "part": "tail",
-            "eta": eta,
-            "lhs": tail_mass(cutoff, eta),
-            "rhs": tail_bound(cutoff, eta),
-            "holds": tail_mass(cutoff, eta) <= tail_bound(cutoff, eta),
-        }
-    )
+    mass, bound = tail_mass(cutoff, eta), tail_bound(cutoff, eta)
+    reports.append({"part": "tail", "eta": eta, "lhs": mass, "rhs": bound, "holds": mass <= bound})
     for part in args.parts:
         kwargs = {}
         part_delta = args.delta

@@ -36,7 +36,8 @@ import numpy as np
 
 from .bohr import (BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set,
                    norm_le_mask, norm_numerators)
-from .errors import DomainMismatchError, InternalCheckError, ResourceBudgetError, checked_pow
+from .errors import (DomainMismatchError, InternalCheckError, InvalidSpecError,
+                     ResourceBudgetError, checked_pow)
 from .groups import (
     TRANSLATE_BLOCK_BYTES,
     Character,
@@ -98,6 +99,11 @@ class RegPair:
         self.eta1 = self.eta
         raw = self.const(-40) * checked_pow(eps, 6, "eps") * eta / (max(chars.d, 1) * k**4)
         self.eta2 = min(raw, self.eta1)
+        if not self.eta2 > 0:
+            raise InvalidSpecError(
+                f"scale {self.scale} underflows the narrow cutoff width eta2 to {self.eta2}"
+                f" (eps {self.eps}, eta {self.eta})"
+            )
         self.psi1 = make_cutoff(chars, self.eta1)
         self.psi2 = make_cutoff(chars, self.eta2)
         self.compat_l1 = float(np.sum(np.abs(

@@ -4,7 +4,9 @@ The library works on canonical indices only.  Here an element is a tuple of
 residues with its own group law and character evaluation, written from the
 definitions and sharing no code with the index machinery, so the index code
 can be checked against it.  `translate_values`, `constant`, `subgroup_elements`
-and `set_file_text` are the small test-side references built on top.
+and `set_file_text` are the small test-side references built on top, and
+`_shift_violation` is the whole-table reference for the shift-stability
+excess of cutoff part v.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from arithreg.errors import DomainMismatchError
-from arithreg.groups import Character, F2Subgroup, GroupSpec, check_enumerable, translate_rows
+from arithreg.groups import (
+    Character,
+    F2Subgroup,
+    GroupSpec,
+    check_enumerable,
+    neg_index,
+    translate_rows,
+)
 from arithreg.harmonic import DenseFn
 
 
@@ -124,3 +133,17 @@ def subgroup_elements(H: F2Subgroup) -> np.ndarray:
 def set_file_text(group: GroupSpec, members: Iterable[int]) -> str:
     """A set file as the reference writes it: one element per line, residues joined by commas."""
     return "".join(f"{element_at(group, int(x))}\n" for x in members)
+
+
+def _shift_violation(group, fn_vals: np.ndarray, coeffs: np.ndarray) -> float:
+    """max over (x, y) of |f(x) - f(x-y)| - coeffs[y] f(x), inf-safe."""
+    table = translate_rows(group, range(group.order))
+    shifted = fn_vals[table[neg_index(group)]]  # row y: f(x - y) over x
+    diff = np.abs(fn_vals[None, :] - shifted)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = coeffs[:, None] * fn_vals[None, :]
+    bound = np.where(np.isnan(bound), np.inf, bound)
+    with np.errstate(invalid="ignore"):
+        excess = diff - bound
+    excess = np.where(np.isnan(excess), -np.inf, excess)
+    return float(excess.max())

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import all_subspaces, naive_dft, random_indicator
-from oracles import subgroup_elements
+from oracles import _shift_violation, subgroup_elements
 from test_bohr import simpson_smoothed_value
 
 from arithreg.applications import (
@@ -42,12 +42,7 @@ from arithreg.bohr import (
     tail_sum,
 )
 from arithreg.cli import main as cli_main
-from arithreg.groups import (
-    f2_span,
-    make_group,
-    neg_index,
-    translate_rows,
-)
+from arithreg.groups import f2_span, make_group
 from arithreg.harmonic import (
     DenseFn,
     brute_force_zero_sum,
@@ -125,20 +120,6 @@ def test_criterion_2_zero_sum_operator():
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 60.0
     _report(2, "zero-sum spectral vs exhaustive", ok, f"worst {worst:.2e}, {elapsed:.1f}s")
-
-
-def _shift_violation(group, fn_vals: np.ndarray, coeffs: np.ndarray) -> float:
-    """max over (x, y) of |f(x) - f(x-y)| - coeffs[y] f(x), inf-safe."""
-    table = translate_rows(group, range(group.order))
-    shifted = fn_vals[table[neg_index(group)]]  # row y: f(x - y) over x
-    diff = np.abs(fn_vals[None, :] - shifted)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bound = coeffs[:, None] * fn_vals[None, :]
-    bound = np.where(np.isnan(bound), np.inf, bound)
-    with np.errstate(invalid="ignore"):
-        excess = diff - bound
-    excess = np.where(np.isnan(excess), -np.inf, excess)
-    return float(excess.max())
 
 
 def test_criterion_3_bohr_inequality_suite():

@@ -1,13 +1,16 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from arithreg import bohr
 from arithreg.bohr import (
     bohr_set,
     check_bohr_growth,
     check_cutoff_property,
+    fine_width,
     make_cutoff,
     make_frequency_set,
     norm_values,
@@ -18,6 +21,7 @@ from arithreg.bohr import (
     tail_mass,
     tail_sum,
 )
+from arithreg.cli import main as cli_main
 from arithreg.errors import UsageError
 from arithreg.groups import make_group, neg_index
 from arithreg.harmonic import DenseFn, convolve
@@ -370,3 +374,49 @@ class TestSqrtShiftStability:
                 with np.errstate(over="ignore"):
                     coeff = 5.0 * math.sinh(norms[y] / delta)
                 assert np.all(np.abs(root - root[row]) <= coeff * root + 1e-10)
+
+
+class TestCutoffCache:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """[(gamma, delta) of every cutoff constructed], from an empty cache on."""
+        keys = []
+        init = bohr.BohrCutoff.__init__
+
+        def counted(self, gamma, delta):
+            keys.append((gamma, delta))
+            init(self, gamma, delta)
+
+        bohr.make_cutoff.cache_clear()
+        monkeypatch.setattr(bohr.BohrCutoff, "__init__", counted)
+        yield keys
+        bohr.make_cutoff.cache_clear()
+
+    def test_nine_part_check_builds_each_cutoff_once(self, built, capsys):
+        parts = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
+        assert cli_main(["bohr-check", "--group", "101", "--parts", *parts]) == 0
+        assert len(json.loads(capsys.readouterr().out)["report"]["checks"]) == 11
+        # the main cutoff, part iv's narrower one and one finer cutoff per part vi-ix
+        assert len(built) == len(set(built)) == 6
+
+    def test_survey_draw_builds_two_cutoffs(self, built, rng):
+        # one draw of scripts/cutoff_slack_survey.py
+        g = make_group([101])
+        fs = random_frequency_set(g, 2, rng)
+        delta = 0.2
+        cutoff = make_cutoff(fs, delta)
+        check_cutoff_property("iii", fs, delta)
+        gamma2 = fs.extend(random_frequency_set(g, 1, rng).chars)
+        d2 = fine_width(delta, 0.2, gamma2.d) * 0.9
+        check_cutoff_property("vii", fs, delta, gamma2=gamma2, delta2=d2, tau=0.2)
+        tail_mass(cutoff, 0.3)
+        assert built == [(fs, delta), (gamma2, d2)]
+
+    def test_cached_arrays_reject_writes(self, rng):
+        fs = random_frequency_set(make_group([64]), 2, rng)
+        cutoff = make_cutoff(fs, 0.1)
+        assert make_cutoff(fs, 0.1) is cutoff
+        for arr in (cutoff.beta.values, cutoff.psi.values, cutoff.psi_hat.values,
+                    cutoff.psi_sqrt.values):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

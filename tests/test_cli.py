@@ -376,6 +376,19 @@ class TestExitCodes:
             f"error: scaled mode needs scale > 0, got scale {float(scale)}\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["regularize", "--group", "101", "--sets", "evens101.txt"],
+        ["remove", "--group", "101", "--sets"] + ["evens101.txt"] * 3,
+    ], ids=lambda argv: argv[0])
+    def test_underflowing_scale_is_exit_two(self, workdir, capsys, argv):
+        # a positive scale whose narrow width eta2 rounds to 0 is named with that width
+        argv = [workdir / a if a.endswith(".txt") else a for a in argv]
+        assert run(argv + ["--mode", "scaled", "--scale", "1e-300", "--eps", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: scale 1e-300 underflows the narrow cutoff width eta2 to 0.0"
+            " (eps 0.1, eta 1e-300)\n"
+        )
+
     def test_non_finite_number_is_exit_two(self, workdir, capsys):
         assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2
 

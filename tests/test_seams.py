@@ -21,7 +21,12 @@ wherever psi2 is uniform on ker R up to rounding, and sends only the rest
 through that kernel, so every decision it makes (counts, reduction,
 refinement step) is pinned to the state built on the exact profile, on fixed
 and on random pairs, and every value it screens to within its certified
-margin.
+margin.  Cutoff part v turns blocks of translate rows into their excess in
+place and decides infinite coefficients in closed form, so its maximum is
+pinned bitwise to the whole-table oracle, where the last block is partial and
+where roundoff makes the report false, and its memory peak is bounded.  Parts
+vi-viii smooth with the finer cutoff's stored transform, so each lhs is
+pinned bitwise to fresh convolutions.
 """
 
 import tracemalloc
@@ -33,7 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dft
-from oracles import translate_values
+from oracles import _shift_violation, translate_values
 
 from arithreg.applications import (
     _progression_sums,
@@ -43,7 +48,17 @@ from arithreg.applications import (
     verify_tower_step,
 )
 from arithreg import reg_general
-from arithreg.bohr import bohr_set, make_frequency_set, norm_numerators, random_frequency_set
+from arithreg.bohr import (
+    _shift_excess,
+    _sinh_coeffs,
+    bohr_set,
+    check_cutoff_property,
+    fine_width,
+    make_cutoff,
+    make_frequency_set,
+    norm_numerators,
+    random_frequency_set,
+)
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
     character_table,
@@ -586,3 +601,113 @@ def test_screen_on_a_set_that_is_not_an_indicator(rng, monkeypatch, kernel_rows)
     kernel_rows[0] = 0
     assert not _PairState([A], pair).regular
     assert kernel_rows[0] == 0
+
+
+PART_V_SHAPES = ["101", "1001", "2001", "2^3x7", "5x5x3", "4x3x5", "2^11"]
+
+
+def _same_float(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+@pytest.mark.parametrize("spec", PART_V_SHAPES)
+def test_part_v_kernel_matches_the_whole_table_oracle(spec, rng):
+    # on Z/2001 the 65-row blocks leave a partial last block of 51 rows
+    g = parse_group(spec)
+    fs = random_frequency_set(g, 2, rng)
+    psi = make_cutoff(fs, 0.1).psi.values
+    coeffs = _sinh_coeffs(fs, 0.1)
+    assert _same_float(_shift_excess(g, psi, coeffs), _shift_violation(g, psi, coeffs))
+    # small coefficients: the maximum is a real excess
+    vals = rng.uniform(-0.5, 1.0, g.order)
+    small = rng.uniform(0.0, 0.5, g.order)
+    got = _shift_excess(g, vals, small)
+    assert got > 0 and _same_float(got, _shift_violation(g, vals, small))
+
+
+@pytest.mark.parametrize("n", [101, 2001])
+def test_part_v_kernel_takes_the_absolute_difference(n):
+    # a falling ramp on Z/n checked at y = 1 alone: its one large step,
+    # f(0) - f(-1), has f(x) above f(x - y)
+    g = parse_group(str(n))
+    vals = 0.9 - 0.8 * np.arange(n) / n
+    coeffs = np.full(n, 1e3)
+    coeffs[:2] = 0.0
+    got = _shift_excess(g, vals, coeffs)
+    assert _same_float(got, _shift_violation(g, vals, coeffs))
+    assert got == pytest.approx(0.8 * (n - 1) / n)
+
+
+@pytest.mark.parametrize("spec, d, delta, excess", [
+    ("101", 1, 1e-2, 3.9e5),
+    ("101", 2, 1e-3, 4.4e199),
+    ("1001", 1, 1e-3, 3.4e200),
+    ("1001", 2, 1e-4, np.inf),
+])
+def test_part_v_reproduces_the_roundoff_violations(spec, d, delta, excess):
+    # psi underflows to entries just below zero; the false violations stay
+    g = parse_group(spec)
+    fs = random_frequency_set(g, d, np.random.default_rng(0))
+    rep = check_cutoff_property("v", fs, delta)
+    oracle = _shift_violation(g, make_cutoff(fs, delta).psi.values, _sinh_coeffs(fs, delta))
+    assert _same_float(rep.details["max_excess"], oracle) and not rep.holds
+    assert rep.lhs == pytest.approx(excess, rel=0.05)
+
+
+@pytest.mark.parametrize("spec", ["101", "5x5x3"])
+@pytest.mark.parametrize("negative", [False, True])
+def test_part_v_infinite_coefficients(spec, negative, rng):
+    g = parse_group(spec)
+    vals = rng.uniform(0.0, 1.0, g.order)
+    vals[rng.choice(g.order, 5, replace=False)] = 0.0  # 0 * inf reads as +inf
+    if negative:
+        vals[rng.choice(g.order, 3, replace=False)] = -1e-17
+    coeffs = rng.uniform(0.0, 2.0, g.order)
+    coeffs[rng.choice(g.order, g.order // 3, replace=False)] = np.inf
+    got = _shift_excess(g, vals, coeffs)
+    assert _same_float(got, _shift_violation(g, vals, coeffs))
+    assert (got == np.inf) == negative
+    coeffs[:] = np.inf  # every row decided in closed form
+    assert _same_float(_shift_excess(g, vals, coeffs), _shift_violation(g, vals, coeffs))
+
+
+def test_part_v_memory_peak_is_bounded(rng):
+    # two 1 MiB blocks (rows and bounds): about 2.2 MiB; the seven-pass form
+    # with its per-block temporaries peaked at 5.2 MiB with the cutoff build
+    g = parse_group("2001")
+    fs = random_frequency_set(g, 2, rng)
+    make_cutoff(fs, 0.1)  # build the cutoff outside the measurement
+    check_cutoff_property("v", fs, 0.1)
+    tracemalloc.start()
+    try:
+        check_cutoff_property("v", fs, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("spec", ["64", "5x5x3"])
+def test_fine_smoothing_parts_match_fresh_convolutions(spec, rng):
+    # the finer cutoff's stored transform stands in for a fresh one bit for bit
+    g = parse_group(spec)
+    fs = random_frequency_set(g, 2, rng)
+    gamma2 = fs.extend(random_frequency_set(g, 1, rng).chars)
+    tau, delta = 0.2, 0.15
+    d2 = fine_width(delta, tau, gamma2.d) * 0.9
+    coarse, fine = make_cutoff(fs, delta), make_cutoff(gamma2, d2)
+    root = coarse.psi_sqrt.values
+    kw = {"gamma2": gamma2, "delta2": d2, "tau": tau}
+
+    rep = check_cutoff_property("vii", fs, delta, **kw)
+    assert rep.lhs == float(np.sum(np.abs(convolve(coarse.psi, fine.psi).values - coarse.psi.values)))
+
+    rep = check_cutoff_property("vi", fs, delta, m=2, **kw)
+    smoothed = convolve(convolve(coarse.psi_sqrt, fine.psi), fine.psi).values
+    assert rep.lhs == float(np.max(np.abs(smoothed - root) - 3.0 * tau * root))
+
+    f = DenseFn(g, rng.uniform(-1.0, 1.0, g.order))
+    rep = check_cutoff_property("viii", fs, delta, f=f, **kw)
+    left = convolve(DenseFn(g, f.values * root), fine.psi).values
+    right = root * convolve(f, fine.psi).values
+    assert rep.lhs == float(np.sqrt(np.sum((left - right) ** 2)))
