@@ -21,7 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, InternalCheckError, UsageError, checked_pow
+from .errors import (
+    DomainMismatchError, InternalCheckError, InvalidSpecError, UsageError, checked_pow,
+)
 from .groups import (
     Character,
     GroupSpec,
@@ -241,22 +243,6 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
     )
 
 
-def _pointwise_excess(diff_abs: np.ndarray, coeff: np.ndarray, base: np.ndarray) -> float:
-    """max over points of |diff| - coeff * base, with 0 * inf read as +inf.
-
-    The underlying base function is strictly positive in exact arithmetic;
-    a zero entry is floating underflow, so an infinite coefficient still
-    dominates any finite difference.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        bound = coeff * base
-    bound = np.where(np.isnan(bound), np.inf, bound)
-    with np.errstate(invalid="ignore"):
-        excess = diff_abs - bound
-    excess = np.where(np.isnan(excess), -np.inf, excess)
-    return float(np.max(excess)) if excess.size else 0.0
-
-
 def _shift_excess(group: GroupSpec, values: np.ndarray, coeffs: np.ndarray) -> float:
     """max over x, y of |f(x) - f(x - y)| - coeffs[y] f(x), with 0 * inf read as +inf.
 
@@ -292,13 +278,8 @@ def _shift_excess(group: GroupSpec, values: np.ndarray, coeffs: np.ndarray) -> f
     return worst
 
 
-def _l1(values: np.ndarray) -> float:
-    return float(np.sum(np.abs(values)))
-
-
-def _char_minus_one_l1(cutoff_psi: DenseFn, chi: Character) -> float:
-    gv = char_values(cutoff_psi.group, chi)
-    return _l1((gv - 1.0) * cutoff_psi.values)
+def _char_minus_one_l1(psi: DenseFn, chi: Character) -> float:
+    return float(np.sum(np.abs((char_values(psi.group, chi) - 1.0) * psi.values)))
 
 
 # The widest width each part's hypothesis allows: delta for part iv, the
@@ -316,150 +297,197 @@ def part_ix_width(delta: float, kappa: float, omega: float, d2: int) -> float:
     return omega2 * kappa2 * delta / (2.0**13 * max(d2, 1))
 
 
+def _hat_at(psi: DenseFn, chi: Character) -> float:
+    return float(np.real(np.sum(psi.values * char_values(psi.group, chi))))
+
+
+# The checkers of the cutoff-property suite, called as check(part, cutoff,
+# delta, **needs).  Each measures its part on the main cutoff at width delta;
+# check_cutoff_property adds the group, d and delta to the details.
+def _part_i(part, cutoff, delta):
+    hat = cutoff.psi_hat.values
+    min_real, max_imag = float(np.min(hat.real)), float(np.max(np.abs(hat.imag)))
+    return IneqReport(part, lhs=-min_real, rhs=SPECTRUM_TOL,
+                      holds=min_real >= -SPECTRUM_TOL and max_imag <= SPECTRUM_TOL,
+                      details={"min_real": min_real, "max_imag": max_imag})
+
+
+def _part_ii(part, cutoff, delta):
+    mass = float(cutoff.psi.values.sum())
+    return IneqReport(part, lhs=abs(mass - 1.0), rhs=MASS_TOL,
+                      holds=abs(mass - 1.0) <= MASS_TOL, details={"mass": mass})
+
+
+def _part_iii(part, cutoff, delta):
+    sup = float(cutoff.psi.values.max())
+    bound = _sup_norm_bound(delta, cutoff.d, cutoff.group.order)
+    return IneqReport(part, lhs=sup, rhs=bound, holds=sup <= bound)
+
+
+def _part_iv(part, cutoff, delta, *, tau, chi):
+    hyp = 0 < tau < 0.25 and chi in cutoff.gamma.chars and delta <= part_iv_width(tau, cutoff.d)
+    lhs, hat_at = _char_minus_one_l1(cutoff.psi, chi), _hat_at(cutoff.psi, chi)
+    return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau, hypothesis_ok=bool(hyp), details={
+        "tau": tau, "psi_hat_at_chi": hat_at, "consequent_holds": hat_at >= 1.0 - tau})
+
+
+def _part_v(part, cutoff, delta):
+    worst = _shift_excess(cutoff.group, cutoff.psi.values, _sinh_coeffs(cutoff.gamma, delta))
+    return IneqReport(part, lhs=worst, rhs=0.0, holds=worst <= 1e-12, details={"max_excess": worst})
+
+
+def _finer(cutoff, delta, gamma2, delta2, tau):
+    """The finer cutoff psi' of parts vi-viii, their hypothesis and their shared details."""
+    hyp = (0 < tau < 0.25 and set(cutoff.gamma.chars) <= set(gamma2.chars)
+           and delta2 <= fine_width(delta, tau, gamma2.d))
+    details = {"d_prime": gamma2.d, "deltaPrime": delta2, "tau": tau}
+    return make_cutoff(gamma2, delta2), bool(hyp), details
+
+
+def _part_vi(part, cutoff, delta, *, gamma2, delta2, tau, m):
+    fine, hyp, details = _finer(cutoff, delta, gamma2, delta2, tau)
+    steps = max(int(m), 1)
+    coeff = (checked_pow(2.0, steps, "2") - 1.0) * tau
+    if not math.isfinite(coeff):
+        raise DomainMismatchError(f"part {part} coefficient (2^{steps} - 1) tau is {coeff}")
+    conv, root = cutoff.psi_sqrt, cutoff.psi_sqrt.values
+    for _ in range(steps):
+        conv = convolve_spectra(dft(conv), fine.psi_hat)
+    lhs = float(np.max(np.abs(conv.values - root) - coeff * root))
+    return IneqReport(part, lhs=lhs, rhs=0.0, holds=lhs <= 1e-12, hypothesis_ok=hyp,
+                      details={**details, "m": int(m)})
+
+
+def _part_vii(part, cutoff, delta, *, gamma2, delta2, tau):
+    fine, hyp, details = _finer(cutoff, delta, gamma2, delta2, tau)
+    smoothed = convolve_spectra(cutoff.psi_hat, fine.psi_hat).values
+    lhs = float(np.sum(np.abs(smoothed - cutoff.psi.values)))
+    return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau, hypothesis_ok=hyp, details=details)
+
+
+def _part_viii(part, cutoff, delta, *, gamma2, delta2, tau, f):
+    fine, hyp, details = _finer(cutoff, delta, gamma2, delta2, tau)
+    if float(np.max(np.abs(f.values))) > 1.0 + 1e-12:
+        raise DomainMismatchError(f"part {part} requires ||f||_inf <= 1")
+    root = cutoff.psi_sqrt.values
+    left = convolve_spectra(dft(DenseFn(cutoff.group, f.values * root)), fine.psi_hat)
+    right = root * convolve_spectra(dft(f), fine.psi_hat).values
+    lhs = float(np.sqrt(np.sum((left.values - right) ** 2)))
+    return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau, hypothesis_ok=hyp, details=details)
+
+
+def _part_ix(part, cutoff, delta, *, gamma2, delta2, chi, kappa, omega):
+    hat_at = _hat_at(cutoff.psi, chi)
+    hyp = (kappa > 0 and omega > 0 and set(cutoff.gamma.chars) <= set(gamma2.chars)
+           and hat_at >= kappa and delta2 <= part_ix_width(delta, kappa, omega, gamma2.d))
+    fine = make_cutoff(gamma2, delta2)
+    lhs, hat_fine = _char_minus_one_l1(fine.psi, chi), _hat_at(fine.psi, chi)
+    return IneqReport(part, lhs=lhs, rhs=omega, holds=lhs <= omega, hypothesis_ok=bool(hyp),
+                      details={"d_prime": gamma2.d, "deltaPrime": delta2, "kappa": kappa,
+                               "omega": omega, "psi_hat_at_chi": hat_at, "fine_hat_at_chi": hat_fine,
+                               "consequent_holds": hat_fine >= 1.0 - omega})
+
+
+# The draws: the width and keyword arguments `bohr-check` runs each part at,
+# from its flags delta, tau and delta2 and its seeded rng.  Parts vi-ix each
+# draw one extra character for Gamma', in --parts order; viii then draws f.
+def _draw_main(fs, delta, tau, delta2, rng):
+    return delta, {}
+
+
+def _draw_iv(fs, delta, tau, delta2, rng):
+    # run at a width satisfying the part's narrowness hypothesis
+    if fs.d < 1:
+        raise InvalidSpecError("part iv needs --d >= 1")
+    return min(delta, part_iv_width(tau, fs.d)) * 0.9, {"tau": tau, "chi": fs.chars[0]}
+
+
+def _draw_fine(fs, delta, tau, delta2, rng):
+    gamma2 = fs.extend(random_frequency_set(fs.group, 1, rng).chars)
+    delta2 = fine_width(delta, tau, gamma2.d) if delta2 is None else delta2
+    return delta, {"gamma2": gamma2, "delta2": delta2, "tau": tau}
+
+
+def _draw_viii(fs, delta, tau, delta2, rng):
+    width, kwargs = _draw_fine(fs, delta, tau, delta2, rng)
+    return width, {**kwargs, "f": DenseFn(fs.group, rng.uniform(-1.0, 1.0, fs.group.order))}
+
+
+def _draw_ix(fs, delta, tau, delta2, rng):
+    # chi at psi's largest nontrivial coefficient; delta2 always at part ix's width
+    width, kwargs = _draw_fine(fs, delta, tau, delta2, rng)
+    hat = make_cutoff(fs, delta).psi_hat.values.real.copy()
+    hat[0] = -1.0
+    best = int(np.argmax(hat))
+    kappa = max(float(hat[best]) * 0.9, 1e-6)
+    return width, {**kwargs, "chi": fs.group.character_at(best), "kappa": kappa, "omega": tau,
+                   "delta2": part_ix_width(delta, kappa, tau, kwargs["gamma2"].d)}
+
+
+# part -> (its checker, the keyword arguments the checker takes, none of them
+# None, and the draw bohr-check runs it at)
+_PARTS = {
+    "i": (_part_i, (), _draw_main),
+    "ii": (_part_ii, (), _draw_main),
+    "iii": (_part_iii, (), _draw_main),
+    "iv": (_part_iv, ("tau", "chi"), _draw_iv),
+    "v": (_part_v, (), _draw_main),
+    "vi": (_part_vi, ("gamma2", "delta2", "tau", "m"), _draw_fine),
+    "vii": (_part_vii, ("gamma2", "delta2", "tau"), _draw_fine),
+    "viii": (_part_viii, ("gamma2", "delta2", "tau", "f"), _draw_viii),
+    "ix": (_part_ix, ("gamma2", "delta2", "chi", "kappa", "omega"), _draw_ix),
+}
+
+
+def _row(part: str) -> tuple:
+    """(name, checker, needs, draw) for a part name in any case."""
+    name = part.strip().lower()
+    if name not in _PARTS:
+        raise UsageError(f"unknown cutoff property part {name!r}")
+    return (name, *_PARTS[name])
+
+
 def check_cutoff_property(
-    part: str,
-    gamma: FrequencySet,
-    delta: float,
-    *,
-    gamma2: FrequencySet | None = None,
-    delta2: float | None = None,
-    tau: float | None = None,
-    m: int = 1,
-    f: DenseFn | None = None,
-    chi: Character | None = None,
-    kappa: float | None = None,
-    omega: float | None = None,
+    part: str, gamma: FrequencySet, delta: float, *,
+    gamma2: FrequencySet | None = None, delta2: float | None = None, tau: float | None = None,
+    m: int = 1, f: DenseFn | None = None, chi: Character | None = None,
+    kappa: float | None = None, omega: float | None = None,
 ) -> IneqReport:
     """Evaluate one inequality from the cutoff-property suite, exactly over G.
 
-    Parts (by roman label):
+    Parts (by roman label, in any case):
       i    psi has real nonnegative transform
       ii   psi has total mass 1
       iii  sup norm bound 3 / (delta^d N)
       iv   ||(chi - 1) psi||_1 <= tau for chi in Gamma (narrow-width hypothesis)
       v    |psi(x) - psi(x-y)| <= 5 sinh(||y||/delta) psi(x) for all x, y
-           (exhaustive: one in-place pass per block of translate rows,
-           see _shift_excess)
+           (exhaustive, in place over blocks of translate rows: _shift_excess)
       vi   m-fold smoothing of psi^(1/2) by psi' stays within (2^m - 1) tau
       vii  ||psi * psi' - psi||_1 <= tau
       viii psi' nearly commutes with multiplication by psi^(1/2)
       ix   a character with psi-transform >= kappa stays close to 1 on psi'
 
-    Hypothesis violations are reported, not raised.
+    A part's row in _PARTS names the keywords it needs; a missing one is a
+    UsageError that names it, and the others are ignored.  Hypothesis
+    violations are reported, not raised.
     """
-    part = part.strip().lower()
-    cutoff = make_cutoff(gamma, delta)
-    group = gamma.group
-    n = group.order
-    base_details = {"group": str(group), "d": gamma.d, "delta": delta}
+    name, check, needs, _ = _row(part)
+    given = {"gamma2": gamma2, "delta2": delta2, "tau": tau, "m": m, "f": f,
+             "chi": chi, "kappa": kappa, "omega": omega}
+    missing = [k for k in needs if given[k] is None]
+    if missing:
+        raise UsageError(f"part {name} needs {', '.join(missing)}")
+    rep = check(name, make_cutoff(gamma, delta), delta, **{k: given[k] for k in needs})
+    rep.details = {"group": str(gamma.group), "d": gamma.d, "delta": delta, **rep.details}
+    return rep
 
-    if part == "i":
-        hat = cutoff.psi_hat.values
-        min_real = float(np.min(hat.real))
-        max_imag = float(np.max(np.abs(hat.imag)))
-        return IneqReport(
-            part, lhs=-min_real, rhs=SPECTRUM_TOL,
-            holds=min_real >= -SPECTRUM_TOL and max_imag <= SPECTRUM_TOL,
-            details={**base_details, "min_real": min_real, "max_imag": max_imag},
-        )
 
-    if part == "ii":
-        mass = float(cutoff.psi.values.sum())
-        return IneqReport(
-            part, lhs=abs(mass - 1.0), rhs=MASS_TOL,
-            holds=abs(mass - 1.0) <= MASS_TOL,
-            details={**base_details, "mass": mass},
-        )
-
-    if part == "iii":
-        sup = float(cutoff.psi.values.max())
-        bound = _sup_norm_bound(delta, gamma.d, n)
-        return IneqReport(part, lhs=sup, rhs=bound, holds=sup <= bound,
-                          details=base_details)
-
-    if part == "iv":
-        if tau is None or chi is None:
-            raise UsageError("part iv needs tau and chi")
-        hyp = (
-            0 < tau < 0.25
-            and chi in gamma.chars
-            and delta <= part_iv_width(tau, gamma.d)
-        )
-        lhs = _char_minus_one_l1(cutoff.psi, chi)
-        hat_at = float(np.real(np.sum(cutoff.psi.values * char_values(group, chi))))
-        return IneqReport(
-            part, lhs=lhs, rhs=tau, holds=lhs <= tau, hypothesis_ok=bool(hyp),
-            details={**base_details, "tau": tau, "psi_hat_at_chi": hat_at,
-                     "consequent_holds": hat_at >= 1.0 - tau},
-        )
-
-    if part == "v":
-        worst = _shift_excess(group, cutoff.psi.values, _sinh_coeffs(gamma, delta))
-        return IneqReport(part, lhs=worst, rhs=0.0, holds=worst <= 1e-12,
-                          details={**base_details, "max_excess": worst})
-
-    # parts below compare against a second, finer cutoff
-    if part in ("vi", "vii", "viii"):
-        if gamma2 is None or delta2 is None or tau is None:
-            raise UsageError(f"part {part} needs gamma2, delta2 and tau")
-        subset_ok = set(gamma.chars) <= set(gamma2.chars)
-        hyp = (
-            0 < tau < 0.25
-            and subset_ok
-            and delta2 <= fine_width(delta, tau, gamma2.d)
-        )
-        fine = make_cutoff(gamma2, delta2)
-        both = {**base_details, "d_prime": gamma2.d, "deltaPrime": delta2, "tau": tau}
-
-        if part == "vii":
-            lhs = _l1(convolve_spectra(cutoff.psi_hat, fine.psi_hat).values - cutoff.psi.values)
-            return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau,
-                              hypothesis_ok=bool(hyp), details=both)
-
-        if part == "vi":
-            conv = cutoff.psi_sqrt
-            for _ in range(max(int(m), 1)):
-                conv = convolve_spectra(dft(conv), fine.psi_hat)
-            diff = np.abs(conv.values - cutoff.psi_sqrt.values)
-            coeff = (2.0 ** max(int(m), 1) - 1.0) * tau
-            worst = _pointwise_excess(diff, np.full(n, coeff), cutoff.psi_sqrt.values)
-            return IneqReport(part, lhs=worst, rhs=0.0, holds=worst <= 1e-12,
-                              hypothesis_ok=bool(hyp), details={**both, "m": int(m)})
-
-        if f is None:
-            raise UsageError("part viii needs the bounded function f")
-        if float(np.max(np.abs(f.values))) > 1.0 + 1e-12:
-            raise DomainMismatchError("part viii requires ||f||_inf <= 1")
-        left = convolve_spectra(
-            dft(DenseFn(group, f.values * cutoff.psi_sqrt.values)), fine.psi_hat
-        )
-        right = cutoff.psi_sqrt.values * convolve_spectra(dft(f), fine.psi_hat).values
-        lhs = float(np.sqrt(np.sum((left.values - right) ** 2)))
-        return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau,
-                          hypothesis_ok=bool(hyp), details=both)
-
-    if part == "ix":
-        if gamma2 is None or delta2 is None or chi is None or kappa is None or omega is None:
-            raise UsageError("part ix needs gamma2, delta2, chi, kappa, omega")
-        hat_at = float(np.real(np.sum(cutoff.psi.values * char_values(group, chi))))
-        subset_ok = set(gamma.chars) <= set(gamma2.chars)
-        hyp = (
-            kappa > 0 and omega > 0 and subset_ok
-            and hat_at >= kappa
-            and delta2 <= part_ix_width(delta, kappa, omega, gamma2.d)
-        )
-        fine = make_cutoff(gamma2, delta2)
-        lhs = _char_minus_one_l1(fine.psi, chi)
-        hat_fine = float(np.real(np.sum(fine.psi.values * char_values(group, chi))))
-        return IneqReport(
-            part, lhs=lhs, rhs=omega, holds=lhs <= omega, hypothesis_ok=bool(hyp),
-            details={**base_details, "d_prime": gamma2.d, "deltaPrime": delta2,
-                     "kappa": kappa, "omega": omega, "psi_hat_at_chi": hat_at,
-                     "fine_hat_at_chi": hat_fine,
-                     "consequent_holds": hat_fine >= 1.0 - omega},
-        )
-
-    raise UsageError(f"unknown cutoff property part {part!r}")
+def check_drawn_part(part: str, fs: FrequencySet, delta: float, tau: float,
+                     delta2: float | None, rng: np.random.Generator) -> IneqReport:
+    """One part at the width and arguments `bohr-check` draws for it from its flags and rng."""
+    *_, draw = _row(part)
+    width, kwargs = draw(fs, delta, tau, delta2, rng)
+    return check_cutoff_property(part, fs, width, **kwargs)
 
 
 def _sinh_coeffs(fs: FrequencySet, delta: float) -> np.ndarray:

@@ -31,11 +31,8 @@ from .applications import (
 )
 from .bohr import (
     check_bohr_growth,
-    check_cutoff_property,
-    fine_width,
+    check_drawn_part,
     make_cutoff,
-    part_iv_width,
-    part_ix_width,
     random_frequency_set,
     tail_bound,
     tail_mass,
@@ -304,8 +301,6 @@ def cmd_tower(args) -> dict:
 
 def cmd_bohr_check(args) -> dict:
     group = parse_group(args.group)
-    if "iv" in args.parts and args.d < 1:
-        raise InvalidSpecError("part iv needs --d >= 1")
     if args.seed < 0:
         raise InvalidSpecError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
@@ -316,35 +311,7 @@ def cmd_bohr_check(args) -> dict:
     mass, bound = tail_mass(cutoff, eta), tail_bound(cutoff, eta)
     reports.append({"part": "tail", "eta": eta, "lhs": mass, "rhs": bound, "holds": mass <= bound})
     for part in args.parts:
-        kwargs = {}
-        part_delta = args.delta
-        if part in ("iv",):
-            # run at a width satisfying the part's narrowness hypothesis
-            part_delta = min(args.delta, part_iv_width(args.tau, fs.d)) * 0.9
-            kwargs = {"tau": args.tau, "chi": fs.chars[0]}
-        elif part in ("vi", "vii", "viii", "ix"):
-            extra = random_frequency_set(group, 1, rng)
-            gamma2 = fs.extend(extra.chars)
-            d2 = args.delta2
-            if d2 is None:
-                d2 = fine_width(args.delta, args.tau, gamma2.d)
-            kwargs = {"gamma2": gamma2, "delta2": d2, "tau": args.tau}
-            if part == "viii":
-                kwargs["f"] = DenseFn(
-                    group, rng.uniform(-1.0, 1.0, group.order)
-                )
-            if part == "ix":
-                hat = cutoff.psi_hat.values.real.copy()
-                hat[0] = -1.0
-                best = int(np.argmax(hat))
-                kappa = max(float(hat[best]) * 0.9, 1e-6)
-                kwargs |= {
-                    "chi": group.character_at(best),
-                    "kappa": kappa,
-                    "omega": args.tau,
-                    "delta2": part_ix_width(args.delta, kappa, args.tau, gamma2.d),
-                }
-        reports.append(check_cutoff_property(part, fs, part_delta, **kwargs).to_dict())
+        reports.append(check_drawn_part(part, fs, args.delta, args.tau, args.delta2, rng).to_dict())
     return {"group": str(group), "chars": [list(c.freqs) for c in fs.chars], "checks": reports}
 
 
@@ -527,11 +494,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--delta", type=finite_float, default=0.1)
-    sp.add_argument("--delta2", type=finite_float)
+    sp.add_argument("--delta2", type=finite_float, help="width of the finer cutoff of parts "
+                    "vi-viii (default: fine_width); part ix always runs at part_ix_width")
     sp.add_argument("--eta", type=finite_float)
     sp.add_argument("--tau", type=finite_float, default=0.2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--parts", nargs="*", default=["i", "ii", "iii", "v", "vii"])
+    sp.add_argument("--parts", nargs="*", default=["i", "ii", "iii", "v", "vii"],
+                    help="cutoff parts i-ix, in any case; parts vi-ix each draw one "
+                    "extra character in this order, and viii then its f")
     common(sp)
     sp.set_defaults(func=cmd_bohr_check)
 

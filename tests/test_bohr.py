@@ -22,7 +22,7 @@ from arithreg.bohr import (
     tail_sum,
 )
 from arithreg.cli import main as cli_main
-from arithreg.errors import UsageError
+from arithreg.errors import DomainMismatchError, UsageError
 from arithreg.groups import make_group, neg_index
 from arithreg.harmonic import DenseFn, convolve
 
@@ -353,8 +353,45 @@ class TestCutoffPropertySuite:
             check_cutoff_property("x", self._fs(rng), 0.1)
 
     def test_missing_parameters_rejected(self, rng):
-        with pytest.raises(UsageError):
-            check_cutoff_property("iv", self._fs(rng), 0.1)
+        # the error names every missing argument
+        fs = self._fs(rng)
+        gamma2 = fs.extend(random_frequency_set(fs.group, 1, rng).chars)
+        with pytest.raises(UsageError, match=r"^part iv needs tau, chi$"):
+            check_cutoff_property("iv", fs, 0.1)
+        with pytest.raises(UsageError, match=r"^part viii needs f$"):
+            check_cutoff_property("viii", fs, 0.1, gamma2=gamma2, delta2=1e-6, tau=0.2)
+        with pytest.raises(UsageError, match=r"^part ix needs chi, kappa$"):
+            check_cutoff_property("ix", fs, 0.1, gamma2=gamma2, delta2=1e-6, omega=0.2)
+
+    def test_extra_keywords_are_ignored(self, rng):
+        fs = self._fs(rng)
+        gamma2 = fs.extend(random_frequency_set(fs.group, 1, rng).chars)
+        kw = {"gamma2": gamma2, "delta2": fine_width(0.15, 0.2, gamma2.d), "tau": 0.2}
+        plain = check_cutoff_property("vii", fs, 0.15, **kw)
+        assert check_cutoff_property("vii", fs, 0.15, m=2, chi=fs.chars[0], **kw) == plain
+        assert check_cutoff_property(" VII", fs, 0.15, **kw) == plain
+
+    @pytest.mark.parametrize("factors", [[101], [5, 5, 3]])
+    def test_part_vi_lhs_is_the_formula(self, factors, rng):
+        # lhs = max(|psi'^(*m) * s - s| - (2^m - 1) tau s) with s = psi^(1/2), bit for bit
+        g = make_group(factors)
+        fs = random_frequency_set(g, 2, rng)
+        gamma2 = fs.extend(random_frequency_set(g, 1, rng).chars)
+        tau, delta = 0.2, 0.15
+        d2 = fine_width(delta, tau, gamma2.d) * 0.9
+        root, fine = make_cutoff(fs, delta).psi_sqrt, make_cutoff(gamma2, d2).psi
+        kw = {"gamma2": gamma2, "delta2": d2, "tau": tau}
+        smoothed = root
+        for m in (1, 2, 3):
+            smoothed = convolve(smoothed, fine)
+            excess = np.abs(smoothed.values - root.values) - (2.0**m - 1.0) * tau * root.values
+            rep = check_cutoff_property("vi", fs, delta, m=m, **kw)
+            assert rep.lhs.hex() == float(np.max(excess)).hex(), m
+        # a coefficient past the largest float is a domain error, not inf or nan
+        with pytest.raises(DomainMismatchError, match="2\\^1100 overflows"):
+            check_cutoff_property("vi", fs, delta, m=1100, **kw)
+        with pytest.raises(DomainMismatchError, match="tau is inf"):
+            check_cutoff_property("vi", fs, delta, m=1023, **{**kw, "tau": 4.0})
 
 
 class TestSqrtShiftStability:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arithreg.bohr import part_iv_width, part_ix_width
+from arithreg.bohr import fine_width, part_iv_width, part_ix_width
 from arithreg.cli import main
 from arithreg.groups import make_group
 from arithreg.harmonic import save_set
@@ -24,6 +24,9 @@ def workdir(tmp_path):
     save_set(g101, range(0, 101, 2), tmp_path / "evens101.txt")
     (tmp_path / "odds.txt").write_text("".join(f"{i}\n" for i in range(1, 33, 2)))
     return tmp_path
+
+
+NINE_PARTS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
 
 
 def run(args):
@@ -173,13 +176,17 @@ class TestCommands:
     @pytest.mark.parametrize("group", ["101", "5x5x3"])
     def test_bohr_check_builds_the_hypotheses_of_parts_iv_viii_ix(self, workdir, group):
         out = workdir / "bohr.json"
-        rc = run(["bohr-check", "--group", group, "--parts", "iv", "viii", "ix", "--out", out])
+        rc = run(["bohr-check", "--group", group, "--parts", *NINE_PARTS, "--out", out])
         assert rc == 0
         payload = load(out)
         config, checks = payload["config"], payload["report"]["checks"]
-        parts = {c["part"]: c for c in checks if c["part"] in ("iv", "viii", "ix")}
-        assert sorted(parts) == ["iv", "ix", "viii"]
+        assert [c["part"] for c in checks] == ["bohr-growth", "tail", *NINE_PARTS]
+        parts = {c["part"]: c for c in checks[2:]}
         assert all(c["hypothesis_ok"] is True for c in parts.values())
+        # parts vi-viii run at the widest delta' their hypothesis allows
+        for part in ("vi", "vii", "viii"):
+            fine = parts[part]
+            assert fine["deltaPrime"] == fine_width(config["delta"], config["tau"], fine["d_prime"])
         # part iv runs at 0.9 of its narrow width when --delta is wider
         tau, d, delta = config["tau"], config["d"], config["delta"]
         assert delta > part_iv_width(tau, d)
@@ -187,7 +194,17 @@ class TestCommands:
         ix = parts["ix"]
         assert ix["delta"] == delta
         assert ix["deltaPrime"] == part_ix_width(delta, ix["kappa"], ix["omega"], ix["d_prime"])
-        assert parts["viii"]["d_prime"] == ix["d_prime"] == d + 1
+        assert {parts[p]["d_prime"] for p in ("vi", "vii", "viii", "ix")} == {d + 1}
+
+    @pytest.mark.parametrize("given, canonical", [
+        (["IV"], ["iv"]), (["VII"], ["vii"]), ([" vii"], ["vii"]),
+        ([p.upper() for p in NINE_PARTS], NINE_PARTS),
+    ], ids=["IV", "VII", "space-vii", "upper-nine"])
+    def test_bohr_check_part_names_in_any_case(self, workdir, given, canonical):
+        a, b = workdir / "a.json", workdir / "b.json"
+        assert run(["bohr-check", "--group", "101", "--parts", *given, "--out", a]) == 0
+        assert run(["bohr-check", "--group", "101", "--parts", *canonical, "--out", b]) == 0
+        assert load(a)["report"] == load(b)["report"]
 
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck", "--out", "/dev/null"]) == 0
@@ -354,6 +371,11 @@ class TestExitCodes:
             assert run(["bohr-check", "--group", "101"] + extra) == 2, extra
             assert capsys.readouterr().err.startswith("error: "), extra
 
+    @pytest.mark.parametrize("part", ["iv", "IV"])
+    def test_bohr_part_iv_without_characters_names_the_flag(self, part, capsys):
+        assert run(["bohr-check", "--group", "101", "--d", "0", "--parts", part]) == 2
+        assert capsys.readouterr().err == "error: part iv needs --d >= 1\n"
+
     def test_scale_in_faithful_mode_is_exit_two(self, workdir, capsys):
         assert run([
             "regularize", "--group", "5", "--sets", workdir / "full5.txt", "--eps", "0.1",
@@ -466,6 +488,7 @@ class TestDeterminism:
         [
             ["bohr-check", "--group", "101", "--d", "2", "--delta", "0.1", "--seed", "11"],
             ["tower", "--n", "11", "--depth", "3", "--seed", "5"],
+            ["bohr-check", "--group", "5x5x3", "--seed", "3", "--parts", *NINE_PARTS],
         ],
     )
     def test_repeat_runs_are_byte_identical(self, cmd, workdir):
