@@ -391,37 +391,54 @@ def _part_ix(part, cutoff, delta, *, gamma2, delta2, chi, kappa, omega):
 # The draws: the width and keyword arguments `bohr-check` runs each part at,
 # from its flags delta, tau and delta2 and its seeded rng.  Parts vi-ix each
 # draw one extra character for Gamma', in --parts order; viii then draws f.
-def _draw_main(fs, delta, tau, delta2, rng):
+def _draw_main(name, fs, delta, tau, delta2, rng):
     return delta, {}
 
 
-def _draw_iv(fs, delta, tau, delta2, rng):
+def _positive(name, width, flag, value):
+    """width, as part `name` runs at it from the flag's value; rejected unless positive."""
+    if not width > 0:
+        raise InvalidSpecError(
+            f"part {name} needs a positive width, but {flag} {value!r} gives {width!r}")
+    return width
+
+
+def _draw_iv(name, fs, delta, tau, delta2, rng):
     # run at a width satisfying the part's narrowness hypothesis
     if fs.d < 1:
         raise InvalidSpecError("part iv needs --d >= 1")
-    return min(delta, part_iv_width(tau, fs.d)) * 0.9, {"tau": tau, "chi": fs.chars[0]}
+    width = _positive(name, min(delta, part_iv_width(tau, fs.d)) * 0.9, "--tau", tau)
+    return width, {"tau": tau, "chi": fs.chars[0]}
 
 
-def _draw_fine(fs, delta, tau, delta2, rng):
-    gamma2 = fs.extend(random_frequency_set(fs.group, 1, rng).chars)
-    delta2 = fine_width(delta, tau, gamma2.d) if delta2 is None else delta2
+def _draw_gamma2(fs, rng):
+    return fs.extend(random_frequency_set(fs.group, 1, rng).chars)
+
+
+def _draw_fine(name, fs, delta, tau, delta2, rng):
+    gamma2 = _draw_gamma2(fs, rng)
+    if delta2 is None:
+        delta2 = _positive(name, fine_width(delta, tau, gamma2.d), "--tau", tau)
+    else:
+        delta2 = _positive(name, delta2, "--delta2", delta2)
     return delta, {"gamma2": gamma2, "delta2": delta2, "tau": tau}
 
 
-def _draw_viii(fs, delta, tau, delta2, rng):
-    width, kwargs = _draw_fine(fs, delta, tau, delta2, rng)
+def _draw_viii(name, fs, delta, tau, delta2, rng):
+    width, kwargs = _draw_fine(name, fs, delta, tau, delta2, rng)
     return width, {**kwargs, "f": DenseFn(fs.group, rng.uniform(-1.0, 1.0, fs.group.order))}
 
 
-def _draw_ix(fs, delta, tau, delta2, rng):
+def _draw_ix(name, fs, delta, tau, delta2, rng):
     # chi at psi's largest nontrivial coefficient; delta2 always at part ix's width
-    width, kwargs = _draw_fine(fs, delta, tau, delta2, rng)
+    gamma2 = _draw_gamma2(fs, rng)
     hat = make_cutoff(fs, delta).psi_hat.values.real.copy()
     hat[0] = -1.0
     best = int(np.argmax(hat))
     kappa = max(float(hat[best]) * 0.9, 1e-6)
-    return width, {**kwargs, "chi": fs.group.character_at(best), "kappa": kappa, "omega": tau,
-                   "delta2": part_ix_width(delta, kappa, tau, kwargs["gamma2"].d)}
+    delta2 = _positive(name, part_ix_width(delta, kappa, tau, gamma2.d), "--tau", tau)
+    return delta, {"gamma2": gamma2, "delta2": delta2, "chi": fs.group.character_at(best),
+                   "kappa": kappa, "omega": tau}
 
 
 # part -> (its checker, the keyword arguments the checker takes, none of them
@@ -485,8 +502,8 @@ def check_cutoff_property(
 def check_drawn_part(part: str, fs: FrequencySet, delta: float, tau: float,
                      delta2: float | None, rng: np.random.Generator) -> IneqReport:
     """One part at the width and arguments `bohr-check` draws for it from its flags and rng."""
-    *_, draw = _row(part)
-    width, kwargs = draw(fs, delta, tau, delta2, rng)
+    name, *_, draw = _row(part)
+    width, kwargs = draw(name, fs, delta, tau, delta2, rng)
     return check_cutoff_property(part, fs, width, **kwargs)
 
 

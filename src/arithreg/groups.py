@@ -170,6 +170,33 @@ def parse_indices(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
     return ravel_coords(group, coords % np.asarray(group.factors, dtype=np.int64))
 
 
+def _one_digit_indices(group: GroupSpec, data: bytes) -> np.ndarray | None:
+    """Canonical indices of a set file in the one-digit layout, or None for any other bytes.
+
+    The layout is what `save_set` writes when every residue has one digit
+    (every set on (Z/2)^n): each line is `group.rank` digits 0-9 joined by
+    ',' and ended by '\\n', so `2 * rank` bytes per element.  Read as bytes,
+    no text is decoded or split.  Each line means what the line loop reads
+    from it; an empty file, \\r, spaces, signs and wider fields return None.
+    """
+    width = 2 * group.rank
+    if not data or len(data) % width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    digits = rows[:, ::2] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    if ((digits > 9).any() or (rows[:, 1:-1:2] != ord(",")).any()
+            or (rows[:, -1] != ord("\n")).any()):
+        return None
+    check_enumerable(group)
+    index = np.zeros(len(rows), dtype=np.int64)
+    for column, m in zip(digits.T, group.factors):
+        if m <= 9 and column.max() >= m:
+            column %= m
+        index *= m
+        index += column
+    return index
+
+
 def _without_empty_fields(lines: Sequence[str]) -> list[str] | None:
     """The stripped lines with their empty fields dropped, as the line loop drops them.
 

@@ -12,6 +12,7 @@ in the test suite as the independent oracle.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from .groups import (
     BRUTE_FORCE_BUDGET,
     GroupSpec,
+    _one_digit_indices,
     check_enumerable,
     index_digits,
     neg_index,
@@ -290,12 +292,28 @@ def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
 
 def read_lines(path) -> list[str]:
     """The stripped lines of a UTF-8 text file, broken at \\n, \\r and \\r\\n."""
+    with open(path, "rb") as fh:
+        return _text_lines(fh.read(), path)
+
+
+def _text_lines(data: bytes, path) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return list(map(str.strip, fh))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidSpecError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return list(map(str.strip, io.StringIO(text, newline=None)))
 
 
 def load_set(group: GroupSpec, path) -> np.ndarray:
-    return parse_indices(group, read_lines(path))  # errors quote each line stripped
+    """Canonical indices of the elements listed in a set file, in order, duplicates kept.
+
+    The file is read once, as bytes.  A file in the one-digit layout that
+    `save_set` writes when every residue has one digit (every set on
+    (Z/2)^n) is read by `_one_digit_indices` without decoding it.  Any other
+    bytes are decoded as `read_lines` does and go to `parse_indices`, whose
+    errors quote each line stripped.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    indices = _one_digit_indices(group, data)
+    return parse_indices(group, _text_lines(data, path)) if indices is None else indices

@@ -376,6 +376,53 @@ class TestExitCodes:
         assert run(["bohr-check", "--group", "101", "--d", "0", "--parts", part]) == 2
         assert capsys.readouterr().err == "error: part iv needs --d >= 1\n"
 
+    @pytest.mark.parametrize(
+        "extra, err",
+        [
+            (["--tau", "0", "--parts", "iv"],
+             "part iv needs a positive width, but --tau 0.0 gives 0.0"),
+            (["--tau", "1e-200", "--parts", "IV"],
+             "part iv needs a positive width, but --tau 1e-200 gives 0.0"),
+            (["--tau", "0", "--parts", "vi"],
+             "part vi needs a positive width, but --tau 0.0 gives 0.0"),
+            (["--delta2", "-1", "--parts", "vii"],
+             "part vii needs a positive width, but --delta2 -1.0 gives -1.0"),
+            (["--delta2", "0", "--parts", "viii"],
+             "part viii needs a positive width, but --delta2 0.0 gives 0.0"),
+            (["--tau", "0", "--parts", "ix"],
+             "part ix needs a positive width, but --tau 0.0 gives 0.0"),
+        ],
+        ids=["iv-tau", "iv-tau-underflow", "vi-tau", "vii-delta2", "viii-delta2", "ix-tau"],
+    )
+    def test_bohr_nonpositive_width_names_the_flag_and_part(self, extra, err, capsys):
+        assert run(["bohr-check", "--group", "101"] + extra) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_bohr_part_ix_ignores_delta2(self, workdir):
+        # part ix always runs at part_ix_width, so a negative --delta2 is not its width
+        a, b = workdir / "a.json", workdir / "b.json"
+        cmd = ["bohr-check", "--group", "101", "--parts", "ix"]
+        assert run(cmd + ["--out", a]) == 0
+        assert run(cmd + ["--delta2", "-1", "--out", b]) == 0
+        assert load(a)["report"] == load(b)["report"]
+
+    @pytest.mark.parametrize("cmd", [["regularize-f2", "--set"], ["remove", "--sets"]],
+                             ids=["regularize-f2", "remove"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_set_file_messages(self, cmd, kind, tmp_path, capsys):
+        path = tmp_path / "set.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"1,0,0\n\xff,0,1\n")
+        want = {
+            "missing": f"[Errno 2] No such file or directory: {str(path)!r}",
+            "directory": f"[Errno 21] Is a directory: {str(path)!r}",
+            "undecodable": f"{path} is not UTF-8 text: invalid start byte",
+        }[kind]
+        assert run([cmd[0], "--group", "2^3", "--eps", "0.1", cmd[1], path]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
     def test_scale_in_faithful_mode_is_exit_two(self, workdir, capsys):
         assert run([
             "regularize", "--group", "5", "--sets", workdir / "full5.txt", "--eps", "0.1",
@@ -496,6 +543,32 @@ class TestDeterminism:
         assert run(cmd + ["--out", a]) == 0
         assert run(cmd + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cmd",
+        [["regularize-f2", "--group", "2^8", "--eps", "0.1", "--set"],
+         ["remove", "--group", "2^8", "--eps", "0.1", "--sets"]],
+        ids=["regularize-f2", "remove"],
+    )
+    def test_set_file_layouts_give_identical_reports(self, cmd, tmp_path, capsys):
+        # the byte reader takes the canonical file, the text parser the other two
+        g = make_group([2] * 8)
+        members = np.random.default_rng(8).permutation(g.order)[:100]
+        path = tmp_path / "set.txt"
+        save_set(g, members, path)
+        rows = path.read_text().splitlines()
+        layouts = [
+            path.read_bytes(),
+            "".join(f"{row}\r\n" for row in rows).encode(),
+            "".join(f" {row.replace(',', ' , ')} ,\n" for row in rows).encode(),
+        ]
+        reports = []
+        for data in layouts:
+            path.write_bytes(data)
+            assert run(cmd + [path]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["report"]["group"] == "2x2x2x2x2x2x2x2"
 
     def test_count_reports_are_byte_identical(self, workdir):
         a, b = workdir / "a.json", workdir / "b.json"

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_convolve, naive_dft, random_indicator, recursive_wht
 from oracles import constant, element_at, set_file_text
 
-from arithreg import groups
-from arithreg.errors import DomainMismatchError, ResourceBudgetError
+from arithreg import groups, harmonic
+from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import make_group, parse_group
 from arithreg.harmonic import (
     DenseFn,
@@ -204,7 +206,6 @@ class TestSerialization:
         monkeypatch.setattr(groups, "_parse_lines", no_loop)
         assert load_set(g, path).tolist() == members
 
-
     @pytest.mark.parametrize("spec", ["2^3x7", "5x5x3", "1x4", "2^6"])
     def test_saved_bytes_match_the_reference_writer(self, spec, tmp_path, rng):
         # every element in order, then random members with repeats, as a list
@@ -215,3 +216,110 @@ class TestSerialization:
             save_set(g, arg, path)
             assert path.read_bytes() == set_file_text(g, members).encode()
             assert load_set(g, path).tolist() == members
+
+
+def load_outcome(group, path):
+    try:
+        return load_set(group, path).tolist()
+    except InvalidSpecError as exc:
+        return InvalidSpecError, str(exc)
+
+
+def line_loop_outcome(group, path):
+    """What the line loop makes of the file read as UTF-8 text, line by line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        return groups._parse_lines(group, lines).tolist()
+    except UnicodeDecodeError as exc:
+        return InvalidSpecError, f"{path} is not UTF-8 text: {exc.reason}"
+    except InvalidSpecError as exc:
+        return InvalidSpecError, str(exc)
+
+
+one_digit_groups = st.lists(st.integers(1, 10), min_size=1, max_size=4).map(make_group)
+
+G25 = make_group([2, 5])
+
+
+class TestOneDigitReader:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_digit_files_read_as_the_line_loop(self, tmp_path, data):
+        # saved members, and hand-written digits that may be >= m (7 in Z/5)
+        g = data.draw(one_digit_groups)
+        members = data.draw(st.lists(st.integers(0, g.order - 1), max_size=40))
+        digit_rows = data.draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=g.rank, max_size=g.rank), max_size=40))
+        saved, written = tmp_path / "saved.txt", tmp_path / "written.txt"
+        save_set(g, members, saved)
+        written.write_text("".join(",".join(map(str, row)) + "\n" for row in digit_rows))
+        for path, rows in ((saved, members), (written, digit_rows)):
+            if rows:
+                assert groups._one_digit_indices(g, path.read_bytes()) is not None
+            assert load_outcome(g, path) == line_loop_outcome(g, path)
+        assert load_set(g, saved).tolist() == members
+
+    def test_digits_at_or_above_the_factor_are_reduced(self, tmp_path):
+        g = make_group([5, 2, 1])
+        path = tmp_path / "set.txt"
+        path.write_bytes(b"7,3,9\n5,1,0\n9,9,1\n4,0,0\n")
+        assert groups._one_digit_indices(g, path.read_bytes()).tolist() == [5, 1, 9, 8]
+        assert load_set(g, path).tolist() == line_loop_outcome(g, path)
+
+    @pytest.mark.parametrize("data", [
+        b"1,0\n0,4",
+        b"1,0\r\n0,4\r\n1,1\r\n0,0\r\n",
+        b"1,0\r0,4\r",
+        b"1,0\n\n\n\n\n0,4\n",
+        b"1,0,\n1,0,\n0,4,\n1,1,\n",
+        b"+1,0\n0,4\n1,1\n",
+        b" 1,0\n0,4\n1,1\n",
+        b"12,0\n0,4\n1,1\n",
+        "\u0661,0\n0,4\n".encode(),
+        b"\xef\xbb\xbf1,0\n0,4\n",
+        b"1,0\n\xff,4\n",
+        b"1,0\n0,4\n\xe2\x82",
+        b"1\n0\n",
+        b"1,0,1,0\n",
+        b"",
+    ], ids=["no-final-newline", "crlf", "cr", "blank-lines", "trailing-comma", "plus-sign",
+            "space", "two-digits", "arabic-indic-digit", "bom", "invalid-utf8",
+            "truncated-utf8", "rank-1-lines", "rank-4-line", "empty"])
+    def test_near_layout_files_fall_back_to_the_line_loop(self, data, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_bytes(data)
+        assert groups._one_digit_indices(G25, data) is None
+        assert load_outcome(G25, path) == line_loop_outcome(G25, path)
+
+    def test_enumeration_guard_holds_on_the_byte_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARITHREG_MAX_N", "100")
+        g = make_group([2] * 7)
+        path = tmp_path / "set.txt"
+        save_set(g, [0, 5, 127], path)
+        with pytest.raises(ResourceBudgetError):
+            groups._one_digit_indices(g, path.read_bytes())
+        with pytest.raises(ResourceBudgetError):
+            load_set(g, path)
+
+    def test_saved_f2_set_loads_as_bytes_in_little_memory(self, tmp_path, monkeypatch, rng):
+        # neither text decoding nor the text parser runs, and the peak stays
+        # near the file's size (the text path peaks near 11 times it)
+        def refuse(*args):
+            raise AssertionError("the text path ran")
+
+        g = make_group([2] * 16)
+        members = rng.permutation(g.order)[: 1 << 15].tolist()
+        path = tmp_path / "set.txt"
+        save_set(g, members, path)
+        for name in ("read_lines", "_text_lines", "parse_indices"):
+            monkeypatch.setattr(harmonic, name, refuse)
+        tracemalloc.start()
+        try:
+            got = load_set(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == members
+        assert peak < 3 * path.stat().st_size
