@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,13 +96,34 @@ def ap3_count(A: "DenseFn | IntegerSet", d: int) -> int:
     return int(round(float(np.sum(v * v[row] * v[row[row]]))))
 
 
-def _progression_sums(group: GroupSpec, f, g, h, ds: Sequence[int]) -> np.ndarray:
-    """sum_y f(y) g(y + d) h(y + 2d) for each d in ds, over blocks of translate rows."""
-    out = np.zeros(len(ds))
-    twice = _twice_index(group)[ds]
-    blocks = zip(translate_blocks(group, g, ds), translate_blocks(group, h, twice))
-    for (lo, hi, g_rows), (_, _, h_rows) in blocks:
-        out[lo:hi] = np.sum(f * g_rows * h_rows, axis=1)
+def _progression_sums(group: GroupSpec, f, g, h) -> np.ndarray:
+    """sum_y f(y) g(y + d) h(y + 2d) for every d, a block of d's at a time.
+
+    A block holds about TRANSLATE_BLOCK_BYTES of float64 rows.  On a cyclic
+    group the rows are read, not copied: g + d is row d of the windows of g
+    doubled, h + 2d row 2d of the windows of h tripled, so a block of d's
+    takes every second h row.  Each block multiplies into one reused buffer
+    and sums it per row.  Other shapes gather both operands' rows through
+    translate_blocks.  Both paths do the same products and row sums.
+    """
+    n = group.order
+    out = np.zeros(n)
+    if not _is_cyclic(group):
+        ds = range(n)
+        blocks = zip(translate_blocks(group, g, ds), translate_blocks(group, h, _twice_index(group)))
+        for (lo, hi, g_rows), (_, _, h_rows) in blocks:
+            out[lo:hi] = np.sum(f * g_rows * h_rows, axis=1)
+        return out
+    g_win = sliding_window_view(np.concatenate([g, g]), n)
+    h_win = sliding_window_view(np.concatenate([h, h, h]), n)
+    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(step, n), n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = buf[: hi - lo]
+        np.multiply(f, g_win[lo:hi], out=rows)
+        rows *= h_win[2 * lo : 2 * hi : 2]
+        out[lo:hi] = rows.sum(axis=1)
     return out
 
 
@@ -112,9 +132,10 @@ def _packed_ap3_counts(a: np.ndarray) -> np.ndarray:
 
     Row r of `shifted` packs a read cyclically from r on, so the W words of
     A + s are the W consecutive words of row s mod 64 from word s // 64.  Bits
-    past N in packed A's last word are zero and mask the partial word.  A
-    block of d's gathers about TRANSLATE_BLOCK_BYTES of words per operand;
-    `shifted` is about 16 N bytes.
+    past N in packed A's last word are zero and mask the partial word.  The
+    words are read from windows of `shifted`, and a block of d's gathers about
+    TRANSLATE_BLOCK_BYTES / 4 of words per operand, which keeps the peak below
+    that of the float rows of _progression_sums; `shifted` is about 16 N bytes.
     """
     n = a.size
     w = -(-n // 64)  # words per row
@@ -124,7 +145,7 @@ def _packed_ap3_counts(a: np.ndarray) -> np.ndarray:
     windows = sliding_window_view(repeated, 64 * row_words)[:64]
     shifted = np.packbits(windows, axis=1, bitorder="little").view("<u8").reshape(-1)
     rows = sliding_window_view(shifted, w)
-    step = max(1, TRANSLATE_BLOCK_BYTES // (8 * w))
+    step = max(1, TRANSLATE_BLOCK_BYTES // (32 * w))
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, step):
         d = np.arange(lo, min(n, lo + step))
@@ -147,7 +168,7 @@ def ap3_table(A: DenseFn) -> np.ndarray:
     _indicator_required(A)
     if _is_cyclic(A.group):
         return _packed_ap3_counts(A.values == 1.0).astype(np.float64)
-    return _progression_sums(A.group, A.values, A.values, A.values, range(A.group.order))
+    return _progression_sums(A.group, A.values, A.values, A.values)
 
 
 @dataclass
@@ -263,7 +284,7 @@ def nu_weight(pair: RegPair) -> DenseFn:
         raise DomainMismatchError("the halved cutoff needs odd group order")
     s = pair.psi1.psi_sqrt.values
     halved = np.clip(pair.psi2.psi.values, 0.0, None)[_twice_index(group)]
-    out = _progression_sums(group, s, halved, s, range(group.order))
+    out = _progression_sums(group, s, halved, s)
     total = float(out.sum())
     if total > 1.0 + 8.0 * pair.eps + 1e-9:
         raise InternalCheckError(f"nu mass {total} exceeds 1 + 8 eps")

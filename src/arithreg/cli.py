@@ -215,6 +215,8 @@ def cmd_remove(args) -> dict:
 def cmd_bhk(args) -> dict:
     if not args.interval and not args.group:
         raise InvalidSpecError("bhk needs either --group or --interval")
+    if args.interval and args.group:
+        raise InvalidSpecError("bhk takes either --group or --interval, not both")
     if args.interval:
         A = _load_integer_set(args.interval, args.set)
         w = bhk_witness_interval(A, args.eps)

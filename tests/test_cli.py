@@ -364,6 +364,14 @@ class TestExitCodes:
         assert run(["bhk", "--group", "1", "--set", path, "--eps", "0.1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bhk_with_group_and_interval_is_exit_two(self, workdir, capsys):
+        # neither flag is dropped silently; naming neither keeps its own message
+        odds = ["--set", workdir / "odds.txt", "--eps", "0.1"]
+        assert run(["bhk", "--group", "101", "--interval", "50", *odds]) == 2
+        assert capsys.readouterr().err == "error: bhk takes either --group or --interval, not both\n"
+        assert run(["bhk", *odds]) == 2
+        assert capsys.readouterr().err == "error: bhk needs either --group or --interval\n"
+
     def test_bohr_part_iv_without_characters_is_exit_two(self, capsys):
         # a negative --d or --seed describes no frequency set either
         for extra in (["--d", "0", "--parts", "iv"], ["--d", "-1", "--parts", "i"],

@@ -11,9 +11,12 @@ rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
 group the progression table is a popcount of packed 64-bit words, so it is
 checked where the last word is partial or full and where N is even, and its
-memory peak is held below that of the float translate rows.  The tower levels
-are broadcast from per-prefix tables and checked by folding f's blocks, so
-their peaks are held to the arrays the construction keeps.  The
+memory peak is held below that of the float translate rows.  On a cyclic
+group the progression sums read their translates from windows into one
+buffer, so nu is pinned bitwise to the coordinate formula wherever the blocks
+fall differently, and its memory peak is held to about one block.  The tower
+levels are broadcast from per-prefix tables and checked by folding f's
+blocks, so their peaks are held to the arrays the construction keeps.  The
 regularity profile runs on blocks of translate rows, so it is pinned bitwise
 to a one-row-per-call reference and its memory peak is bounded.  The
 regularity state decides most rows from one transform per coset of ker R
@@ -95,6 +98,8 @@ TRANSLATE_SHAPES = ["2048", "2^11", "2049", "4096", "2^12", "4097", "2^6x35"]
 BLOCK_SHAPES = ["2^6x35", "3^7", "4097"]
 # partial last words, exact multiples of 64, and even N, where 2d mod N repeats
 CYCLIC_AP3_ORDERS = [1, 63, 64, 65, 127, 129, 4096, 4097]
+# odd orders where the nu blocks fall differently from BLOCK_SHAPES' 4097
+CYCLIC_NU_ORDERS = [1, 3, 101, 2001]
 # last profile block partial (2049, 4097, 2^6x35), a 2-run after an FFT digit
 # (3x2^4x5, 2^3x7x2^2), and pure (Z/2)^11
 PROFILE_SHAPES = ["2049", "4097", "2^6x35", "3x2^4x5", "2^3x7x2^2", "2^11"]
@@ -191,6 +196,18 @@ def test_progression_sums_match_coordinates(spec, rng):
     assert np.array_equal(nu_weight(pair).values, progression_formula(g, s, halved, s))
 
 
+@pytest.mark.parametrize("n", CYCLIC_NU_ORDERS)
+def test_cyclic_nu_weight_matches_coordinates(n, rng):
+    # the window path: one block of all n rows (1, 3, 101), 65-row blocks, the last partial (2001)
+    g = parse_group(str(n))
+    chars = random_frequency_set(g, min(2, n - 1), rng)
+    pair = RegPair(chars, 0.2, 3, 0.5, mode=SCALED, scale=2.0**60)
+    s = pair.psi1.psi_sqrt.values
+    psi2 = np.clip(pair.psi2.psi.values, 0.0, None)
+    halved = psi2[2 * np.arange(n) % n]
+    assert np.array_equal(nu_weight(pair).values, progression_formula(g, s, halved, s))
+
+
 @pytest.mark.parametrize("n", CYCLIC_AP3_ORDERS)
 def test_packed_progression_table_matches_coordinates(n, rng):
     g = parse_group(str(n))
@@ -213,8 +230,14 @@ def _peak_bytes(fn, *args) -> int:
 def test_packed_table_peak_is_below_the_float_rows(spec, rng):
     g = parse_group(spec)
     a = (rng.uniform(size=g.order) < 0.3).astype(float)
-    float_rows = _peak_bytes(_progression_sums, g, a, a, a, range(g.order))
+    float_rows = _peak_bytes(_progression_sums, g, a, a, a)
     assert _peak_bytes(ap3_table, DenseFn(g, a)) <= float_rows
+
+
+def test_cyclic_nu_weight_peak_is_one_block():
+    # g and h are read from windows into one reused buffer: no copied rows, no temporaries
+    pair = trivial_pair(parse_group("4097"), 3, 0.05)
+    assert _peak_bytes(nu_weight, pair) < 1.5 * TRANSLATE_BLOCK_BYTES
 
 
 def test_tower_check_peak_is_below_f():
