@@ -32,11 +32,10 @@ from .groups import (
     GroupSpec,
     TRANSLATE_BLOCK_BYTES,
     _is_cyclic,
+    _multiple_index,
     check_enumerable,
-    coords_table,
     f2_full,
     f2_parity,
-    ravel_coords,
     translate_blocks,
     translate_indices,
 )
@@ -72,13 +71,6 @@ class IntegerSet:
         return self.size / self.n_max
 
 
-def _twice_index(group: GroupSpec) -> np.ndarray:
-    """Index of 2x per element x."""
-    c = coords_table(group)
-    m = np.asarray(group.factors, dtype=np.int64)
-    return ravel_coords(group, (2 * c) % m)
-
-
 def ap3_count(A: "DenseFn | IntegerSet", d: int) -> int:
     """Number of x with x, x+d, x+2d all in A.
 
@@ -110,7 +102,7 @@ def _progression_sums(group: GroupSpec, f, g, h) -> np.ndarray:
     out = np.zeros(n)
     if not _is_cyclic(group):
         ds = range(n)
-        blocks = zip(translate_blocks(group, g, ds), translate_blocks(group, h, _twice_index(group)))
+        blocks = zip(translate_blocks(group, g, ds), translate_blocks(group, h, _multiple_index(group, 2)))
         for (lo, hi, g_rows), (_, _, h_rows) in blocks:
             out[lo:hi] = np.sum(f * g_rows * h_rows, axis=1)
         return out
@@ -283,7 +275,7 @@ def nu_weight(pair: RegPair) -> DenseFn:
     if group.order % 2 == 0:
         raise DomainMismatchError("the halved cutoff needs odd group order")
     s = pair.psi1.psi_sqrt.values
-    halved = np.clip(pair.psi2.psi.values, 0.0, None)[_twice_index(group)]
+    halved = np.clip(pair.psi2.psi.values, 0.0, None)[_multiple_index(group, 2)]
     out = _progression_sums(group, s, halved, s)
     total = float(out.sum())
     if total > 1.0 + 8.0 * pair.eps + 1e-9:

@@ -270,44 +270,11 @@ def check_enumerable(group: GroupSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cached index machinery (arrays indexed by canonical element order)
+# index machinery (arrays indexed by canonical element order)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def coords_table(group: GroupSpec) -> np.ndarray:
-    """(N, r) array of element coordinates in canonical index order."""
-    check_enumerable(group)
-    n = group.order
-    out = np.zeros((n, group.rank), dtype=np.int64)
-    idx = np.arange(n)
-    for j in range(group.rank - 1, -1, -1):
-        m = group.factors[j]
-        out[:, j] = idx % m
-        idx //= m
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _strides(group: GroupSpec) -> np.ndarray:
-    s = np.ones(group.rank, dtype=np.int64)
-    for j in range(group.rank - 2, -1, -1):
-        s[j] = s[j + 1] * group.factors[j + 1]
-    return s
-
-
 def ravel_coords(group: GroupSpec, coords: np.ndarray) -> np.ndarray:
-    return coords @ _strides(group)
-
-
-@lru_cache(maxsize=64)
-def neg_index(group: GroupSpec) -> np.ndarray:
-    """neg_index[i] = index of -x_i."""
-    c = coords_table(group)
-    m = np.asarray(group.factors, dtype=np.int64)
-    out = ravel_coords(group, (-c) % m)
-    out.setflags(write=False)
-    return out
+    return coords @ np.asarray([math.prod(group.factors[j + 1 :]) for j in range(group.rank)])
 
 
 @lru_cache(maxsize=64)
@@ -325,6 +292,35 @@ def index_digits(group: GroupSpec) -> tuple[tuple[int, int, bool], ...]:
             stride //= size
             digits.append((size, stride, m == 2))
     return tuple(digits)
+
+
+def _digit_sum(group: GroupSpec, tables: Iterable[np.ndarray], lead: tuple = ()) -> np.ndarray:
+    """out[..., x] = sum over the index digits d_j of x of tables[j][..., d_j].
+
+    Table j, in index_digits(group) order, has shape lead + (size_j,).
+    """
+    check_enumerable(group)
+    out = None
+    for table in tables:
+        out = table if out is None else (out[..., None] + table[..., None, :]).reshape(*lead, -1)
+    return np.zeros((*lead, 1), dtype=np.int64) if out is None else out
+
+
+def _multiple_index(group: GroupSpec, k: int) -> np.ndarray:
+    """Index of k*x for every x: digit d goes to k*d mod its size, and a 2-run's to (k mod 2) d."""
+    tables = (
+        stride * (k % 2 * np.arange(size) if is_run else k * np.arange(size) % size)
+        for size, stride, is_run in index_digits(group)
+    )
+    return _digit_sum(group, tables)
+
+
+@lru_cache(maxsize=64)
+def neg_index(group: GroupSpec) -> np.ndarray:
+    """neg_index[i] = index of -x_i."""
+    out = _multiple_index(group, -1)
+    out.setflags(write=False)
+    return out
 
 
 def _is_cyclic(group: GroupSpec) -> bool:
@@ -345,15 +341,14 @@ def translate_rows(group: GroupSpec, xs: Sequence[int]) -> np.ndarray:
     every other factor.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    rows = np.zeros((xs.size, 1), dtype=np.int64)
-    for size, stride, is_run in index_digits(group):
-        d = xs // stride % size
-        if is_run:  # size is 2^r, so rows * size + (d ^ j) = (rows * size + d) ^ j
-            rows = np.bitwise_xor((rows * size + d[:, None])[:, :, None], np.arange(size))
-        else:
-            rows = (rows * size)[:, :, None] + _cyclic_window(size)[d][:, None, :]
-        rows = rows.reshape(xs.size, -1)
-    return rows
+
+    def tables() -> Iterator[np.ndarray]:
+        for size, stride, is_run in index_digits(group):
+            d = xs // stride % size
+            t = np.bitwise_xor(d[:, None], np.arange(size)) if is_run else _cyclic_window(size)[d]
+            yield t if stride == 1 else np.multiply(t, stride, out=t)
+
+    return _digit_sum(group, tables(), lead=xs.shape)
 
 
 def translate_blocks(
@@ -400,19 +395,30 @@ def translate_indices(group: GroupSpec, x_index: int) -> np.ndarray:
 
 
 def _char_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
-    """Integer numerators of arg gamma(x)/2pi in [0, L) over L = lcm(factors), every x."""
+    """Integer numerators of arg gamma(x)/2pi in [0, L) over L = lcm(factors), every x.
+
+    Digit by digit: c (L/m) d on a digit of size m and frequency c, and
+    (L/2) parity(d & mask) on a 2-run whose frequency bits make the mask.
+    """
     if gamma.group != group:
         raise DomainMismatchError("character belongs to a different group")
     L = group.exponent_lcm
-    w = np.asarray([c * (L // m) for c, m in zip(gamma.freqs, group.factors)], dtype=np.int64)
-    return (coords_table(group) @ w) % L
+    freqs = iter([c for c, m in zip(gamma.freqs, group.factors) if m > 1])
+
+    def table(size: int, is_run: bool) -> np.ndarray:
+        if not is_run:
+            return next(freqs) * (L // size) * np.arange(size)
+        mask = sum(next(freqs) << j for j in reversed(range(size.bit_length() - 1)))
+        return L // 2 * f2_parity(np.arange(size) & mask)
+
+    return _digit_sum(group, (table(size, is_run) for size, _, is_run in index_digits(group))) % L
 
 
 def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
     """gamma evaluated at every element, in canonical index order."""
     num, L = _char_numerators(group, gamma), group.exponent_lcm
     if L <= 2:
-        return np.where(num == 0, 1.0, -1.0).astype(np.complex128)
+        return np.where(num == 0, 1 + 0j, -1 + 0j)
     return np.exp(2j * np.pi * num / L)
 
 

@@ -43,7 +43,7 @@ from .groups import (
     Character,
     GroupSpec,
     _char_numerators,
-    coords_table,
+    _coords_at,
     neg_index,
     translate_blocks,
     translate_indices,
@@ -626,7 +626,9 @@ def weighted_T(
     idxs = [int(x) for x in xs]
     if len(idxs) != len(As):
         raise DomainMismatchError("need one base point per set")
-    if np.any(coords_table(group)[idxs].sum(0) % group.factors):
+    if outside := [x for x in idxs if not 0 <= x < group.order]:
+        raise DomainMismatchError(f"base point {outside[0]} is outside [0, {group.order})")
+    if np.any(np.sum([_coords_at(group.factors, x) for x in idxs], axis=0) % group.factors):
         raise DomainMismatchError("base points must sum to zero")
 
     hats = [dft(A) for A in As]

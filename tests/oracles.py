@@ -3,15 +3,17 @@
 The library works on canonical indices only.  Here an element is a tuple of
 residues with its own group law and character evaluation, written from the
 definitions and sharing no code with the index machinery, so the index code
-can be checked against it.  `translate_values`, `constant`, `subgroup_elements`
-and `set_file_text` are the small test-side references built on top, and
-`_shift_violation` is the whole-table reference for the shift-stability
-excess of cutoff part v.
+can be checked against it.  `coords_table` is the same residue tuples as one
+(N, r) array, the reference the digit-built index maps are pinned against.
+`translate_values`, `constant`, `subgroup_elements` and `set_file_text` are
+the small test-side references built on top, and `_shift_violation` is the
+whole-table reference for the shift-stability excess of cutoff part v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,6 +60,21 @@ def element_at(group: GroupSpec, index: int) -> GroupElement:
         coords.append(index % m)
         index //= m
     return GroupElement(group, tuple(reversed(coords)))
+
+
+@lru_cache(maxsize=16)
+def coords_table(group: GroupSpec) -> np.ndarray:
+    """(N, r) array of element coordinates in canonical index order."""
+    check_enumerable(group)
+    n = group.order
+    out = np.zeros((n, group.rank), dtype=np.int64)
+    idx = np.arange(n)
+    for j in range(group.rank - 1, -1, -1):
+        m = group.factors[j]
+        out[:, j] = idx % m
+        idx //= m
+    out.setflags(write=False)
+    return out
 
 
 def elements(group: GroupSpec) -> Iterator[GroupElement]:

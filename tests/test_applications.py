@@ -117,7 +117,6 @@ class TestNuWeight:
 
     def test_aggregation_identity_over_base_points(self, rng):
         # summing the weighted count over x equals sum_d P(A;d) nu(d)
-        from arithreg.applications import _twice_index
         from arithreg.groups import translate_indices
         from arithreg.harmonic import zero_sum_count
 
@@ -142,7 +141,7 @@ class TestNuWeight:
     def test_weighted_progression_lower_bound(self, rng):
         # sum_d P(A;d) nu(d) >= sum_x alpha1(x)^2 alpha2(x) - 34 eps N, for a
         # regular non-degenerate pair; degenerate draws are recorded instead
-        from arithreg.applications import _twice_index
+        from arithreg.groups import _multiple_index
         from arithreg.harmonic import convolve
         from arithreg.reg_general import _PairState, alpha
 
@@ -154,7 +153,7 @@ class TestNuWeight:
         assert not pair.degenerate
         assert _PairState([A, neg2, A], pair).regular
         a1 = alpha(A, pair.psi1).values
-        halved = np.clip(pair.psi2.psi.values, 0, None)[_twice_index(G101)]
+        halved = np.clip(pair.psi2.psi.values, 0, None)[_multiple_index(G101, 2)]
         a2 = convolve(A, DenseFn(G101, halved)).values
         lhs = float(np.sum(ap3_table(A) * nu_weight(pair).values))
         rhs = float(np.sum(a1 * a1 * a2)) - 34.0 * eps * 101
@@ -162,7 +161,7 @@ class TestNuWeight:
 
     def test_density_chain_lower_bound(self, rng):
         # sum_x alpha1(x)^2 alpha2(x) >= alpha^3 N for the halved smoothing
-        from arithreg.applications import _twice_index
+        from arithreg.groups import _multiple_index
         from arithreg.reg_general import alpha
 
         from arithreg.harmonic import convolve
@@ -172,7 +171,7 @@ class TestNuWeight:
             pair = RegPair(fs, 0.3, 3, 0.1, "scaled", 2.0**45)
             A = random_indicator(G101, rng, density=0.5)
             a1 = alpha(A, pair.psi1).values
-            halved = np.clip(pair.psi2.psi.values, 0, None)[_twice_index(G101)]
+            halved = np.clip(pair.psi2.psi.values, 0, None)[_multiple_index(G101, 2)]
             a2 = convolve(A, DenseFn(G101, halved)).values
             lhs = float(np.sum(a1 * a1 * a2))
             alpha_density = A.values.mean()

@@ -25,6 +25,8 @@ from arithreg import groups
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import (
     F2Subgroup,
+    _multiple_index,
+    char_values,
     character_table,
     check_enumerable,
     f2_full,
@@ -32,6 +34,7 @@ from arithreg.groups import (
     f2_parity,
     f2_span,
     make_group,
+    neg_index,
     parse_group,
     parse_indices,
 )
@@ -186,6 +189,20 @@ class TestMakeGroup:
         with pytest.raises(ResourceBudgetError):
             check_enumerable(make_group([101]))
         check_enumerable(make_group([100]))
+
+    @pytest.mark.parametrize("spec", ["101", "2^7"])
+    def test_index_maps_keep_the_enumeration_guard(self, spec, monkeypatch):
+        g = parse_group(spec)
+        neg_index.cache_clear()
+        monkeypatch.setenv("ARITHREG_MAX_N", "100")
+        maps = [
+            (neg_index, ()),
+            (_multiple_index, (2,)),  # the doubling map
+            (char_values, (g.character_at(1),)),
+        ]
+        for build, args in maps:
+            with pytest.raises(ResourceBudgetError):
+                build(g, *args)
 
 
 class TestGroupLaw:

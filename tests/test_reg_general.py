@@ -452,6 +452,13 @@ class TestWeightedCount:
         with pytest.raises(DomainMismatchError):
             weighted_T([constant(G101, 1.0)] * 3, pair, [1, 2, 3])
 
+    @pytest.mark.parametrize("xs", [[101, 0, 0], [-1, 1, 0], [0, 0, 202]])
+    def test_base_point_outside_the_group_is_named(self, xs):
+        pair = trivial_pair(G101, 3, 0.2)
+        bad = next(x for x in xs if not 0 <= x < 101)
+        with pytest.raises(DomainMismatchError, match=rf"base point {bad} is outside \[0, 101\)"):
+            weighted_T([constant(G101, 1.0)] * 3, pair, xs)
+
     @pytest.mark.parametrize(
         "factors, coords, zero_sum",
         [

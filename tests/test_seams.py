@@ -6,7 +6,11 @@ character-matrix oracle.  The butterflies run their short stages on
 transposed slabs, so they are pinned bitwise to the plain stage loop and to
 the integer transform.  Translate rows are built digit by digit, and a
 single row on a cyclic group is a view of a window over a doubled arange;
-both are checked against the coordinate formula (x + n) mod m.  Every all-translates loop runs on blocks of
+both are checked against the coordinate formula (x + n) mod m.  The
+whole-group maps -x, 2x and the character numerators are summed from
+per-digit tables, so each is pinned to its coordinate formula wherever the
+digits split differently, factors 1 included, and its memory peak on
+(Z/2)^20 is held below four index arrays.  Every all-translates loop runs on blocks of
 rows, so the progression sums are checked on groups where the last block is
 partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
 group the progression table is a popcount of packed 64-bit words, so it is
@@ -41,7 +45,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dft
-from oracles import _shift_violation, translate_values
+from oracles import _shift_violation, coords_table, translate_values
 
 from arithreg.applications import (
     _progression_sums,
@@ -64,8 +68,11 @@ from arithreg.bohr import (
 )
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
+    _char_numerators,
+    _multiple_index,
+    char_values,
     character_table,
-    coords_table,
+    neg_index,
     parse_group,
     ravel_coords,
     translate_indices,
@@ -103,6 +110,12 @@ CYCLIC_NU_ORDERS = [1, 3, 101, 2001]
 # last profile block partial (2049, 4097, 2^6x35), a 2-run after an FFT digit
 # (3x2^4x5, 2^3x7x2^2), and pure (Z/2)^11
 PROFILE_SHAPES = ["2049", "4097", "2^6x35", "3x2^4x5", "2^3x7x2^2", "2^11"]
+PART_V_SHAPES = ["101", "1001", "2001", "2^3x7", "5x5x3", "4x3x5", "2^11"]
+# index maps: the translate and part v shapes, 3^7, and factors 1, which
+# index_digits drops together with their frequencies
+INDEX_MAP_SHAPES = list(
+    dict.fromkeys(TRANSLATE_SHAPES + PART_V_SHAPES + ["3^7", "1", "1x4", "2x1x2x3"])
+)
 
 
 @pytest.fixture
@@ -168,6 +181,39 @@ def test_translate_indices_match_coordinates(spec, rng):
     # on a cyclic group every row is a view of one window, not a fresh array
     cyclic = len(g.factors) == 1
     assert np.shares_memory(translate_indices(g, 0), translate_indices(g, 1)) == cyclic
+
+
+@pytest.mark.parametrize("spec", INDEX_MAP_SHAPES)
+def test_index_maps_match_coordinates(spec, rng):
+    g = parse_group(spec)
+    n, L = g.order, g.exponent_lcm
+    c, m = coords_table(g), np.asarray(g.factors)
+    assert np.array_equal(neg_index(g), ravel_coords(g, -c % m))
+    assert np.array_equal(_multiple_index(g, 2), ravel_coords(g, 2 * c % m))
+    # every character where N <= 300, a seeded sample elsewhere
+    for i in range(n) if n <= 300 else rng.choice(n, 40, replace=False):
+        gamma = g.character_at(int(i))
+        w = np.asarray([f * (L // mj) for f, mj in zip(gamma.freqs, g.factors)])
+        assert np.array_equal(_char_numerators(g, gamma), c @ w % L)
+
+
+def _cold_peak(fn, *args) -> int:
+    neg_index.cache_clear()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        neg_index.cache_clear()
+
+
+def test_index_map_peaks_hold_no_coordinate_table():
+    # built from the index digits: an (N, rank) table alone would be 160 MiB here
+    g = parse_group("2^20")
+    bound = 4 * g.order * 8
+    assert _cold_peak(neg_index, g) < bound
+    assert _cold_peak(char_values, g, g.character_at(g.order - 1)) < bound
 
 
 def progression_formula(g, f: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -624,9 +670,6 @@ def test_screen_on_a_set_that_is_not_an_indicator(rng, monkeypatch, kernel_rows)
     kernel_rows[0] = 0
     assert not _PairState([A], pair).regular
     assert kernel_rows[0] == 0
-
-
-PART_V_SHAPES = ["101", "1001", "2001", "2^3x7", "5x5x3", "4x3x5", "2^11"]
 
 
 def _same_float(a: float, b: float) -> bool:
