@@ -28,7 +28,7 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 DEFAULT_MAX_ORDER = 1 << 24  # enumeration guard, unless ARITHREG_MAX_N is set
 TRANSLATE_BLOCK_BYTES = 1 << 20  # bytes of float64 rows per block of translate_blocks
 CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
-BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) terms of the literal zero-sum oracle
+BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) tuples the zero-sum oracle's sum ranges over
 COUNT_CROSSCHECK_BUDGET = 2_000_000  # `count` adds the brute-force sum up to this
 DUAL_SWEEP_MAX_DIM = 24  # spanning families are checked against all 2^d duals
 
@@ -419,7 +419,9 @@ def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
     num, L = _char_numerators(group, gamma), group.exponent_lcm
     if L <= 2:
         return np.where(num == 0, 1 + 0j, -1 + 0j)
-    return np.exp(2j * np.pi * num / L)
+    out = np.multiply(2j * np.pi, num)  # exp(2j pi num / L) in one complex buffer
+    out /= L
+    return np.exp(out, out=out)
 
 
 def char_norm_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:

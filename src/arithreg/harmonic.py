@@ -244,9 +244,15 @@ def zero_sum_count(fs: Sequence[DenseFn]) -> float:
 
 
 def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET) -> float:
-    """The literal nested sum behind T(f_1, ..., f_k); O(N^{k-1}) work.
+    """The nested sum behind T(f_1, ..., f_k), summed from the inside out.
 
-    The innermost free coordinate is vectorized; the summand is unchanged.
+    No transform is involved.  Start from v(u) = f_k(-u); for j = k-1 down
+    to 3, replace v by v(u) = sum_x f_j(x) v(u + x), one pass over blocks of
+    translate rows of v.  Then T = sum_x f_1(x) sum_y f_2(y) v(x + y), with
+    translate rows of v over supp f_1 only.  That is k-2 passes of N^2
+    multiply-adds, O(N) memory beside one translate block; on integer input
+    every partial sum is an integer, so the sum is exact below 2^53.  The
+    budget caps the N^(k-1) tuples the sum ranges over.
     """
     group = _common_group(fs)
     k = len(fs)
@@ -255,27 +261,20 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
         raise ResourceBudgetError(
             f"brute-force zero-sum needs N^(k-1) = {n ** (k - 1)} > budget {budget}"
         )
-    neg = neg_index(group)
     vals = [f.values for f in fs]
+    v = vals[-1][neg_index(group)]
     if k == 2:
-        return float(vals[0] @ vals[1][neg])
-    second_last, last_neg = vals[-2], vals[-1][neg]
-    index = np.arange(n)
-
-    def descend(depth: int, row: np.ndarray, weight: float) -> float:
-        # row[x] is the index of s + x, s the sum of the coordinates fixed above;
-        # the deepest level closes each term with f_{k-1} . f_k(-(s + x + .)).
-        fv = vals[depth]
-        xs = np.flatnonzero(fv != 0.0)
-        deepest = depth == k - 3
-        total = 0.0
-        for lo, _, rows in translate_blocks(group, last_neg if deepest else index, row[xs]):
-            for x, r in zip(xs[lo:], rows):
-                w = weight * fv[x]
-                total += w * float(second_last @ r) if deepest else descend(depth + 1, r, w)
-        return total
-
-    return descend(0, index, 1.0)
+        return float(vals[0] @ v)
+    for f in reversed(vals[2:-1]):
+        inner = np.empty(n)
+        for lo, hi, rows in translate_blocks(group, v, range(n)):
+            np.matmul(rows, f, out=inner[lo:hi])
+        v = inner
+    xs = np.flatnonzero(vals[0])
+    total = 0.0
+    for lo, hi, rows in translate_blocks(group, v, xs):
+        total += float(vals[0][xs[lo:hi]] @ (rows @ vals[1]))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,19 @@ def brute_force_zero_sum(fs: Sequence[DenseFn], budget: int = BRUTE_FORCE_BUDGET
 # ---------------------------------------------------------------------------
 
 def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
-    """Write each member (a canonical index) as its residues joined by commas, one per line."""
-    coords = np.unravel_index(np.fromiter(members, dtype=np.int64), group.factors)
-    rows = zip(*(c.tolist() for c in coords))
+    """Write each member (a canonical index) as its residues joined by commas, one per line.
+
+    The residues come from one divmod per factor, least significant first, so
+    any number of factors is written (numpy's unravel_index stops at 64).
+    """
+    index = np.fromiter(members, dtype=np.int64)
+    if index.size and not 0 <= index.min() <= index.max() < group.order:
+        raise DomainMismatchError(f"set members must be indices in [0, {group.order})")
+    columns = []
+    for m in reversed(group.factors):
+        index, residue = np.divmod(index, m)
+        columns.append(residue.tolist())
+    rows = zip(*reversed(columns))
     with open(path, "w") as fh:
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 

@@ -9,7 +9,7 @@ import pytest
 
 from arithreg.bohr import fine_width, part_iv_width, part_ix_width
 from arithreg.cli import main
-from arithreg.groups import make_group
+from arithreg.groups import make_group, parse_group
 from arithreg.harmonic import save_set
 
 
@@ -45,6 +45,31 @@ class TestCommands:
         rep = load(out)["report"]
         assert rep["value"] == pytest.approx(25.0)
         assert rep["brute_force"] == pytest.approx(25.0)
+
+    @pytest.mark.parametrize("spec", ["5x5x5", "3^5"])
+    def test_count_of_four_sets_is_the_literal_sum(self, spec, tmp_path):
+        # 125^3 tuples are inside the cross-check budget, 243^3 are not
+        g = parse_group(spec)
+        rng = np.random.default_rng(7)
+        sets = [sorted(rng.choice(g.order, 30, replace=False).tolist()) for _ in range(4)]
+        paths = [tmp_path / f"s{i}.txt" for i in range(4)]
+        for members, path in zip(sets, paths):
+            save_set(g, members, path)
+        out = tmp_path / "count.json"
+        assert run(["count", "--group", spec, "--sets", *paths, "--out", out]) == 0
+        rep = load(out)["report"]
+        coords = np.stack(np.unravel_index(np.arange(g.order), g.factors), axis=1).tolist()
+        last = {tuple(coords[x]) for x in sets[3]}
+        literal = sum(
+            tuple(-(p + q + r) % m for p, q, r, m in zip(coords[a], coords[b], coords[c], g.factors))
+            in last
+            for a in sets[0] for b in sets[1] for c in sets[2]
+        )
+        assert round(rep["value"]) == literal > 0
+        if spec == "5x5x5":
+            assert rep["brute_force"] == literal
+        else:
+            assert "brute_force" not in rep
 
     def test_regularize_f2_hyperplane_traces_an_iteration(self, workdir):
         out = workdir / "rf2.json"

@@ -186,6 +186,20 @@ class TestSerialization:
         save_set(g, [0, 3, 5], path)
         assert load_set(g, path).tolist() == [0, 3, 5]
 
+    def test_set_round_trip_past_64_factors(self, tmp_path):
+        # numpy's unravel_index stops at 64 dimensions; the writer does not
+        g = parse_group("1^70x3")
+        path = tmp_path / "set.txt"
+        save_set(g, [0, 1, 2, 2], path)
+        assert path.read_text().splitlines() == [",".join(["0"] * 70 + [r]) for r in "0122"]
+        assert load_set(g, path).tolist() == [0, 1, 2, 2]
+
+    def test_set_members_outside_the_group_are_refused(self, tmp_path):
+        g = make_group([2, 3])
+        for members in ([0, 6], [-1]):
+            with pytest.raises(DomainMismatchError):
+                save_set(g, members, tmp_path / "set.txt")
+
     def test_set_file_lines_are_read_leniently(self, tmp_path):
         # blank and whitespace-only lines are skipped, spaces around fields and
         # a trailing comma are accepted, and any integer reduces mod m

@@ -10,9 +10,12 @@ both are checked against the coordinate formula (x + n) mod m.  The
 whole-group maps -x, 2x and the character numerators are summed from
 per-digit tables, so each is pinned to its coordinate formula wherever the
 digits split differently, factors 1 included, and its memory peak on
-(Z/2)^20 is held below four index arrays.  Every all-translates loop runs on blocks of
-rows, so the progression sums are checked on groups where the last block is
-partial, and the brute-force oracle against a literal tuple sum.  On a cyclic
+(Z/2)^20 is held below four index arrays; the characters on 3^13 are held to
+one complex buffer.  Every all-translates loop runs on blocks of rows, so the
+progression sums are checked on groups where the last block is partial.  The
+brute-force oracle sums from the inside out over blocks of translate rows, so
+it is pinned to a literal tuple sum for k = 2 to 5 on cyclic, (Z/2)^n and
+mixed groups, and its peak at the budget seam is held to a block.  On a cyclic
 group the progression table is a popcount of packed 64-bit words, so it is
 checked where the last word is partial or full and where N is even, and its
 memory peak is held below that of the float translate rows.  On a cyclic
@@ -216,6 +219,13 @@ def test_index_map_peaks_hold_no_coordinate_table():
     assert _cold_peak(char_values, g, g.character_at(g.order - 1)) < bound
 
 
+def test_char_values_peak_is_one_complex_buffer():
+    # exp(2j pi num / L) in place: the numerators and one complex array, where
+    # the expression form held two complex temporaries at once (61 MiB here)
+    g = parse_group("3^13")
+    assert _cold_peak(char_values, g, g.character_at(g.order - 1)) < 2 * g.order * 16
+
+
 def progression_formula(g, f: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """sum_y f(y) h(y + d) k(y + 2d) per d, one coordinate row at a time."""
     out = np.zeros(g.order)
@@ -298,18 +308,32 @@ def test_tower_build_peak_is_f_alone():
     assert _peak_bytes(build_tower_function, 18, 3, 0) <= f.values.nbytes + 2**20
 
 
-def test_brute_force_zero_sum_matches_literal_sum(rng):
-    g = parse_group("2^3x7")
+@pytest.mark.parametrize("spec, k", [
+    *((spec, k) for spec in ["13", "2^4", "2x3x2"] for k in (2, 3, 4, 5)), ("2^3x7", 4),
+])
+def test_brute_force_zero_sum_matches_literal_sum(spec, k, rng):
+    # k = 2 pairs f_1 with f_2(-x); k = 3 has no inner pass; 4 and 5 have one and two
+    g = parse_group(spec)
     n = g.order
     add = np.stack([coordinate_row(g, x) for x in range(n)]).tolist()
     neg = [row.index(0) for row in add]
-    fs = [rng.integers(0, 3, n).astype(float) for _ in range(4)]
-    f1, f2, f3, f4 = (f.tolist() for f in fs)
-    literal = sum(
-        f1[x1] * f2[x2] * f3[x3] * f4[neg[add[add[x1][x2]][x3]]]
-        for x1, x2, x3 in product(range(n), repeat=3)
-    )
+    fs = [rng.integers(-2, 3, n).astype(float) for _ in range(k)]
+    vals = [f.tolist() for f in fs]
+    literal = 0.0
+    for xs in product(range(n), repeat=k - 1):
+        s, term = 0, 1.0
+        for x, f in zip(xs, vals):
+            s, term = add[s][x], term * f[x]
+        literal += term * vals[-1][neg[s]]
     assert brute_force_zero_sum([DenseFn(g, f) for f in fs]) == literal
+
+
+def test_brute_force_zero_sum_peak_at_the_budget_seam_is_one_block(rng):
+    # k = 3 on Z/4472 ranges over N^2 = 19998784 tuples, just inside the
+    # budget; an N x N array of them would be 153 MiB, one translate block is 1 MiB
+    g = parse_group("4472")
+    fs = [DenseFn(g, (rng.uniform(size=g.order) < 0.2).astype(float)) for _ in range(3)]
+    assert _peak_bytes(brute_force_zero_sum, fs) < 2 * TRANSLATE_BLOCK_BYTES
 
 
 def stage_loop(a: np.ndarray) -> None:
