@@ -45,7 +45,7 @@ from .errors import (
     RetryExhaustedError,
     UsageError,
 )
-from .groups import COUNT_CROSSCHECK_BUDGET, GroupSpec, f2_span, parse_group
+from .groups import BRUTE_FORCE_BUDGET, GroupSpec, f2_span, parse_group
 from .harmonic import (
     DenseFn,
     brute_force_zero_sum,
@@ -182,7 +182,7 @@ def cmd_count(args) -> dict:
     value = zero_sum_count(sets)
     out = {"group": str(group), "value": value}
     k = len(sets)
-    if group.order ** (k - 1) <= COUNT_CROSSCHECK_BUDGET:
+    if group.order ** (k - 1) <= BRUTE_FORCE_BUDGET:
         out["brute_force"] = brute_force_zero_sum(sets)
     return out
 

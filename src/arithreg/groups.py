@@ -5,7 +5,8 @@ index: the mixed-radix index of its residue tuple, first coordinate most
 significant.  A character is a residue tuple of frequencies, indexed the same
 way.  For (Z/2)^n the canonical index doubles as an integer bitmask with the
 first coordinate in the most significant bit, which is what the GF(2) linear
-algebra below operates on.
+algebra below operates on.  Text lines of residues become canonical indices in
+the line loop `parse_indices`, the reference parser of set files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -28,8 +28,7 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 DEFAULT_MAX_ORDER = 1 << 24  # enumeration guard, unless ARITHREG_MAX_N is set
 TRANSLATE_BLOCK_BYTES = 1 << 20  # bytes of float64 rows per block of translate_blocks
 CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
-BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) tuples the zero-sum oracle's sum ranges over
-COUNT_CROSSCHECK_BUDGET = 2_000_000  # `count` adds the brute-force sum up to this
+BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) tuples of the zero-sum oracle, `count`'s check too
 DUAL_SWEEP_MAX_DIM = 24  # spanning families are checked against all 2^d duals
 
 
@@ -154,93 +153,9 @@ def parse_indices(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
 
     A line holds comma-separated residues (empty fields are dropped), each
     reduced mod its factor as a Python int.  Errors quote the line as given.
-    Input that one `np.loadtxt` pass reads into `group.rank` columns takes
-    that pass, and so does input whose only leniency is empty fields, once
-    one text pass has dropped them.  Everything else (other lenient or
-    malformed lines) goes through the line loop `_parse_lines`, which
-    decides what is accepted.
+    This line loop decides what a set file may hold; `harmonic.load_set`
+    reads the layout `save_set` writes without it.
     """
-    lines = list(lines)  # read twice where the loop decides
-    coords = _loadtxt_coords(lines)
-    if coords is None and (compact := _without_empty_fields(lines)) is not None:
-        coords = _loadtxt_coords(compact)
-    if coords is None or coords.shape[1] != group.rank:
-        return _parse_lines(group, lines)
-    check_enumerable(group)
-    return ravel_coords(group, coords % np.asarray(group.factors, dtype=np.int64))
-
-
-def _one_digit_indices(group: GroupSpec, data: bytes) -> np.ndarray | None:
-    """Canonical indices of a set file in the one-digit layout, or None for any other bytes.
-
-    The layout is what `save_set` writes when every residue has one digit
-    (every set on (Z/2)^n): each line is `group.rank` digits 0-9 joined by
-    ',' and ended by '\\n', so `2 * rank` bytes per element.  Read as bytes,
-    no text is decoded or split.  Each line means what the line loop reads
-    from it; an empty file, \\r, spaces, signs and wider fields return None.
-    """
-    width = 2 * group.rank
-    if not data or len(data) % width:
-        return None
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    digits = rows[:, ::2] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
-    if ((digits > 9).any() or (rows[:, 1:-1:2] != ord(",")).any()
-            or (rows[:, -1] != ord("\n")).any()):
-        return None
-    check_enumerable(group)
-    index = np.zeros(len(rows), dtype=np.int64)
-    for column, m in zip(digits.T, group.factors):
-        if m <= 9 and column.max() >= m:
-            column %= m
-        index *= m
-        index += column
-    return index
-
-
-def _without_empty_fields(lines: Sequence[str]) -> list[str] | None:
-    """The stripped lines with their empty fields dropped, as the line loop drops them.
-
-    None where there is nothing to drop, where a line holds a line break
-    inside it, or where a line holds only commas (the loop rejects it, and
-    without its empty fields it would read as blank).  String methods only,
-    so the pass costs a few copies of the text.
-    """
-    stripped = list(map(str.strip, lines))
-    text = "\n".join(stripped)
-    if text.count("\n") != len(stripped) - 1:
-        return None
-    compact = text
-    while ",," in compact:
-        compact = compact.replace(",,", ",")
-    if "\n,\n" in f"\n{compact}\n":
-        return None
-    compact = compact.replace(",\n", "\n").replace("\n,", "\n").strip(",")
-    return compact.split("\n") if len(compact) < len(text) else None
-
-
-def _loadtxt_coords(lines: Sequence[str]) -> np.ndarray | None:
-    """The lines as an int64 array from one `np.loadtxt` pass, or None where it fails.
-
-    Only ASCII text without the separators \\x1c-\\x1f is tried.  There numpy's
-    integer parser accepts a subset of what `int` does, with the same values;
-    numpy strips those separators as spaces where `int` rejects them, and it
-    misreads non-ASCII text (the field '\\u01fe1\\u01fe' comes back as 46672).
-    Empty fields, `_`, `.`, `#`, values outside int64, embedded newlines and
-    ragged rows make numpy fail, and so fall to the line loop.
-    """
-    text = "".join(lines)
-    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, Warning):
-        return None
-
-
-def _parse_lines(group: GroupSpec, lines: Iterable[str]) -> np.ndarray:
-    """The reference line loop of `parse_indices`; it raises on malformed lines."""
     flat: list[int] = []
     for text in lines:
         if not (line := text.strip()):

@@ -7,7 +7,9 @@ most significant stride first, its short stages on transposed slabs; every
 other factor goes through numpy's FFT in place.  Real input stays real until
 the first non-2 factor.  The same kernel is the Walsh-Hadamard transform
 `wht_last_axis` used by the (Z/2)^n pipeline.  The naive O(N^2) kernel lives
-in the test suite as the independent oracle.
+in the test suite as the independent oracle.  Set files are written by
+`save_set` and read by `load_set`, which reads that layout as bytes and hands
+any other file to the line loop `groups.parse_indices`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from .groups import (
     BRUTE_FORCE_BUDGET,
     GroupSpec,
-    _one_digit_indices,
     check_enumerable,
     index_digits,
     neg_index,
@@ -299,6 +300,61 @@ def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def _saved_indices(group: GroupSpec, data: bytes) -> np.ndarray | None:
+    """Canonical indices of a set file in the layout `save_set` writes, or None for any other bytes.
+
+    The layout: each line is `group.rank` unsigned decimal fields joined by
+    ',' and ended by '\\n'.  Read as bytes, no text is decoded or split, and
+    each line means what the line loop reads from it: residues at or above
+    their factor are reduced, leading zeros are read as `int` reads them.
+    """
+    coords = _saved_coords(np.frombuffer(data, dtype=np.uint8), group.rank)
+    if coords is None:
+        return None
+    check_enumerable(group)
+    index = np.zeros(len(coords), dtype=np.int64)
+    for column, m in zip(coords.T, group.factors):
+        if column.max() >= m:
+            column %= m
+        index *= m
+        index += column
+    return index
+
+
+def _saved_coords(raw: np.ndarray, rank: int) -> np.ndarray | None:
+    """The residue rows of a file in the layout `save_set` writes, or None for any other bytes.
+
+    A file whose fields all have one digit (every set on (Z/2)^n) is checked
+    column by column on its `2 * rank`-byte rows.  Any other file takes one
+    scan for the bytes that are not digits, which must be `rank - 1` commas
+    and a '\\n' per line, and each field of 1 to 18 digits (so it fits int64)
+    is built in one vector pass per digit place.  An empty file, a \\r,
+    spaces, signs, non-ASCII bytes, blank lines, empty fields and wider
+    fields return None.
+    """
+    width = 2 * rank
+    if raw.size and raw.size % width == 0 and raw[width - 1] == ord("\n"):
+        rows = raw.reshape(-1, width)
+        digits = rows[:, ::2] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+        if not ((digits > 9).any() or (rows[:, 1:-1:2] != ord(",")).any()
+                or (rows[:, -1] != ord("\n")).any()):
+            return digits
+    digits = raw - np.uint8(ord("0"))
+    ends = np.flatnonzero(digits > 9)
+    if not ends.size or ends.size % rank or ends[-1] != raw.size - 1:
+        return None
+    separators = raw[ends].reshape(-1, rank)
+    if (separators[:, :-1] != ord(",")).any() or (separators[:, -1] != ord("\n")).any():
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > 18:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for j in range(widths.max()):
+        values += np.where(widths > j, digits[ends - (j + 1)], 0) * np.int64(10) ** j
+    return values.reshape(-1, rank)
+
+
 def read_lines(path) -> list[str]:
     """The stripped lines of a UTF-8 text file, broken at \\n, \\r and \\r\\n."""
     with open(path, "rb") as fh:
@@ -316,13 +372,12 @@ def _text_lines(data: bytes, path) -> list[str]:
 def load_set(group: GroupSpec, path) -> np.ndarray:
     """Canonical indices of the elements listed in a set file, in order, duplicates kept.
 
-    The file is read once, as bytes.  A file in the one-digit layout that
-    `save_set` writes when every residue has one digit (every set on
-    (Z/2)^n) is read by `_one_digit_indices` without decoding it.  Any other
-    bytes are decoded as `read_lines` does and go to `parse_indices`, whose
-    errors quote each line stripped.
+    The file is read once, as bytes.  A file in the layout `save_set` writes
+    is read by `_saved_indices` without decoding it.  Any other bytes are
+    decoded as `read_lines` does and go to the line loop `parse_indices`,
+    whose errors quote each line stripped.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    indices = _one_digit_indices(group, data)
+    indices = _saved_indices(group, data)
     return parse_indices(group, _text_lines(data, path)) if indices is None else indices

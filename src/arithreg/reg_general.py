@@ -100,9 +100,12 @@ class RegPair:
         raw = self.const(-40) * checked_pow(eps, 6, "eps") * eta / (max(chars.d, 1) * k**4)
         self.eta2 = min(raw, self.eta1)
         if not self.eta2 > 0:
+            cause, given = (
+                (f"scale {self.scale}", f"eps {self.eps}, eta {self.eta}") if mode == SCALED
+                else (f"eps {self.eps}", f"eta {self.eta}")
+            )
             raise InvalidSpecError(
-                f"scale {self.scale} underflows the narrow cutoff width eta2 to {self.eta2}"
-                f" (eps {self.eps}, eta {self.eta})"
+                f"{cause} underflows the narrow cutoff width eta2 to {self.eta2} ({given})"
             )
         self.psi1 = make_cutoff(chars, self.eta1)
         self.psi2 = make_cutoff(chars, self.eta2)

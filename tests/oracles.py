@@ -6,8 +6,9 @@ definitions and sharing no code with the index machinery, so the index code
 can be checked against it.  `coords_table` is the same residue tuples as one
 (N, r) array, the reference the digit-built index maps are pinned against.
 `translate_values`, `constant`, `subgroup_elements` and `set_file_text` are
-the small test-side references built on top, and `_shift_violation` is the
-whole-table reference for the shift-stability excess of cutoff part v.
+the small test-side references built on top, `line_loop_outcome` is what the
+line loop makes of a set file, and `_shift_violation` is the whole-table
+reference for the shift-stability excess of cutoff part v.
 """
 
 from __future__ import annotations
@@ -18,16 +19,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from arithreg.errors import DomainMismatchError
+from arithreg.errors import DomainMismatchError, InvalidSpecError
 from arithreg.groups import (
     Character,
     F2Subgroup,
     GroupSpec,
     check_enumerable,
     neg_index,
+    parse_indices,
     translate_rows,
 )
-from arithreg.harmonic import DenseFn
+from arithreg.harmonic import DenseFn, load_set
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,26 @@ def subgroup_elements(H: F2Subgroup) -> np.ndarray:
 def set_file_text(group: GroupSpec, members: Iterable[int]) -> str:
     """A set file as the reference writes it: one element per line, residues joined by commas."""
     return "".join(f"{element_at(group, int(x))}\n" for x in members)
+
+
+def load_outcome(group: GroupSpec, path) -> list[int] | tuple:
+    """What `load_set` returns for the file, or the type and message of its InvalidSpecError."""
+    try:
+        return load_set(group, path).tolist()
+    except InvalidSpecError as exc:
+        return InvalidSpecError, str(exc)
+
+
+def line_loop_outcome(group: GroupSpec, path) -> list[int] | tuple:
+    """What the line loop makes of the file read as UTF-8 text, line by line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        return parse_indices(group, lines).tolist()
+    except UnicodeDecodeError as exc:
+        return InvalidSpecError, f"{path} is not UTF-8 text: {exc.reason}"
+    except InvalidSpecError as exc:
+        return InvalidSpecError, str(exc)
 
 
 def _shift_violation(group, fn_vals: np.ndarray, coeffs: np.ndarray) -> float:

@@ -48,7 +48,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("spec", ["5x5x5", "3^5"])
     def test_count_of_four_sets_is_the_literal_sum(self, spec, tmp_path):
-        # 125^3 tuples are inside the cross-check budget, 243^3 are not
+        # 125^3 and 243^3 tuples are both inside the brute-force budget
         g = parse_group(spec)
         rng = np.random.default_rng(7)
         sets = [sorted(rng.choice(g.order, 30, replace=False).tolist()) for _ in range(4)]
@@ -65,11 +65,7 @@ class TestCommands:
             in last
             for a in sets[0] for b in sets[1] for c in sets[2]
         )
-        assert round(rep["value"]) == literal > 0
-        if spec == "5x5x5":
-            assert rep["brute_force"] == literal
-        else:
-            assert "brute_force" not in rep
+        assert round(rep["value"]) == rep["brute_force"] == literal > 0
 
     def test_regularize_f2_hyperplane_traces_an_iteration(self, workdir):
         out = workdir / "rf2.json"
@@ -489,6 +485,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: scale 1e-300 underflows the narrow cutoff width eta2 to 0.0"
             " (eps 0.1, eta 1e-300)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["regularize", "--group", "101", "--sets", "evens101.txt"],
+        ["bhk", "--group", "101", "--set", "evens101.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_underflowing_eps_in_faithful_mode_is_exit_two(self, workdir, capsys, argv):
+        # faithful mode has no scale, so the narrow width eta2 is blamed on eps
+        argv = [workdir / a if a.endswith(".txt") else a for a in argv]
+        assert run(argv + ["--eps", "1e-300"]) == 2
+        assert capsys.readouterr().err == (
+            "error: eps 1e-300 underflows the narrow cutoff width eta2 to 0.0 (eta 1.0)\n"
         )
 
     def test_non_finite_number_is_exit_two(self, workdir, capsys):

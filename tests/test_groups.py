@@ -1,11 +1,10 @@
 import math
 from functools import reduce
 from operator import xor
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,12 +15,13 @@ from oracles import (
     element_at,
     elements,
     identity,
+    line_loop_outcome,
+    load_outcome,
     neg,
     scalar_mul,
     subgroup_elements,
 )
 
-from arithreg import groups
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
 from arithreg.groups import (
     F2Subgroup,
@@ -67,28 +67,6 @@ def reader_input(draw):
         st.sampled_from(["", "  ", "\t", "\r\n", "\n", ",", "1,2,", "1,2\r\n"]),
     )
     return make_group(factors), draw(st.lists(line, max_size=6))
-
-
-@st.composite
-def empty_field_input(draw):
-    """A group and rows of its rank whose only leniency is empty fields, one or more rows.
-
-    Lines holding only whitespace are a leniency of their own and left out.
-    """
-    factors = draw(small_factors)
-    field = st.integers(-(2**62), 2**62).map(str)
-    commas = st.text(",", max_size=3)
-
-    def lenient(fields):
-        # each field gets commas before it (leading or doubled), the line trailing ones
-        line = "".join(draw(commas) + "," * (j > 0) + f for j, f in enumerate(fields))
-        return line + draw(commas)
-
-    row = st.lists(field, min_size=len(factors), max_size=len(factors)).map(lenient)
-    padded = st.tuples(st.sampled_from(["", " ", "\t"]), row, st.sampled_from(["", " ", "\n"]))
-    lines = draw(st.lists(st.one_of(padded.map("".join), st.just("")), max_size=8))
-    lines.insert(draw(st.integers(0, len(lines))), draw(padded.map("".join)))
-    return make_group(factors), lines
 
 
 def parse_outcome(parse, group, lines):
@@ -156,32 +134,22 @@ class TestMakeGroup:
         lines = [",".join(map(str, r)) + "\n" for r in rows]
         assert parse_indices(g, lines).tolist() == [element(g, r).index for r in rows]
 
-    @given(reader_input())
-    @settings(max_examples=500, deadline=None)
-    def test_parse_indices_matches_the_line_loop(self, case):
-        # the vectorized pass returns what the loop returns, and raises what it raises
+    @given(reader_input(), st.sampled_from(["", "\n"]))
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_parse_indices_matches_the_line_loop(self, tmp_path, case, end):
+        # load_set reads the lines as a file: whatever path it takes, it returns
+        # what the loop returns and raises what it raises
         g, lines = case
-        assert parse_outcome(parse_indices, g, lines) == parse_outcome(
-            groups._parse_lines, g, lines
-        )
-
-    @given(empty_field_input())
-    @settings(max_examples=300, deadline=None)
-    def test_empty_fields_take_the_vectorized_pass(self, case):
-        # dropped in one text pass, then read by np.loadtxt: the loop never runs
-        g, lines = case
-        want = groups._parse_lines(g, lines).tolist()
-        with mock.patch.object(groups, "_parse_lines", side_effect=AssertionError("line loop")):
-            assert parse_indices(g, lines).tolist() == want
+        path = tmp_path / "set.txt"
+        path.write_text("\n".join(lines) + end, encoding="utf-8", newline="")
+        assert load_outcome(g, path) == line_loop_outcome(g, path)
 
     @pytest.mark.parametrize("lines", [[",", "1"], ["1", " ,, "], ["1,\n2,"], ["1,,\r,2"]])
     def test_lines_the_text_pass_leaves_to_the_loop(self, lines):
         # a comma-only line is an error, not a blank line; a line break inside
         # a line stays one line
         g = make_group([5])
-        assert parse_outcome(parse_indices, g, lines) == parse_outcome(
-            groups._parse_lines, g, lines
-        )
         assert parse_outcome(parse_indices, g, lines)[0] is InvalidSpecError
 
     def test_enumeration_guard(self, monkeypatch):

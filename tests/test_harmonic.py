@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_convolve, naive_dft, random_indicator, recursive_wht
-from oracles import constant, element_at, set_file_text
+from oracles import constant, element_at, line_loop_outcome, load_outcome, set_file_text
 
-from arithreg import groups, harmonic
+from arithreg import harmonic
 from arithreg.errors import DomainMismatchError, InvalidSpecError, ResourceBudgetError
-from arithreg.groups import make_group, parse_group
+from arithreg.groups import DEFAULT_MAX_ORDER, make_group, parse_group
 from arithreg.harmonic import (
     DenseFn,
     Spectrum,
@@ -210,15 +213,31 @@ class TestSerialization:
         assert np.array_equal(indicator(g, load_set(g, path)).values, expected.values)
 
     def test_saved_set_parses_without_the_line_loop(self, tmp_path, monkeypatch, rng):
+        # one-digit fields on (Z/2)^12, wider ones up to the seven digits of Z/1000003
         def no_loop(group, lines):
             raise AssertionError("the line loop ran")
 
-        g = make_group([2] * 12)
-        members = rng.permutation(g.order)[:1500].tolist()
+        monkeypatch.setattr(harmonic, "parse_indices", no_loop)
         path = tmp_path / "set.txt"
-        save_set(g, members, path)
-        monkeypatch.setattr(groups, "_parse_lines", no_loop)
-        assert load_set(g, path).tolist() == members
+        for spec in ("2^12", "4097", "2^6x35", "12x18", "1000003"):
+            g = parse_group(spec)
+            members = rng.choice(g.order, min(1500, g.order), replace=False).tolist()
+            save_set(g, members, path)
+            assert load_set(g, path).tolist() == members
+
+    @pytest.mark.parametrize("spec", ["4097", "2^6x35", "2^16", "5x5x5"])
+    def test_benchmark_writer_writes_the_saved_bytes(self, spec, tmp_path, rng):
+        # the benchmark writes its own set files; while they match save_set's,
+        # every one of them takes the byte reader of load_set
+        source = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_inputs", source)
+        inputs = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(inputs)
+        g = parse_group(spec)
+        members = np.sort(rng.choice(g.order, g.order // 3, replace=False))
+        inputs.write_group_set(tmp_path / "bench.txt", g.factors, members)
+        save_set(g, members, tmp_path / "saved.txt")
+        assert (tmp_path / "bench.txt").read_bytes() == (tmp_path / "saved.txt").read_bytes()
 
     @pytest.mark.parametrize("spec", ["2^3x7", "5x5x3", "1x4", "2^6"])
     def test_saved_bytes_match_the_reference_writer(self, spec, tmp_path, rng):
@@ -232,46 +251,43 @@ class TestSerialization:
             assert load_set(g, path).tolist() == members
 
 
-def load_outcome(group, path):
-    try:
-        return load_set(group, path).tolist()
-    except InvalidSpecError as exc:
-        return InvalidSpecError, str(exc)
+@st.composite
+def saved_groups(draw):
+    """Up to four factors, one-digit ones often, the order inside the enumeration guard."""
+    factors: list[int] = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = DEFAULT_MAX_ORDER // math.prod(factors)
+        factors.append(draw(st.integers(1, min(10, room)) | st.integers(1, min(10**6, room))))
+    return make_group(factors)
 
 
-def line_loop_outcome(group, path):
-    """What the line loop makes of the file read as UTF-8 text, line by line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-        return groups._parse_lines(group, lines).tolist()
-    except UnicodeDecodeError as exc:
-        return InvalidSpecError, f"{path} is not UTF-8 text: {exc.reason}"
-    except InvalidSpecError as exc:
-        return InvalidSpecError, str(exc)
-
-
-one_digit_groups = st.lists(st.integers(1, 10), min_size=1, max_size=4).map(make_group)
+# hand-written fields: one digit, or 1-20 digits with leading zeros and values >= m
+written_fields = st.integers(0, 9).map(str) | st.integers(1, 20).flatmap(
+    lambda width: st.text("0123456789", min_size=width, max_size=width))
 
 G25 = make_group([2, 5])
 
 
 class TestOneDigitReader:
+    """The byte reader of the layout `save_set` writes: one-digit fields and wider."""
+
     @given(st.data())
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_one_digit_files_read_as_the_line_loop(self, tmp_path, data):
-        # saved members, and hand-written digits that may be >= m (7 in Z/5)
-        g = data.draw(one_digit_groups)
+        # saved members, and hand-written rows; fields past 18 digits go to the loop
+        g = data.draw(saved_groups())
         members = data.draw(st.lists(st.integers(0, g.order - 1), max_size=40))
-        digit_rows = data.draw(st.lists(
-            st.lists(st.integers(0, 9), min_size=g.rank, max_size=g.rank), max_size=40))
+        field_rows = data.draw(st.lists(
+            st.lists(written_fields, min_size=g.rank, max_size=g.rank), max_size=40))
         saved, written = tmp_path / "saved.txt", tmp_path / "written.txt"
         save_set(g, members, saved)
-        written.write_text("".join(",".join(map(str, row)) + "\n" for row in digit_rows))
-        for path, rows in ((saved, members), (written, digit_rows)):
-            if rows:
-                assert groups._one_digit_indices(g, path.read_bytes()) is not None
+        written.write_text("".join(",".join(row) + "\n" for row in field_rows))
+        assert (harmonic._saved_indices(g, saved.read_bytes()) is None) == (not members)
+        fits = all(len(field) <= 18 for row in field_rows for field in row)
+        assert (harmonic._saved_indices(g, written.read_bytes()) is None) == (
+            not field_rows or not fits)
+        for path in (saved, written):
             assert load_outcome(g, path) == line_loop_outcome(g, path)
         assert load_set(g, saved).tolist() == members
 
@@ -279,43 +295,50 @@ class TestOneDigitReader:
         g = make_group([5, 2, 1])
         path = tmp_path / "set.txt"
         path.write_bytes(b"7,3,9\n5,1,0\n9,9,1\n4,0,0\n")
-        assert groups._one_digit_indices(g, path.read_bytes()).tolist() == [5, 1, 9, 8]
+        assert harmonic._saved_indices(g, path.read_bytes()).tolist() == [5, 1, 9, 8]
         assert load_set(g, path).tolist() == line_loop_outcome(g, path)
 
-    @pytest.mark.parametrize("data", [
-        b"1,0\n0,4",
-        b"1,0\r\n0,4\r\n1,1\r\n0,0\r\n",
-        b"1,0\r0,4\r",
-        b"1,0\n\n\n\n\n0,4\n",
-        b"1,0,\n1,0,\n0,4,\n1,1,\n",
-        b"+1,0\n0,4\n1,1\n",
-        b" 1,0\n0,4\n1,1\n",
-        b"12,0\n0,4\n1,1\n",
-        "\u0661,0\n0,4\n".encode(),
-        b"\xef\xbb\xbf1,0\n0,4\n",
-        b"1,0\n\xff,4\n",
-        b"1,0\n0,4\n\xe2\x82",
-        b"1\n0\n",
-        b"1,0,1,0\n",
-        b"",
+    @pytest.mark.parametrize("data, accepted", [
+        (b"1,0\n0,4", None),
+        (b"1,0\r\n0,4\r\n1,1\r\n0,0\r\n", None),
+        (b"1,0\r0,4\r", None),
+        (b"1,0\n\n\n\n\n0,4\n", None),
+        (b"1,0,\n1,0,\n0,4,\n1,1,\n", None),
+        (b"+1,0\n0,4\n1,1\n", None),
+        (b" 1,0\n0,4\n1,1\n", None),
+        (b"12,0\n0,4\n1,1\n", [0, 4, 6]),
+        ("\u0661,0\n0,4\n".encode(), None),
+        (b"\xef\xbb\xbf1,0\n0,4\n", None),
+        (b"1,0\n\xff,4\n", None),
+        (b"1,0\n0,4\n\xe2\x82", None),
+        (b"1\n0\n", None),
+        (b"1,0,1,0\n", None),
+        (b"", None),
+        (b"1234567890123456789,0\n0,4\n", None),
+        (b"12,0\n,4\n", None),
+        (b"12,0\n\n0,4\n", None),
+        (b"12,0\n+0,14\n", None),
     ], ids=["no-final-newline", "crlf", "cr", "blank-lines", "trailing-comma", "plus-sign",
             "space", "two-digits", "arabic-indic-digit", "bom", "invalid-utf8",
-            "truncated-utf8", "rank-1-lines", "rank-4-line", "empty"])
-    def test_near_layout_files_fall_back_to_the_line_loop(self, data, tmp_path):
+            "truncated-utf8", "rank-1-lines", "rank-4-line", "empty", "19-digits",
+            "empty-field", "wide-blank-line", "wide-plus-sign"])
+    def test_near_layout_files_fall_back_to_the_line_loop(self, data, accepted, tmp_path):
         path = tmp_path / "set.txt"
         path.write_bytes(data)
-        assert groups._one_digit_indices(G25, data) is None
+        got = harmonic._saved_indices(G25, data)
+        assert (None if got is None else got.tolist()) == accepted
         assert load_outcome(G25, path) == line_loop_outcome(G25, path)
 
     def test_enumeration_guard_holds_on_the_byte_path(self, tmp_path, monkeypatch):
+        # one-digit fields on (Z/2)^7, wider ones on Z/101
         monkeypatch.setenv("ARITHREG_MAX_N", "100")
-        g = make_group([2] * 7)
         path = tmp_path / "set.txt"
-        save_set(g, [0, 5, 127], path)
-        with pytest.raises(ResourceBudgetError):
-            groups._one_digit_indices(g, path.read_bytes())
-        with pytest.raises(ResourceBudgetError):
-            load_set(g, path)
+        for g in (make_group([2] * 7), make_group([101])):
+            save_set(g, [0, 5, g.order - 1], path)
+            with pytest.raises(ResourceBudgetError):
+                harmonic._saved_indices(g, path.read_bytes())
+            with pytest.raises(ResourceBudgetError):
+                load_set(g, path)
 
     def test_saved_f2_set_loads_as_bytes_in_little_memory(self, tmp_path, monkeypatch, rng):
         # neither text decoding nor the text parser runs, and the peak stays
@@ -337,3 +360,23 @@ class TestOneDigitReader:
             tracemalloc.stop()
         assert got.tolist() == members
         assert peak < 3 * path.stat().st_size
+
+    def test_saved_cyclic_set_loads_as_bytes_in_little_memory(self, tmp_path, monkeypatch, rng):
+        # five-digit fields: one scan and a vector pass per digit place, no text
+        def refuse(*args):
+            raise AssertionError("the text path ran")
+
+        g = parse_group("65537")
+        members = rng.permutation(g.order)[: 1 << 15].tolist()
+        path = tmp_path / "set.txt"
+        save_set(g, members, path)
+        for name in ("read_lines", "_text_lines", "parse_indices"):
+            monkeypatch.setattr(harmonic, name, refuse)
+        tracemalloc.start()
+        try:
+            got = load_set(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == members
+        assert peak < 12 * path.stat().st_size
