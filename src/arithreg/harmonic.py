@@ -301,7 +301,7 @@ def save_set(group: GroupSpec, members: Iterable[int], path) -> None:
 
 
 def _saved_indices(group: GroupSpec, data: bytes) -> np.ndarray | None:
-    """Canonical indices of a set file in the layout `save_set` writes, or None for any other bytes.
+    """Canonical indices of a file in the layout `save_set` writes, or None for any other bytes.
 
     The layout: each line is `group.rank` unsigned decimal fields joined by
     ',' and ended by '\\n'.  Read as bytes, no text is decoded or split, and
