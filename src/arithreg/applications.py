@@ -59,7 +59,8 @@ class IntegerSet:
             raise DomainMismatchError("n_max must be >= 1")
         ms = tuple(sorted(set(int(m) for m in self.members)))
         if ms and (ms[0] < 1 or ms[-1] > self.n_max):
-            raise DomainMismatchError(f"members must lie in [1, {self.n_max}]")
+            bad = next(m for m in self.members if not 1 <= int(m) <= self.n_max)
+            raise DomainMismatchError(f"members must lie in [1, {self.n_max}], got {bad}")
         object.__setattr__(self, "members", ms)
 
     @property
@@ -180,6 +181,8 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
     (alpha^3 - eps) N, and the full ap3_table rides along.  Odd group order
     is required (2 must be invertible).
     """
+    if eps <= 0:
+        raise DomainMismatchError(f"need eps > 0, got eps {eps}")
     group = A.group
     if group.order % 2 == 0:
         raise DomainMismatchError("progression witness search needs odd group order")
@@ -236,6 +239,8 @@ def bhk_witness_interval(A: IntegerSet, eps: float) -> BhkIntervalWitness:
     Only |d| <= eps * n_max is searched (counts for -d mirror those for d);
     the count is compared against (alpha^3 - 47 eps) N.
     """
+    if eps <= 0:
+        raise DomainMismatchError(f"need eps > 0, got eps {eps}")
     n = A.n_max
     if not math.isfinite(eps * n):
         raise DomainMismatchError(f"eps * n_max = {eps * n} must be finite")

@@ -23,6 +23,7 @@ from .applications import (
     bhk_witness_group,
     bhk_witness_interval,
     build_tower_function,
+    nu_mass_identity,
     nu_mass_spectral,
     nu_weight,
     sum_free_decompose,
@@ -31,7 +32,9 @@ from .applications import (
 )
 from .bohr import (
     check_bohr_growth,
+    check_cutoff_property,
     check_drawn_part,
+    fine_width,
     make_cutoff,
     random_frequency_set,
     tail_bound,
@@ -56,7 +59,7 @@ from .harmonic import (
     read_lines,
     zero_sum_count,
 )
-from .reg_f2 import regularize_f2, remove_triangles_f2
+from .reg_f2 import regularize_f2, remove_triangles_f2, triangle_count_exact
 from .reg_general import RegPair, regularize, trivial_pair, zero_sum_removal
 
 
@@ -73,6 +76,12 @@ def _load_integer_set(n: int, path: str) -> IntegerSet:
             except ValueError as exc:
                 raise InvalidSpecError(f"bad integer {line!r} in {path}") from exc
     return IntegerSet(n, tuple(members))
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidSpecError("--seed must be >= 0")
+    return np.random.default_rng(seed)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -303,9 +312,7 @@ def cmd_tower(args) -> dict:
 
 def cmd_bohr_check(args) -> dict:
     group = parse_group(args.group)
-    if args.seed < 0:
-        raise InvalidSpecError("--seed must be >= 0")
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     fs = random_frequency_set(group, args.d, rng)
     reports = [check_bohr_growth(fs, args.delta).to_dict()]
     cutoff = make_cutoff(fs, args.delta)
@@ -315,6 +322,94 @@ def cmd_bohr_check(args) -> dict:
     for part in args.parts:
         reports.append(check_drawn_part(part, fs, args.delta, args.tau, args.delta2, rng).to_dict())
     return {"group": str(group), "chars": [list(c.freqs) for c in fs.chars], "checks": reports}
+
+
+# Each sweep kind is one seeded loop over draws or densities.  A fixed config
+# makes the same rng draws in the same order, so its rows are reproducible.
+
+def _cutoff_slack_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
+    """lhs/rhs of the tail bound and cutoff parts iii and vii at random Gamma and widths"""
+    rows = []
+    for _ in range(args.draws):
+        d = int(rng.integers(1, 4))
+        delta = float(rng.uniform(0.02, 0.45))
+        eta = float(rng.uniform(0.05, 0.5))
+        fs = random_frequency_set(group, d, rng)
+        cutoff = make_cutoff(fs, delta)
+        sup_rep = check_cutoff_property("iii", fs, delta)
+        gamma2 = fs.extend(random_frequency_set(group, 1, rng).chars)
+        tau = 0.2
+        d2 = fine_width(delta, tau, gamma2.d) * 0.9
+        smooth_rep = check_cutoff_property(
+            "vii", fs, delta, gamma2=gamma2, delta2=d2, tau=tau
+        )
+        rows.append(
+            {
+                "d": d,
+                "delta": delta,
+                "eta": eta,
+                "tail": {"lhs": tail_mass(cutoff, eta), "rhs": tail_bound(cutoff, eta)},
+                "sup": {"lhs": sup_rep.lhs, "rhs": sup_rep.rhs},
+                "smoothing": {"lhs": smooth_rep.lhs, "rhs": smooth_rep.rhs},
+            }
+        )
+    return {"rows": rows}
+
+
+def _progression_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
+    """best common difference of random sets on a group of odd order, and the nu mass"""
+    rows = []
+    for density in args.densities:
+        A = DenseFn(group, (rng.uniform(size=group.order) < density).astype(float))
+        w = bhk_witness_group(A, args.eps)
+        rows.append(
+            {
+                "density": density,
+                "alpha": w.alpha,
+                "best_d": w.d_index,
+                "best_count": w.count,
+                "target": w.bound,
+                "target_met": w.bound_ok,
+                "mean_over_d": float(w.table[1:].mean()),
+            }
+        )
+    nu_total, t_value = nu_mass_identity(trivial_pair(group, 3, args.eps))
+    return {"rows": rows, "nu_mass": nu_total, "nu_mass_spectral": t_value}
+
+
+def _removal_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
+    """triangle removal on random sets of (Z/2)^n against the 3 eps^(1/3) N bound"""
+    order = group.order
+    rows = []
+    for density in args.densities:
+        A = DenseFn(group, (rng.uniform(size=order) < density).astype(float))
+        before = triangle_count_exact(A)
+        _, removed, cert = remove_triangles_f2(A)
+        rows.append(
+            {
+                "density": density,
+                "size": int(A.values.sum()),
+                "triangles_before": before,
+                "removed": removed,
+                "pipeline": cert["pipeline"],
+                "eps": cert["eps"],
+                "bound": 3.0 * cert["eps"] ** (1.0 / 3.0) * order,
+                "bound_ok": cert["removal_bound_ok"],
+            }
+        )
+    return {"rows": rows}
+
+
+_SWEEPS = {
+    "cutoff-slack": _cutoff_slack_rows,
+    "progression": _progression_rows,
+    "removal": _removal_rows,
+}
+
+
+def cmd_sweep(args) -> dict:
+    group = parse_group(args.group)
+    return {"group": str(group)} | _SWEEPS[args.kind](group, args, _seeded_rng(args.seed))
 
 
 def cmd_selfcheck(args) -> dict:
@@ -506,6 +601,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "extra character in this order, and viii then its f")
     common(sp)
     sp.set_defaults(func=cmd_bohr_check)
+
+    sp = sub.add_parser("sweep", help="seeded experiment sweeps, one report row per draw "
+                        "or density")
+    kinds = sp.add_subparsers(dest="kind", required=True)
+
+    def kind(name, group):
+        kp = kinds.add_parser(name, help=_SWEEPS[name].__doc__)
+        kp.add_argument("--group", default=group)
+        kp.add_argument("--seed", type=int, default=0)
+        common(kp)
+        kp.set_defaults(func=cmd_sweep)
+        return kp
+
+    kind("cutoff-slack", "101").add_argument("--draws", type=int, default=40)
+    kp = kind("progression", "501")
+    kp.add_argument("--eps", type=finite_float, default=0.05)
+    kp.add_argument("--densities", type=finite_float, nargs="*", default=[0.2, 0.3, 0.5])
+    kind("removal", "2^8").add_argument("--densities", type=finite_float, nargs="*",
+                                        default=[0.1, 0.2, 0.3, 0.5, 0.7])
 
     sp = sub.add_parser("selfcheck", help="run the pinned oracle suites")
     common(sp)

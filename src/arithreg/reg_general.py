@@ -88,8 +88,10 @@ class RegPair:
             raise DomainMismatchError(f"scaled mode needs scale > 0, got scale {scale}")
         if not 0.0 < eta <= 1.0:
             raise DomainMismatchError("eta must lie in (0, 1]")
-        if eps <= 0 or k < 1:
-            raise DomainMismatchError("need eps > 0 and k >= 1")
+        if eps <= 0:
+            raise DomainMismatchError(f"need eps > 0, got eps {eps}")
+        if k < 1:
+            raise DomainMismatchError(f"need k >= 1, got k {k}")
         self.chars = chars
         self.eta = float(eta)
         self.k = int(k)

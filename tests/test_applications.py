@@ -211,6 +211,14 @@ class TestBhkWitness:
         with pytest.raises(DomainMismatchError):
             bhk_witness_group(constant(make_group([1]), 1.0), 0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_nonpositive_eps_rejected(self, eps):
+        # the witness itself names eps; the nu pair no longer has to catch it
+        with pytest.raises(DomainMismatchError, match=f"got eps {eps}$"):
+            bhk_witness_group(constant(G101, 1.0), eps)
+        with pytest.raises(DomainMismatchError, match=f"got eps {eps}$"):
+            bhk_witness_interval(IntegerSet(60, tuple(range(1, 61))), eps)
+
 
 class TestBhkInterval:
     def test_full_interval(self):

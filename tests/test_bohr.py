@@ -437,7 +437,7 @@ class TestCutoffCache:
         assert len(built) == len(set(built)) == 6
 
     def test_survey_draw_builds_two_cutoffs(self, built, rng):
-        # one draw of scripts/cutoff_slack_survey.py
+        # one draw of `arithreg sweep cutoff-slack`
         g = make_group([101])
         fs = random_frequency_set(g, 2, rng)
         delta = 0.2

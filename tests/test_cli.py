@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from arithreg.bohr import fine_width, part_iv_width, part_ix_width
-from arithreg.cli import main
+from arithreg.cli import _build_parser, main
 from arithreg.groups import make_group, parse_group
 from arithreg.harmonic import save_set
 
@@ -502,6 +503,26 @@ class TestExitCodes:
     def test_non_finite_number_is_exit_two(self, workdir, capsys):
         assert run(["bhk", "--interval", "32", "--set", workdir / "odds.txt", "--eps", "nan"]) == 2
 
+    @pytest.mark.parametrize("eps", ["0", "-0.5"])
+    @pytest.mark.parametrize("argv", [
+        ["bhk", "--interval", "32", "--set", "odds.txt"],
+        ["bhk", "--group", "101", "--set", "evens101.txt"],
+        ["sumfree", "--n", "32", "--set", "odds.txt"],
+    ], ids=["bhk-interval", "bhk-group", "sumfree"])
+    def test_nonpositive_eps_is_exit_two(self, workdir, capsys, argv, eps):
+        argv = [workdir / a if a.endswith(".txt") else a for a in argv]
+        assert run(argv + ["--eps", eps]) == 2
+        assert capsys.readouterr().err == f"error: need eps > 0, got eps {float(eps)}\n"
+
+    @pytest.mark.parametrize("text, bad", [("5\n21\n0\n", 21), ("5\n0\n21\n", 0)])
+    @pytest.mark.parametrize("cmd", [["bhk", "--interval", "20"], ["sumfree", "--n", "20"]],
+                             ids=["bhk-interval", "sumfree"])
+    def test_integer_member_out_of_range_is_named(self, cmd, text, bad, tmp_path, capsys):
+        path = tmp_path / "ints.txt"
+        path.write_text(text)
+        assert run(cmd + ["--set", path, "--eps", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: members must lie in [1, 20], got {bad}\n"
+
     @pytest.mark.parametrize("argv", [
         ["regularize", "--group", "101", "--sets", "evens101.txt", "--eps", "1e100"],
         ["remove", "--group", "101", "--sets"] + ["evens101.txt"] * 3 + ["--eps", "1e100"],
@@ -617,3 +638,74 @@ class TestDeterminism:
         assert run(cmd + ["--out", a]) == 0
         assert run(cmd + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSweep:
+    # rows, sizes, deletions, routes and best differences as the experiment
+    # loops reported them before they moved into the CLI
+    def test_removal_rows_name_a_known_pipeline(self, capsys):
+        assert run(["sweep", "removal", "--group", "2^6", "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = payload["report"]["rows"]
+        assert payload["report"]["group"] == "2x2x2x2x2x2" and len(rows) == 5
+        assert [r["size"] for r in rows] == [5, 10, 19, 26, 42]
+        assert [r["removed"] for r in rows] == [5, 10, 19, 26, 42]
+        assert [r["pipeline"] for r in rows] == ["reduced-set"] * 5
+        assert all(r["removed"] <= r["size"] for r in rows)
+
+    def test_progression_rows_pin_the_best_difference(self, capsys):
+        assert run(["sweep", "progression", "--group", "31", "--densities", "0.3"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert [r["best_d"] for r in report["rows"]] == [1]
+        assert report["rows"][0]["best_count"] == 1.0
+        assert report["nu_mass"] == pytest.approx(1.0) == report["nu_mass_spectral"]
+        assert run(["sweep", "progression", "--group", "501", "--seed", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["rows"]
+        assert [r["best_d"] for r in rows] == [12, 179, 179]
+
+    def test_cutoff_slack_rows_follow_the_draws(self, capsys):
+        assert run(["sweep", "cutoff-slack", "--group", "31", "--draws", "2"]) == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["rows"]
+        assert [r["d"] for r in rows] == [3, 3]
+        assert [round(r["delta"], 6) for r in rows] == [0.136008, 0.412485]
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["cutoff-slack", "--group", "5x5x3", "--draws", "3", "--seed", "3"],
+         {"group", "draws", "seed"}),
+        (["progression", "--group", "31", "--seed", "2"], {"group", "eps", "seed", "densities"}),
+        (["removal", "--group", "2^5", "--seed", "4"], {"group", "seed", "densities"}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    def test_reports_are_byte_identical_on_stdout_and_out(self, argv, flags, tmp_path, capsys):
+        outs = []
+        for _ in range(2):
+            assert run(["sweep", *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert run(["sweep", *argv, "--out", tmp_path / "r.json"]) == 0
+        assert outs[0] == outs[1] == (tmp_path / "r.json").read_text()
+        # the config holds the kind's own flags and nothing from the other kinds
+        config = json.loads(outs[0])["config"]
+        assert set(config) == flags | {"command", "kind", "format"}
+        assert config["kind"] == argv[0]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["cutoff-slack", "--seed", "-1"], "--seed must be >= 0"),
+        (["progression", "--seed", "-1"], "--seed must be >= 0"),
+        (["removal", "--seed", "-1"], "--seed must be >= 0"),
+        (["progression", "--group", "30"], "progression witness search needs odd group order"),
+        (["removal", "--group", "3^3"], "operation requires (Z/2)^n, got 3x3x3"),
+    ])
+    def test_usage_errors_are_exit_two(self, argv, err, capsys):
+        assert run(["sweep", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_readme_cli_examples_parse():
+    # parsing opens no file, so the examples need none of their inputs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("arithreg ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -1,7 +1,7 @@
 """Every public top-level name of arithreg, and every public method of a public
 class, has a caller outside the tests.
 
-A name passes when some Python file under src/, scripts/ or perfbench/ reaches
+A name passes when some Python file under src/ or perfbench/ reaches
 it as module.name, imports it from its module, or loads it as a bare name
 inside its own module; or when ALLOWED gives the reason it stays although
 only the tests use it.  A bare name elsewhere is not enough: a parameter
@@ -46,7 +46,7 @@ def _defined(path: Path):
 def _loaded() -> set[str]:
     """module.name for every use above; .method for every attribute load."""
     names = set()
-    for folder in ("src", "scripts", "perfbench"):
+    for folder in ("src", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             own = path.stem if path.parent.name == "arithreg" else None
             for node in ast.walk(ast.parse(path.read_text())):

@@ -258,6 +258,15 @@ class TestPairConstruction:
             RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "scaled", scale)
         assert RegPair(make_frequency_set(G101), 0.3, 1, 0.3, "scaled", 1e-300).scale == 1e-300
 
+    @pytest.mark.parametrize("k, eps, err", [
+        (1, 0.0, "need eps > 0, got eps 0.0$"),
+        (3, -0.5, "need eps > 0, got eps -0.5$"),
+        (0, 0.3, "need k >= 1, got k 0$"),
+    ])
+    def test_rejection_names_the_one_value(self, k, eps, err):
+        with pytest.raises(DomainMismatchError, match=err):
+            RegPair(make_frequency_set(G101), 0.3, k, eps)
+
 
 class TestCovering:
     def test_single_element(self, rng):
