@@ -1,6 +1,7 @@
 """Batch experiment driver.
 
-One command per process; every report embeds the parsed config, the seed and
+One command per process, and a process builds the parser of its own command
+only (with the top level); every report embeds the parsed config, the seed and
 the library version, and is serialized with sorted keys so a fixed config
 reproduces identical bytes.  A failed inequality is report data; nonzero
 exit codes are reserved for usage errors (2), resource budgets (3) and
@@ -59,7 +60,7 @@ from .harmonic import (
     read_lines,
     zero_sum_count,
 )
-from .reg_f2 import regularize_f2, remove_triangles_f2, triangle_count_exact
+from .reg_f2 import _require_f2, regularize_f2, remove_triangles_f2, triangle_count_exact
 from .reg_general import RegPair, regularize, trivial_pair, zero_sum_removal
 
 
@@ -279,18 +280,11 @@ def cmd_sumfree(args) -> dict:
 
 def cmd_tower(args) -> dict:
     spec, f = build_tower_function(args.n, args.depth, args.seed)
+    kept = ("escaping_fraction", "min_coefficient_ratio", "threshold", "coefficient_bound_ok")
     level_checks = []
     for i in spec.levels:
         chk = verify_tower_step(spec, f, spec.chain[i], i, args.eps)
-        level_checks.append(
-            {
-                "i": i,
-                "escaping_fraction": chk["escaping_fraction"],
-                "min_coefficient_ratio": chk["min_coefficient_ratio"],
-                "threshold": chk["threshold"],
-                "coefficient_bound_ok": chk["coefficient_bound_ok"],
-            }
-        )
+        level_checks.append({"i": i} | {k: chk[k] for k in kept})
     report = {
         "n": args.n,
         "depth": args.depth,
@@ -329,6 +323,8 @@ def cmd_bohr_check(args) -> dict:
 
 def _cutoff_slack_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
     """lhs/rhs of the tail bound and cutoff parts iii and vii at random Gamma and widths"""
+    if args.draws < 0:
+        raise InvalidSpecError("--draws must be >= 0")
     rows = []
     for _ in range(args.draws):
         d = int(rng.integers(1, 4))
@@ -379,6 +375,7 @@ def _progression_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
 
 def _removal_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
     """triangle removal on random sets of (Z/2)^n against the 3 eps^(1/3) N bound"""
+    _require_f2(group)
     order = group.order
     rows = []
     for density in args.densities:
@@ -512,23 +509,19 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="arithreg", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp):
+    sp.add_argument("--out", help="write the report to this path instead of stdout")
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
 
-    def common(sp):
-        sp.add_argument("--out", help="write the report to this path instead of stdout")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
-    sp = sub.add_parser("regularize-f2", help="subgroup regularization on (Z/2)^n")
+def _regularize_f2_args(sp):
     sp.add_argument("--group", required=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--eps", type=finite_float, required=True)
     sp.add_argument("--trace")
-    common(sp)
-    sp.set_defaults(func=cmd_regularize_f2)
 
-    sp = sub.add_parser("regularize", help="pair regularization on a general group")
+
+def _regularize_args(sp):
     sp.add_argument("--group", required=True)
     sp.add_argument("--sets", nargs="+", required=True)
     sp.add_argument("--eps", type=finite_float, required=True)
@@ -537,44 +530,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=64)
     sp.add_argument("--trace")
     sp.add_argument("--seed-characters", choices=["none", "interval"], default="none")
-    common(sp)
-    sp.set_defaults(func=cmd_regularize)
 
-    sp = sub.add_parser("count", help="zero-sum tuple count across sets")
+
+def _count_args(sp):
     sp.add_argument("--group", required=True)
     sp.add_argument("--sets", nargs="+", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("remove", help="triangle / zero-sum removal")
+
+def _remove_args(sp):
     sp.add_argument("--group", required=True)
     sp.add_argument("--sets", nargs="+", required=True)
     sp.add_argument("--eps", type=finite_float, default=0.0)
     sp.add_argument("--mode", choices=["faithful", "scaled"], default="scaled")
     sp.add_argument("--scale", type=finite_float, default=1.0)
     sp.add_argument("--budget", type=int, default=64)
-    common(sp)
-    sp.set_defaults(func=cmd_remove)
 
-    sp = sub.add_parser("bhk", help="three-term progression density witness")
+
+def _bhk_args(sp):
     sp.add_argument("--group")
     sp.add_argument("--interval", type=int)
     sp.add_argument("--set", required=True)
     sp.add_argument("--eps", type=finite_float, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_bhk)
 
-    sp = sub.add_parser("sumfree", help="sum-free decomposition over [1, N]")
+
+def _sumfree_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--eps", type=finite_float, required=True)
     sp.add_argument("--mode", choices=["faithful", "scaled"], default="scaled")
     sp.add_argument("--scale", type=finite_float, default=1.0)
     sp.add_argument("--budget", type=int, default=64)
-    common(sp)
-    sp.set_defaults(func=cmd_sumfree)
 
-    sp = sub.add_parser("tower", help="tower-type hard instance construction")
+
+def _tower_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument(
@@ -584,10 +572,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--eps", type=finite_float, default=0.04)
     sp.add_argument("--verify", help="file of subgroup basis elements to check")
-    common(sp)
-    sp.set_defaults(func=cmd_tower)
 
-    sp = sub.add_parser("bohr-check", help="Bohr cutoff inequality suite")
+
+def _bohr_check_args(sp):
     sp.add_argument("--group", required=True)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--delta", type=finite_float, default=0.1)
@@ -599,18 +586,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--parts", nargs="*", default=["i", "ii", "iii", "v", "vii"],
                     help="cutoff parts i-ix, in any case; parts vi-ix each draw one "
                     "extra character in this order, and viii then its f")
-    common(sp)
-    sp.set_defaults(func=cmd_bohr_check)
 
-    sp = sub.add_parser("sweep", help="seeded experiment sweeps, one report row per draw "
-                        "or density")
+
+def _sweep_args(sp):
     kinds = sp.add_subparsers(dest="kind", required=True)
 
     def kind(name, group):
         kp = kinds.add_parser(name, help=_SWEEPS[name].__doc__)
         kp.add_argument("--group", default=group)
         kp.add_argument("--seed", type=int, default=0)
-        common(kp)
+        _common(kp)
         kp.set_defaults(func=cmd_sweep)
         return kp
 
@@ -621,15 +606,44 @@ def _build_parser() -> argparse.ArgumentParser:
     kind("removal", "2^8").add_argument("--densities", type=finite_float, nargs="*",
                                         default=[0.1, 0.2, 0.3, 0.5, 0.7])
 
-    sp = sub.add_parser("selfcheck", help="run the pinned oracle suites")
-    common(sp)
-    sp.set_defaults(func=cmd_selfcheck)
 
+# name -> (help, add-arguments function, func); sweep's func is None because
+# each of its kinds is a command of its own, with its own func and output flags
+_COMMANDS = {
+    "regularize-f2": ("subgroup regularization on (Z/2)^n", _regularize_f2_args,
+                      cmd_regularize_f2),
+    "regularize": ("pair regularization on a general group", _regularize_args, cmd_regularize),
+    "count": ("zero-sum tuple count across sets", _count_args, cmd_count),
+    "remove": ("triangle / zero-sum removal", _remove_args, cmd_remove),
+    "bhk": ("three-term progression density witness", _bhk_args, cmd_bhk),
+    "sumfree": ("sum-free decomposition over [1, N]", _sumfree_args, cmd_sumfree),
+    "tower": ("tower-type hard instance construction", _tower_args, cmd_tower),
+    "bohr-check": ("Bohr cutoff inequality suite", _bohr_check_args, cmd_bohr_check),
+    "sweep": ("seeded experiment sweeps, one report row per draw or density", _sweep_args, None),
+    "selfcheck": ("run the pinned oracle suites", lambda sp: None, cmd_selfcheck),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or the top level and one sub-parser when command names a command."""
+    p = argparse.ArgumentParser(prog="arithreg", description=__doc__)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a one-command build still lists every command, so its usage and errors stay the same
+    every = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_, add_arguments, func = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        add_arguments(sp)
+        if func:
+            _common(sp)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from arithreg.bohr import fine_width, part_iv_width, part_ix_width
+from arithreg import cli
 from arithreg.cli import _build_parser, main
 from arithreg.groups import make_group, parse_group
 from arithreg.harmonic import save_set
@@ -693,10 +695,105 @@ class TestSweep:
         (["removal", "--seed", "-1"], "--seed must be >= 0"),
         (["progression", "--group", "30"], "progression witness search needs odd group order"),
         (["removal", "--group", "3^3"], "operation requires (Z/2)^n, got 3x3x3"),
+        (["removal", "--group", "6", "--densities"], "operation requires (Z/2)^n, got 6"),
+        (["cutoff-slack", "--draws", "-3"], "--draws must be >= 0"),
     ])
     def test_usage_errors_are_exit_two(self, argv, err, capsys):
         assert run(["sweep", *argv]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_no_draws_is_an_empty_sweep(self, capsys):
+        assert run(["sweep", "cutoff-slack", "--draws", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["rows"] == []
+
+
+# each command with its required flags, which parse without opening a file
+REQUIRED = {
+    "regularize-f2": ["--group", "2^4", "--set", "s.txt", "--eps", "0.1"],
+    "regularize": ["--group", "5", "--sets", "s.txt", "--eps", "0.1"],
+    "count": ["--group", "5", "--sets", "s.txt"],
+    "remove": ["--group", "5", "--sets", "s.txt"],
+    "bhk": ["--set", "s.txt", "--eps", "0.1"],
+    "sumfree": ["--n", "5", "--set", "s.txt", "--eps", "0.1"],
+    "tower": ["--n", "5", "--depth", "1"],
+    "bohr-check": ["--group", "5"],
+    "sweep": ["removal"],
+    "selfcheck": [],
+}
+
+
+def _error_and_help_matrix():
+    cases = [[], ["-h"], ["frobnicate"], ["--out", "r.json", "count"], ["--bogus"]]
+    for name, required in REQUIRED.items():
+        cases += [
+            [name, "-h"],
+            [name, *required, "--format", "xml"],
+            [name, *required, "--bogus", "1"],
+        ]
+        if required:
+            cases.append([name, *required[:-2]])
+    return cases + [["sweep", "frobnicate"], ["sweep", "removal", "-h"]]
+
+
+class TestParserBuild:
+    """main builds the top level and only the sub-parser its first token names.
+
+    Help, errors and parsed namespaces are those of the whole parser.
+    """
+
+    def test_every_command_has_a_matrix_row(self):
+        assert list(REQUIRED) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", _error_and_help_matrix(), ids=" ".join)
+    def test_output_and_exit_code_match_the_whole_parser(self, argv, capsys, monkeypatch):
+        got = main(argv), *capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: _build_parser())
+        assert got == (main(argv), *capsys.readouterr())
+        assert got[0] in (0, 2) and (got[1] or got[2])
+
+    @pytest.mark.parametrize("argv, tail", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+         + ", ".join(map(repr, cli._COMMANDS)) + ")"),
+    ])
+    def test_whole_parser_errors_name_the_command_argument(self, argv, tail, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"arithreg: error: {tail}\n")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # count every parser made, sub-parsers included; no timing
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return made
+
+    @pytest.mark.parametrize("argv, parsers, code", [
+        (["count", "--group", "5", "--sets", "{full5}", "{full5}"], 2, 0),
+        # the sweep sub-parser and its three kinds
+        (["sweep", "cutoff-slack", "--group", "31", "--draws", "0"], 5, 0),
+        (["selfcheck", "-h"], 2, 0),
+        (["-h"], 14, 0),
+        (["frobnicate"], 14, 2),
+        ([], 14, 2),
+    ])
+    def test_parsers_built_per_call(self, argv, parsers, code, built, workdir, capsys):
+        assert main([a.format(full5=workdir / "full5.txt") for a in argv]) == code
+        assert len(built) == parsers
+
+    def test_entry_point_reads_sys_argv_and_builds_one_command(
+        self, built, workdir, monkeypatch, capsys
+    ):
+        argv = ["count", "--group", "5", "--sets", *[str(workdir / "full5.txt")] * 2]
+        monkeypatch.setattr(sys, "argv", ["arithreg", *argv])
+        assert main() == 0 and len(built) == 2
+        out = capsys.readouterr().out
+        assert main(argv) == 0 and capsys.readouterr().out == out
 
 
 def test_readme_cli_examples_parse():
@@ -707,5 +804,7 @@ def test_readme_cli_examples_parse():
     assert len(lines) >= 10
     parser = _build_parser()
     for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
         assert callable(args.func), line
+        assert _build_parser(argv[0]).parse_args(argv) == args, line
