@@ -205,15 +205,20 @@ def bhk_witness_group(A: DenseFn, eps: float) -> BhkGroupWitness:
     )
 
 
+def _member_bits(A: IntegerSet) -> np.ndarray:
+    """A's 0/1 array over [0, n_max]."""
+    bits = np.zeros(A.n_max + 1, dtype=bool)
+    bits[np.array(A.members, dtype=np.intp)] = True
+    return bits
+
+
 def _interval_ap3_counts(A: IntegerSet, d_max: int) -> np.ndarray:
     """ap3_count(A, d) for d = 1, ..., d_max at entry d - 1, as int64.
 
     One AND of three slices of the 0/1 array over [0, n] per d; d_max is at
     most max(1, (n - 1) // 2), so no slice bound goes negative.
     """
-    n = A.n_max
-    x = np.zeros(n + 1, dtype=bool)
-    x[np.array(A.members, dtype=np.intp)] = True
+    n, x = A.n_max, _member_bits(A)
     return np.array(
         [
             np.count_nonzero(x[1 : n + 1 - 2 * d] & x[1 + d : n + 1 - d] & x[1 + 2 * d :])
@@ -303,9 +308,14 @@ def nu_mass_identity(pair: RegPair) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def schur_triples(A: IntegerSet) -> int:
-    """Ordered pairs (x, y) in A^2 with x + y in A."""
-    mem = set(A.members)
-    return sum(1 for x in A.members for y in A.members if x + y in mem)
+    """Ordered pairs (x, y) in A^2 with x + y in A.
+
+    For each member x, the y are the members that stay members shifted up by
+    x: one AND of two slices of A's 0/1 array over [0, n], counted exactly and
+    with no transform, so the count is independent of the removal it checks.
+    """
+    n, bits = A.n_max, _member_bits(A)
+    return sum(int(np.count_nonzero(bits[x:] & bits[: n + 1 - x])) for x in A.members)
 
 
 def sum_free_decompose(
@@ -383,12 +393,12 @@ def _verify_spanning(masks: np.ndarray, f_dim: int, m: int) -> bool:
     return bool(np.max(zero_counts[1:]) < need) if f_dim > 0 else True
 
 
-def spanning_family(m: int, seed: int, retries: int = 64) -> np.ndarray:
+def spanning_family(m: int, seed: int) -> np.ndarray:
     """m nonzero vectors in F2^{growth_step(m)}, no 95% of which fit under a hyperplane.
 
     Below m = 20 a basis is returned (the only qualifying subset is the full
     set, which spans); from 20 on a seeded random family is drawn and
-    verified exhaustively over all nonzero duals.
+    verified exhaustively over all nonzero duals, up to 64 draws.
     """
     f_dim = growth_step(m)
     if f_dim > DUAL_SWEEP_MAX_DIM:
@@ -400,14 +410,12 @@ def spanning_family(m: int, seed: int, retries: int = 64) -> np.ndarray:
         if not _verify_spanning(masks, f_dim, m):
             raise InternalCheckError("basis family failed the spanning check")
         return masks
-    for attempt in range(retries):
+    for attempt in range(64):
         rng = np.random.default_rng([int(seed), attempt])
         masks = rng.integers(1, 1 << f_dim, size=m, dtype=np.int64)
         if _verify_spanning(masks, f_dim, m):
             return masks
-    raise RetryExhaustedError(
-        f"no spanning family found in {retries} attempts; try another seed"
-    )
+    raise RetryExhaustedError("no spanning family found in 64 attempts; try another seed")
 
 
 @dataclass

@@ -68,7 +68,7 @@ def make_frequency_set(group: GroupSpec, chars: Sequence[Character] = ()) -> Fre
     return FrequencySet(group, tuple(dict.fromkeys(chars)))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4)  # N int64s a set, reused within a step: the last four sets
 def norm_numerators(fs: FrequencySet) -> np.ndarray:
     """Integer numerators of ||x||_Gamma over the denominator lcm(factors).
 
@@ -193,6 +193,12 @@ def make_cutoff(gamma: FrequencySet, delta: float) -> BohrCutoff:
     are read-only.
     """
     return BohrCutoff(gamma, delta)
+
+
+def smoothing_l1(coarse: BohrCutoff, fine: BohrCutoff) -> float:
+    """||psi * psi' - psi||_1 for psi of coarse and psi' of fine, from their stored transforms."""
+    smoothed = convolve_spectra(coarse.psi_hat, fine.psi_hat).values
+    return float(np.sum(np.abs(smoothed - coarse.psi.values)))
 
 
 def tail_sum(fs: FrequencySet, f: DenseFn, eta: float) -> float:
@@ -360,8 +366,7 @@ def _part_vi(part, cutoff, delta, *, gamma2, delta2, tau, m):
 
 def _part_vii(part, cutoff, delta, *, gamma2, delta2, tau):
     fine, hyp, details = _finer(cutoff, delta, gamma2, delta2, tau)
-    smoothed = convolve_spectra(cutoff.psi_hat, fine.psi_hat).values
-    lhs = float(np.sum(np.abs(smoothed - cutoff.psi.values)))
+    lhs = smoothing_l1(cutoff, fine)
     return IneqReport(part, lhs=lhs, rhs=tau, holds=lhs <= tau, hypothesis_ok=hyp, details=details)
 
 

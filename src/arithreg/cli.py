@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,7 +61,8 @@ from .harmonic import (
     read_lines,
     zero_sum_count,
 )
-from .reg_f2 import _require_f2, regularize_f2, remove_triangles_f2, triangle_count_exact
+from .reg_f2 import (_require_f2, regularize_f2, removal_bound, remove_triangles_f2,
+                     triangle_count_exact)
 from .reg_general import RegPair, regularize, trivial_pair, zero_sum_removal
 
 
@@ -86,6 +88,9 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
+    # --trace of the regularize commands writes the report's trace first
+    if getattr(args, "trace", None):
+        _write(args.trace, json.dumps(report["trace"], sort_keys=True, indent=2, default=_jsonable))
     # the output path is not part of the experiment: identical configs must
     # produce identical bytes wherever the report lands
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
@@ -151,15 +156,12 @@ def cmd_regularize_f2(args) -> dict:
         raise InvalidSpecError("regularize-f2 needs a group of the form 2^n")
     A = _load_indicator(group, args.set)
     rep = regularize_f2(A, args.eps)
-    trace = rep.to_dict()
-    if args.trace:
-        _write(args.trace, json.dumps(trace, sort_keys=True, indent=2, default=_jsonable))
     return {
         "group": str(group),
         "set_size": int(A.values.sum()),
         "subgroup_dim": rep.subgroup.dim,
         "subgroup_basis": [int(b) for b in rep.subgroup.basis],
-        "trace": trace,
+        "trace": rep.to_dict(),
     }
 
 
@@ -176,8 +178,6 @@ def cmd_regularize(args) -> dict:
         sets, args.eps, args.budget, mode=args.mode, scale=args.scale,
         seed_chars=seed_chars,
     )
-    if args.trace:
-        _write(args.trace, json.dumps(trace, sort_keys=True, indent=2, default=_jsonable))
     return {
         "group": str(group),
         "set_sizes": [int(A.values.sum()) for A in sets],
@@ -222,6 +222,11 @@ def cmd_remove(args) -> dict:
     }
 
 
+def _shown(witness) -> dict:
+    """A witness dataclass's shown fields (repr=True) by name; the ap3 table is not shown."""
+    return {f.name: getattr(witness, f.name) for f in fields(witness) if f.repr}
+
+
 def cmd_bhk(args) -> dict:
     if not args.interval and not args.group:
         raise InvalidSpecError("bhk needs either --group or --interval")
@@ -230,28 +235,11 @@ def cmd_bhk(args) -> dict:
     if args.interval:
         A = _load_integer_set(args.interval, args.set)
         w = bhk_witness_interval(A, args.eps)
-        return {
-            "interval": args.interval,
-            "set_size": A.size,
-            "alpha": w.alpha,
-            "d": w.d,
-            "count": w.count,
-            "bound": w.bound,
-            "bound_ok": w.bound_ok,
-            "d_cap": w.d_cap,
-        }
+        return {"interval": args.interval, "set_size": A.size} | _shown(w)
     group = parse_group(args.group)
     A = _load_indicator(group, args.set)
     w = bhk_witness_group(A, args.eps)
-    out = {
-        "group": str(group),
-        "set_size": int(A.values.sum()),
-        "alpha": w.alpha,
-        "d_index": w.d_index,
-        "count": w.count,
-        "bound": w.bound,
-        "bound_ok": w.bound_ok,
-    }
+    out = {"group": str(group), "set_size": int(A.values.sum())} | _shown(w)
     pair = trivial_pair(group, 3, args.eps)
     nu = nu_weight(pair)
     out["nu_path"] = {
@@ -390,7 +378,7 @@ def _removal_rows(group: GroupSpec, args, rng: np.random.Generator) -> dict:
                 "removed": removed,
                 "pipeline": cert["pipeline"],
                 "eps": cert["eps"],
-                "bound": 3.0 * cert["eps"] ** (1.0 / 3.0) * order,
+                "bound": removal_bound(cert["eps"], order),
                 "bound_ok": cert["removal_bound_ok"],
             }
         )

@@ -345,7 +345,7 @@ def char_norm_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
     return np.minimum(num, group.exponent_lcm - num)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)  # up to 256 MiB a table: the last four groups
 def character_table(group: GroupSpec) -> np.ndarray:
     """Dense (N, N) matrix M[c, x] = gamma_c(x); the naive-transform kernel."""
     if group.order > CHARACTER_TABLE_MAX_ORDER:

@@ -35,20 +35,16 @@ def _require_f2(group: GroupSpec) -> int:
     return group.rank
 
 
-def local_values(f: DenseFn, H: F2Subgroup, g: int) -> np.ndarray:
-    """f(g + h_t) over H in coefficient order t."""
-    _require_f2(f.group)
-    return f.values[H.elements_by_coeff() ^ int(g)]
-
-
 def local_fourier(f: DenseFn, H: F2Subgroup, g: int) -> Spectrum:
     """Transform of the translated restriction on the subgroup's own dual.
 
-    Entry u is sum over t of f(g + h_t) (-1)^{<t, u>}; entry 0 is the mass of
-    f on the coset H + g (= |A ∩ (H+g)| for an indicator).
+    Entry u is sum over t of f(g + h_t) (-1)^{<t, u>}, read off the coset H + g
+    in coefficient order t; entry 0 is the mass of f on the coset (= |A ∩ (H+g)|
+    for an indicator).
     """
-    sub = GroupSpec((2,) * H.dim)
-    return Spectrum(sub, wht_last_axis(local_values(f, H, g)))
+    _require_f2(f.group)
+    local = f.values[H.cosets(np.array([int(g)]))[0]]
+    return Spectrum(GroupSpec((2,) * H.dim), wht_last_axis(local))
 
 
 def _coset_spectra(f: DenseFn, H: F2Subgroup) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +199,11 @@ def local_triangle_count(f: DenseFn, H: F2Subgroup, g1: int, g2: int, g3: int) -
     return float(np.sum(s1 * s2 * s3)) / H.size
 
 
+def removal_bound(eps: float, n: int) -> float:
+    """3 eps^(1/3) N, the most reduced_set_f2 may delete at an eps-regular subgroup (N = |G|)."""
+    return 3.0 * eps ** (1.0 / 3.0) * n
+
+
 def reduced_set_f2(state: _CosetState, eps: float) -> DenseFn:
     """Delete from A = state.f the contents of every irregular or low-density coset of H = state.H.
 
@@ -245,7 +246,7 @@ def remove_triangles_f2(
         reduced = reduced_set_f2(rep.state, eps)
         removed = int(A.values.sum() - reduced.values.sum())
         triangles = triangle_count_exact(reduced)
-        bound = 3.0 * eps ** (1.0 / 3.0) * n_total
+        bound = removal_bound(eps, n_total)
         return {
             "eps": eps,
             "subgroup_dim": rep.subgroup.dim,
@@ -262,6 +263,6 @@ def remove_triangles_f2(
     cert |= {
         "spectral_triangles": zero_sum_count([reduced] * 3),
         "exact_triangles": 0,
-        "removal_bound_ok": removed <= 3.0 * cert["eps"] ** (1.0 / 3.0) * n_total,
+        "removal_bound_ok": removed <= removal_bound(cert["eps"], n_total),
     }
     return reduced, removed, cert

@@ -6,11 +6,12 @@ a regular value for a set A when the local density seen through psi2 is
 stable across the psi1 window (condition 1) and the psi2-windowed remainder
 has a small Fourier sup-norm (condition 2).  Refinement either shrinks the
 width or adjoins witness characters, and drives up a bounded L2 energy, so
-the iteration terminates.  Each visited pair is evaluated once (every set's
+the iteration terminates.  Each distinct pair is evaluated once (every set's
 profile with its smoothed densities, irregular count and the index): the
-regularity test, refinement, trace and reduction all read that state, so k
-distinct set objects and s steps cost k(s+1) profiles.  Out of budget, the
-pair of highest index is returned.
+regularity test, refinement, trace and reduction all read that state, and a
+refinement that returns its own pair (a fixed point, index gain 0) returns its
+own state, so k distinct set objects and s steps cost at most k(s+1)
+profiles.  Out of budget, the pair of highest index is returned.
 
 Condition 2 is a sup over all N characters of one transformed row per x.
 Where psi2 is uniform on K = ker R up to rounding (at the trivial pair,
@@ -29,13 +30,13 @@ exercisable on small groups; gains are then measured rather than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bohr import (BohrCutoff, FrequencySet, bohr_set, make_cutoff, make_frequency_set,
-                   norm_le_mask, norm_numerators)
+                   norm_le_mask, norm_numerators, smoothing_l1)
 from .errors import (DomainMismatchError, InternalCheckError, InvalidSpecError,
                      ResourceBudgetError, checked_pow)
 from .groups import (
@@ -111,9 +112,7 @@ class RegPair:
             )
         self.psi1 = make_cutoff(chars, self.eta1)
         self.psi2 = make_cutoff(chars, self.eta2)
-        self.compat_l1 = float(np.sum(np.abs(
-            convolve_spectra(self.psi1.psi_hat, self.psi2.psi_hat).values - self.psi1.psi.values
-        )))
+        self.compat_l1 = smoothing_l1(self.psi1, self.psi2)
         self.compat_bound = self.const(-12) * eps**3 / k**2
         self.degenerate = self.psi1.is_point_mass or self.psi2.is_point_mass
         if mode == FAITHFUL and not self.degenerate and self.compat_l1 > self.compat_bound:
@@ -406,7 +405,7 @@ def cover_by_translates(
     n = group.order
     lam = np.zeros(n)
     lam[bohr_set(R, kappa / 2.0)] = 1.0
-    lam_fn = DenseFn(group, lam)
+    lam_hat = dft(DenseFn(group, lam))
     big_ball = norm_le_mask(R, kappa)
     neg = neg_index(group)
 
@@ -416,7 +415,7 @@ def cover_by_translates(
     pieces: list[np.ndarray] = []
     centers: list[int] = []
     while remaining.sum() > target:
-        counts = convolve(DenseFn(group, remaining.astype(float)), lam_fn).values
+        counts = convolve_spectra(dft(DenseFn(group, remaining.astype(float))), lam_hat).values
         z = int(np.argmax(counts))
         ball_at_z = lam[translate_indices(group, int(neg[z]))] > 0.5
         piece = np.flatnonzero(remaining & ball_at_z)
@@ -522,12 +521,11 @@ def _refine_pair_detailed(state: _PairState) -> tuple[_PairState, dict]:
         new_eta = pair.const(-50) * eps**6 * pair.eta2 / (max(extended.d, 1) * k**4)
         new_pair = pair.with_state(extended, new_eta)
         info["witnesses"] = [list(c.freqs) for c in new_chars]
-        info["smoothing_l1"] = float(np.sum(np.abs(
-            convolve_spectra(pair.psi2.psi_hat, new_pair.psi1.psi_hat).values
-            - pair.psi2.psi.values
-        )))
+        info["smoothing_l1"] = smoothing_l1(pair.psi2, new_pair.psi1)
 
-    new_state = _PairState(state.As, new_pair)
+    # a refinement to the same pair is a fixed point: its state is this one
+    same = (new_pair.chars, new_pair.eta) == (pair.chars, pair.eta)
+    new_state = state if same else _PairState(state.As, new_pair)
     info["index_after"] = new_state.index
     gain = new_state.index - state.index
     info["index_gain"] = gain
@@ -594,15 +592,6 @@ def regularize(
 # weighted counting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightedCountReport:
-    value: float
-    alpha_product: float
-    bound: float
-    bound_ok: bool
-    irregular_slots: list[int] = field(default_factory=list)
-
-
 def _weighted_functions(
     As: Sequence[DenseFn], pair: RegPair, xs: Sequence[int]
 ) -> list[DenseFn]:
@@ -616,14 +605,13 @@ def _weighted_functions(
     return out
 
 
-def weighted_T(
-    As: Sequence[DenseFn], pair: RegPair, xs: Sequence[int]
-) -> WeightedCountReport:
+def weighted_T(As: Sequence[DenseFn], pair: RegPair, xs: Sequence[int]) -> IneqReport:
     """Cutoff-weighted zero-sum count at a tuple of regular base points.
 
-    The first and last slots carry psi1^(1/2), middle slots psi2; the value is
-    compared against the product of the matching smoothed densities with
-    tolerance 4 * 2^k * eps.  Non-regular slots are reported, not fatal.
+    The first and last slots carry psi1^(1/2), middle slots psi2; lhs is the
+    value's distance from the product of the matching smoothed densities, rhs
+    the tolerance 4 * 2^k * eps.  The hypothesis is that every base point is a
+    regular value; the slots that are not are reported, not fatal.
     """
     group = pair.group
     if len(As) != pair.k:
@@ -647,13 +635,14 @@ def weighted_T(
     for j, (hat, x) in enumerate(zip(hats, idxs)):
         cutoff = pair.psi1 if j in (0, k - 1) else pair.psi2
         prod *= float(convolve_spectra(hat, cutoff.psi_hat).values[x])
-    bound = 4.0 * 2.0**k * pair.eps
-    return WeightedCountReport(
-        value=value,
-        alpha_product=prod,
-        bound=bound,
-        bound_ok=bool(abs(value - prod) <= bound),
-        irregular_slots=irregular,
+    lhs, rhs = abs(value - prod), 4.0 * 2.0**k * pair.eps
+    return IneqReport(
+        part="weighted-count",
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs,
+        hypothesis_ok=not irregular,
+        details={"value": value, "alpha_product": prod, "irregular_slots": irregular},
     )
 
 
@@ -735,14 +724,13 @@ def check_energy_difference(phi1: DenseFn, phi2: DenseFn, f: DenseFn) -> IneqRep
     )
 
 
-def check_witness_stability(
-    A: DenseFn, pair: RegPair, x: int, chi: Character
-) -> dict:
+def check_witness_stability(A: DenseFn, pair: RegPair, x: int, chi: Character) -> IneqReport:
     """Large windowed coefficients persist across a small Bohr ball.
 
-    Premise: chi outside the near-orthogonal set of psi2 and coefficient at
-    least eps at x.  Conclusion: at least eps/2 everywhere on the ball of
-    radius eps * eta2 / 60 around x.
+    Premise (the hypothesis): chi outside the near-orthogonal set of psi2 and
+    coefficient at least eps at x.  Conclusion: at least eps/2 everywhere on
+    the ball of radius eps * eta2 / 60 around x, so lhs is eps/2 and rhs the
+    smallest coefficient over the ball.
     """
     group = A.group
     idx = int(x)
@@ -756,16 +744,15 @@ def check_witness_stability(
     values = np.zeros(ys.size)
     for lo, hi, mags in _windowed_magnitudes(A, ys, a2, pair):
         values[lo:hi] = mags[:, chi_idx]
-    premise_coeff = float(values[0])
-    return {
-        "premise_ok": bool(hat2 < eps / 6.0 and premise_coeff >= eps),
-        "psi2_hat_at_chi": hat2,
-        "premise_coeff": premise_coeff,
-        "ball_size": int(ys.size),
-        "min_over_ball": float(values.min()),
-        "threshold": eps / 2.0,
-        "holds": bool(values.min() >= eps / 2.0),
-    }
+    premise_coeff, least = float(values[0]), float(values.min())
+    return IneqReport(
+        part="witness-stability",
+        lhs=eps / 2.0,
+        rhs=least,
+        holds=least >= eps / 2.0,
+        hypothesis_ok=hat2 < eps / 6.0 and premise_coeff >= eps,
+        details={"psi2_hat_at_chi": hat2, "premise_coeff": premise_coeff, "ball_size": int(ys.size)},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ tests pin those margins.  A failed inequality is data, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 
@@ -25,13 +25,6 @@ class IneqReport:
         return self.rhs - self.lhs
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
-            "part": self.part,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "slack": self.slack,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
-        out.update(self.details)
-        return out
+        """Every field but details, the slack, then the details."""
+        shown = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
+        return shown | {"slack": self.slack} | self.details

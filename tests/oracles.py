@@ -7,8 +7,9 @@ can be checked against it.  `coords_table` is the same residue tuples as one
 (N, r) array, the reference the digit-built index maps are pinned against.
 `translate_values`, `constant`, `subgroup_elements` and `set_file_text` are
 the small test-side references built on top, `line_loop_outcome` is what the
-line loop makes of a set file, and `_shift_violation` is the whole-table
-reference for the shift-stability excess of cutoff part v.
+line loop makes of a set file, `_shift_violation` is the whole-table
+reference for the shift-stability excess of cutoff part v, and
+`schur_pairs` is the literal double loop behind the Schur-triple count.
 """
 
 from __future__ import annotations
@@ -186,3 +187,9 @@ def _shift_violation(group, fn_vals: np.ndarray, coeffs: np.ndarray) -> float:
         excess = diff - bound
     excess = np.where(np.isnan(excess), -np.inf, excess)
     return float(excess.max())
+
+
+def schur_pairs(members: Iterable[int]) -> int:
+    """Ordered pairs (x, y) of members with x + y a member, by the double loop."""
+    mem = set(members)
+    return sum(1 for x in mem for y in mem if x + y in mem)

@@ -399,8 +399,8 @@ def test_criterion_7_general_checkers():
         xs.append((-sum(xs)) % n)
         wrep = weighted_T(As, pair, xs)
         brute = brute_force_zero_sum(_weighted_functions(As, pair, xs))
-        worst_oracle_gap = max(worst_oracle_gap, abs(wrep.value - brute))
-        if not wrep.irregular_slots and not wrep.bound_ok:
+        worst_oracle_gap = max(worst_oracle_gap, abs(wrep.details["value"] - brute))
+        if wrep.hypothesis_ok and not wrep.holds:
             failures.append(("product-count", t))
     ok = not failures and worst_oracle_gap < 1e-6
     _report(7, "general-group checkers", ok,

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_indicator
-from oracles import constant, subgroup_elements
+from oracles import constant, schur_pairs, subgroup_elements
 
 from arithreg import applications
 from arithreg.applications import (
@@ -276,6 +278,22 @@ class TestBhkInterval:
             assert (w.d, w.count) == (1, 0)
 
 
+class TestSchurTriples:
+    @pytest.mark.parametrize("n, members", [
+        (1, ()), (1, (1,)), (40, ()), (40, (1,)), (40, tuple(range(1, 41, 2))),
+        (64, tuple(range(1, 65))), (7, (1, 2, 3, 7)),
+    ])
+    def test_matches_the_double_loop(self, n, members):
+        assert schur_triples(IntegerSet(n, members)) == schur_pairs(members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 80).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), max_size=n))))
+    def test_any_subset_matches_the_double_loop(self, case):
+        n, members = case
+        assert schur_triples(IntegerSet(n, tuple(members))) == schur_pairs(members)
+
+
 class TestSumFree:
     def test_odd_numbers_survive(self):
         A = IntegerSet(64, tuple(range(1, 65, 2)))
@@ -356,7 +374,7 @@ class TestSpanningFamily:
 
         monkeypatch.setattr(applications, "_verify_spanning", lambda *a: False)
         with pytest.raises(RetryExhaustedError, match="seed"):
-            applications.spanning_family(40, seed=0, retries=3)
+            applications.spanning_family(40, seed=0)
 
 
 class TestTowerConstruction:

@@ -449,6 +449,14 @@ class TestCutoffCache:
         tail_mass(cutoff, 0.3)
         assert built == [(fs, delta), (gamma2, d2)]
 
+    def test_norm_numerators_keeps_few_frequency_sets(self):
+        # an entry is N int64s, 8 MiB at 2^20: cutoffs on 40 distinct sets keep 4
+        g = make_group([101])
+        bohr.norm_numerators.cache_clear()
+        for c in range(1, 41):
+            make_cutoff(make_frequency_set(g, [g.character_at(c)]), 0.1)
+        assert bohr.norm_numerators.cache_info().currsize <= 4
+
     def test_cached_arrays_reject_writes(self, rng):
         fs = random_frequency_set(make_group([64]), 2, rng)
         cutoff = make_cutoff(fs, 0.1)

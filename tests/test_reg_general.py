@@ -426,8 +426,8 @@ class TestWeightedCount:
         pair = trivial_pair(G101, 3, 0.2)
         ones = constant(G101, 1.0)
         rep = weighted_T([ones] * 3, pair, [0, 0, 0])
-        assert rep.bound_ok
-        assert abs(rep.value - rep.alpha_product) <= rep.bound
+        assert rep.holds and rep.part == "weighted-count"
+        assert abs(rep.details["value"] - rep.details["alpha_product"]) == rep.lhs <= rep.rhs
 
     def test_empty_slot_zeroes_everything(self):
         pair = trivial_pair(G101, 3, 0.2)
@@ -436,8 +436,8 @@ class TestWeightedCount:
             pair,
             [5, 10, 86],
         )
-        assert rep.value == pytest.approx(0.0, abs=1e-12)
-        assert rep.alpha_product == 0.0
+        assert rep.details["value"] == pytest.approx(0.0, abs=1e-12)
+        assert rep.details["alpha_product"] == 0.0
 
     def test_matches_exhaustive_oracle(self, rng):
         pair = trivial_pair(G101, 3, 0.2)
@@ -447,14 +447,21 @@ class TestWeightedCount:
         from arithreg.reg_general import _weighted_functions
 
         brute = brute_force_zero_sum(_weighted_functions(As, pair, xs))
-        assert abs(rep.value - brute) < 1e-6
+        assert abs(rep.details["value"] - brute) < 1e-6
 
     def test_regular_slots_obey_count_bound(self, rng):
         pair = trivial_pair(G101, 3, 0.3)
         As = [random_indicator(G101, rng) for _ in range(3)]
         rep = weighted_T(As, pair, [3, 4, 94])
-        if not rep.irregular_slots:
-            assert rep.bound_ok
+        assert rep.hypothesis_ok == (rep.details["irregular_slots"] == [])
+        if rep.hypothesis_ok:
+            assert rep.holds
+
+    def test_irregular_base_points_fail_the_hypothesis(self):
+        # at the trivial pair an interval's top coefficient, about 0.28, exceeds eps everywhere
+        pair = trivial_pair(G101, 3, 0.2)
+        rep = weighted_T([indicator(G101, range(34))] * 3, pair, [0, 0, 0])
+        assert rep.details["irregular_slots"] == [0, 1, 2] and not rep.hypothesis_ok
 
     def test_nonzero_sum_rejected(self):
         pair = trivial_pair(G101, 3, 0.2)
@@ -487,7 +494,7 @@ class TestWeightedCount:
         xs = [element(g, c).index for c in coords]
         As = [constant(g, 1.0)] * 3
         if zero_sum:
-            assert weighted_T(As, pair, xs).value > 0
+            assert weighted_T(As, pair, xs).details["value"] > 0
         else:
             with pytest.raises(DomainMismatchError, match="sum to zero"):
                 weighted_T(As, pair, xs)
@@ -551,9 +558,9 @@ class TestWitnessStability:
         A = qr_set()
         w = check_regular_value(A, pair, 0)
         rep = check_witness_stability(A, pair, 0, w.worst_char)
-        assert rep["premise_ok"]
-        assert rep["ball_size"] == 101  # empty R: the ball is the whole group
-        assert rep["holds"]
+        assert rep.hypothesis_ok and rep.part == "witness-stability"
+        assert rep.details["ball_size"] == 101  # empty R: the ball is the whole group
+        assert rep.holds and rep.lhs == pair.eps / 2.0 <= rep.rhs
 
     def test_narrow_ball_witness(self, rng):
         fs = make_frequency_set(G101, [G101.character([1])])
@@ -563,8 +570,8 @@ class TestWitnessStability:
         x = int(np.argmax(cond2))
         chi = G101.character_at(int(worst[x]))
         rep = check_witness_stability(A, pair, x, chi)
-        if rep["premise_ok"]:
-            assert rep["holds"]
+        if rep.hypothesis_ok:
+            assert rep.holds
 
 
 class TestReducedSets:

@@ -12,12 +12,14 @@ table on a cyclic group takes no translate row at all, and the witness
 search one, for the recount at its chosen difference.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_indicator
 
-from arithreg import applications, harmonic, reg_f2, reg_general
+from arithreg import applications, cli, harmonic, reg_f2, reg_general
 from arithreg.applications import IntegerSet, sum_free_decompose
 from arithreg.bohr import norm_numerators
 from arithreg.groups import f2_parity, make_group
@@ -127,6 +129,32 @@ def test_faithful_path_of_an_interval_takes_only_the_centers(kernel_rows, monkey
     assert [step["branch"] for step in trace["iterations"]] == ["new-characters"] * 3
     assert 1 < np.count_nonzero(norm_numerators(pair.chars) == 0) < g.order
     assert centers and kernel_rows[0] == len(centers)
+
+
+def test_a_fixed_point_reuses_its_state(monkeypatch, tmp_path, capsys):
+    # from the second step on every refinement is a width-shrink to the same
+    # pair (eta2 = eta at scale 2^60, gain 0): the loop builds the start state
+    # and the first refined one, where each of the 32 steps built its own
+    states = [0]
+
+    class Counted(reg_general._PairState):
+        def __init__(self, *args):
+            states[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(reg_general, "_PairState", Counted)
+    monkeypatch.chdir(tmp_path)
+    A = bohr_interval(2049, 2)
+    harmonic.save_set(A.group, np.flatnonzero(A.values), "interval.txt")
+    argv = ["regularize", "--group", "2049", "--sets", "interval.txt", "--eps", "0.2",
+            "--mode", "scaled", "--scale", str(2**60), "--budget", "32"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert states[0] <= 3
+    # the report's bytes as the loop printed them when it built all 33 states
+    assert len(out) == 19169
+    assert hashlib.sha256(out).hexdigest() == (
+        "f01dc8a6fd0c798646d9508f59958df9079b56e87dcd2fbaffcf841a89b36b43")
 
 
 def test_regularize_counts_k_times_steps_plus_one(calls, rng):
