@@ -52,6 +52,7 @@ from .groups import (
 from .harmonic import (
     DenseFn,
     Spectrum,
+    _common_group,
     _indicator_required,
     convolve,
     convolve_spectra,
@@ -792,46 +793,50 @@ def check_low_density_count(A: DenseFn, cutoff: BohrCutoff, rho: float) -> IneqR
     )
 
 
-def exact_zero_sum_tuples(As: Sequence[DenseFn]) -> int:
-    """Exact integer count of zero-sum tuples across indicator sets.
+def _completions(As: Sequence[DenseFn]) -> np.ndarray:
+    """c(x) = #{(x_2, ..., x_k) in A_2 x ... x A_k : x + x_2 + ... + x_k = 0}, exactly.
 
-    The spectral count is rounded and checked against a worst-case float64
-    error of 32 k log2(N) 2^-53 N^(k-1) for k transforms of 0/1 rows, their
-    products and the sum (FFT error bounds: Schatzman 1996, Percival 2003).
-    Where that bound reaches 1/2 no rounding is exact: ResourceBudgetError.
+    c(x) is the inverse transform of P = F_2 ... F_k, the spectra of A_2, ...,
+    A_k (each distinct set once, real on (Z/2)^n), read at -x: the forward
+    transform of P over N.  Float transforms are within r = _rounding(N) of
+    exact in relative 2-norm (Schatzman 1996, Percival 2003; r's factor 64
+    covers each product's 2^-53).  0/1 rows give |F_i|, ||F_i||_2 <= N, so P is
+    off by (k-1) r N^(k-1) in 2-norm, (k-1) r N^(k-3/2) after the last transform
+    over N, which adds r ||c||_2 <= r N^(k-3/2).  Each entry is thus within
+    k r N^(k-3/2) of its integer, 2/sqrt(N) times the bound k r N^(k-1) / 2 of
+    one rounded spectral sum (no looser for N >= 4): ResourceBudgetError where
+    it reaches 1/2, InternalCheckError for an entry farther off.
     """
+    group = _common_group(As)
     for A in As:
         _indicator_required(A)
-    n, k = As[0].group.order, len(As)
-    bound = 32 * k * math.log2(n) * 2.0**-53 * float(n) ** (k - 1)
+    n, k = group.order, len(As)
+    bound = k * _rounding(n) * float(n) ** (k - 1.5)
     if bound >= 0.5:
         raise ResourceBudgetError(f"spectral count error bound {bound} leaves no exact integer")
-    value = zero_sum_count(As)
-    if abs(value - round(value)) > bound:
-        raise InternalCheckError(f"spectral count {value} is off an integer by more than {bound}")
-    return round(value)
+    spectra = {id(A): dft_many(group, A.values) for A in As[1:]}
+    conv = dft_many(group, math.prod(spectra[id(A)] for A in As[1:])).real / n
+    counts = np.rint(conv)
+    conv -= counts
+    off = float(np.max(np.abs(conv)))
+    if off > bound:
+        raise InternalCheckError(f"completion count off an integer by {off} > {bound}")
+    return counts.astype(np.int64)
 
 
-def _strip_participants(As: Sequence[DenseFn]) -> DenseFn:
-    """As[0] less every x in a zero-sum tuple: (As[1] * ... * As[k-1])(-x) > 0.
-
-    Exact on (Z/2)^n, where the butterflies only add, subtract and scale by 2^-r.
-    """
-    conv = As[1]
-    for A in As[2:]:
-        conv = convolve(conv, A)
-    completions = conv.values[neg_index(As[0].group)]
-    return DenseFn(As[0].group, As[0].values * (np.round(completions) < 0.5))
+def exact_zero_sum_tuples(As: Sequence[DenseFn]) -> int:
+    """Exact integer count of zero-sum tuples across indicator sets: `_completions` over As[0]."""
+    return int(_completions(As)[As[0].values > 0.5].sum())
 
 
-def _removal_route(pipeline: str, schedule: Sequence[float], attempt, count, strip) -> tuple:
-    """The schedule walk shared by triangle and zero-sum removal.
+def _removal_route(pipeline: str, schedule: Sequence[float], attempt) -> tuple:
+    """The schedule walk shared by triangle and zero-sum removal: (survivor sets, certificate head).
 
     attempt(eps) regularizes, reduces and counts exactly, giving (record,
-    survivors, (residual, removed)); the first zero residual wins.  Else strip
-    clears every element still in a tuple from the candidate with the fewest
-    (residual, removed), in one pass (a tuple left was a tuple before), and
-    count re-checks it.  Returns (survivors, certificate head).
+    survivor sets, (residual, removed)); the first zero residual wins.  Else, in
+    the candidate with the fewest (residual, removed), the members with c > 0
+    (`_completions`) leave the first set in every slot that holds it, in one pass
+    (a tuple left was a tuple before), and the exact count re-checks it.
     """
     attempts, candidates = [], []
     for eps in schedule:
@@ -842,8 +847,9 @@ def _removal_route(pipeline: str, schedule: Sequence[float], attempt, count, str
             break
     else:
         _, eps, survivors = min(candidates, key=lambda c: c[0])
-        survivors = strip(survivors)
-        if count(survivors) != 0:
+        kept = DenseFn(survivors[0].group, survivors[0].values * (_completions(survivors) == 0))
+        survivors = [kept if B is survivors[0] else B for B in survivors]
+        if exact_zero_sum_tuples(survivors) != 0:
             raise InternalCheckError("participant deletion left a zero-sum tuple")
         pipeline += "+participant-deletion"
     return survivors, {"pipeline": pipeline, "eps": eps, "attempts": attempts}
@@ -899,8 +905,7 @@ def zero_sum_removal(
         }, reduced, (residual, sum(removed))
 
     schedule = list(eps_schedule) if eps_schedule else [eps, 0.2, 0.3, 0.45, 0.8, 1.5]
-    reduced, cert = _removal_route("reduced-sets", schedule, attempt, exact_zero_sum_tuples,
-                                   lambda Bs: [_strip_participants(Bs)] + Bs[1:])
+    reduced, cert = _removal_route("reduced-sets", schedule, attempt)
     removed = [int(A.values.sum() - B.values.sum()) for A, B in zip(As, reduced)]
     cert |= {"initial_tuples": initial, "spectral_tuples": zero_sum_count(reduced)}
     return reduced, removed, cert

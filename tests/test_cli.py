@@ -128,6 +128,16 @@ class TestCommands:
         rep = load(out)["report"]
         assert rep["residual_triangles"] == 0
 
+    def test_remove_triangles_past_the_global_count_bound(self, tmp_path):
+        # at (Z/2)^21 one rounded spectral sum had no certified integer (exit 3)
+        g = make_group([2] * 21)
+        draw = np.random.default_rng(21).uniform(size=g.order) < 0.3
+        save_set(g, np.flatnonzero(draw), tmp_path / "a.txt")
+        out = tmp_path / "rm21.json"
+        rc = run(["remove", "--group", "2^21", "--sets", tmp_path / "a.txt", "--out", out])
+        assert rc == 0
+        assert load(out)["report"]["residual_triangles"] == 0
+
     def test_remove_zero_sum_route_on_general_group(self, workdir):
         g101 = make_group([101])
         save_set(g101, range(1, 15), workdir / "a.txt")

@@ -1,9 +1,11 @@
 """The removal route shared by triangle and zero-sum removal, and its exact counts.
 
 The participant-deletion fallback is forced with one-entry schedules and
-pinned element by element against a brute-force participant oracle; the
-exact zero-sum count (one checked spectral rounding at every size) is pinned
-to the literal sum on the shapes it used to be served by.
+pinned element by element against a brute-force participant oracle.  Both it
+and the exact zero-sum count read one kernel of completion counts, each entry
+rounded and checked; the kernel is pinned entry by entry to the literal sum on
+small groups, and the count to the literal sum and to subgroup counts past
+2^21.
 """
 
 import tracemalloc
@@ -11,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_indicator
 
@@ -72,6 +76,14 @@ class TestParticipantDeletion:
         assert members(out) == R - gone
         assert removed == int(A.values.sum() - out.values.sum())
 
+    def test_a_shared_set_is_stripped_in_every_slot(self):
+        B = random_indicator(make_group([2] * 6), np.random.default_rng(1), density=0.4)
+        out, cert = reg_general._removal_route("p", [0.1], lambda e: ({}, [B] * 3, (1, 0)))
+        assert cert["pipeline"] == "p+participant-deletion"
+        assert out[0] is out[1] is out[2]
+        R = members(B)
+        assert members(out[0]) == {x for x in R if not any(x ^ y in R for y in R)}
+
 
 def test_tiny_cover_radius_does_not_overflow():
     # kappa is tiny here, so the covering bound (2/kappa)^d is past the float range
@@ -108,8 +120,16 @@ class TestExactCount:
     def test_off_integer_spectral_count_raises(self, monkeypatch):
         g = make_group([4473])
         As = [random_indicator(g, np.random.default_rng(0), density=0.2)] * 3
-        true = exact_zero_sum_tuples(As)
-        monkeypatch.setattr(reg_general, "zero_sum_count", lambda fs: true + 0.3)
+        transform = reg_general.dft_many
+
+        def nudged(group, rows):
+            # the transform of the spectral product is N times the completion counts
+            out = transform(group, rows)
+            if rows is not As[0].values:
+                out[17] += 0.3 * group.order
+            return out
+
+        monkeypatch.setattr(reg_general, "dft_many", nudged)
         with pytest.raises(InternalCheckError):
             exact_zero_sum_tuples(As)
 
@@ -153,3 +173,46 @@ class TestExactCount:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_triangle_count_memory_at_2_20(self):
+        # four float64 rows of 2^20 are 32 MiB; complex spectra or a gathered copy pass 40
+        A = random_indicator(make_group([2] * 20), np.random.default_rng(0), density=0.3)
+        tracemalloc.start()
+        try:
+            triangle_count_exact(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
+class TestPastTheGlobalBound:
+    """Counts at N = 2^21, where one rounded spectral sum had no certified integer."""
+
+    def test_f2_subgroup_and_coset(self):
+        g = make_group([2] * 21)
+        H = np.arange(2**20)  # top coordinate 0: a subgroup of dimension 20
+        assert triangle_count_exact(indicator(g, H)) == 2**40
+        assert triangle_count_exact(indicator(g, H + 2**20)) == 0
+
+    def test_cyclic_subgroup_and_coset(self):
+        g = make_group([2**21])
+        eights = np.arange(0, 2**21, 8)
+        assert exact_zero_sum_tuples([indicator(g, eights)] * 3) == (2**18) ** 2
+        assert exact_zero_sum_tuples([indicator(g, eights + 1)] * 3) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([[2] * 3, [7], [3, 5], [2, 2, 3], [2] * 3 + [7]]),
+    st.sampled_from([3, 4]),
+    st.data(),
+)
+def test_each_completion_count_is_the_literal_sum(factors, k, data):
+    g = make_group(factors)
+    rows = st.lists(st.booleans(), min_size=g.order, max_size=g.order)
+    As = [DenseFn(g, np.array(data.draw(rows), dtype=float)) for _ in range(k)]
+    if data.draw(st.booleans()):
+        As[2] = As[1]  # a set repeated as one object is transformed once
+    literal = [brute_force_zero_sum([indicator(g, [x])] + As[1:]) for x in range(g.order)]
+    assert reg_general._completions(As).tolist() == [round(v) for v in literal]
