@@ -214,7 +214,7 @@ def tail_mass(cutoff: BohrCutoff, eta: float) -> float:
 
 
 def tail_bound(cutoff: BohrCutoff, eta: float) -> float:
-    return 4.0 * 5.0**cutoff.d * math.exp(-eta / (4.0 * cutoff.delta))
+    return 4.0 * checked_pow(5.0, cutoff.d, "5") * math.exp(-eta / (4.0 * cutoff.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
     size = int(norm_le_mask(fs, delta).sum())
     doubled = int(norm_le_mask(fs, 2.0 * delta).sum())
     lower = checked_pow(delta, fs.d, "delta") * n
-    ratio_bound = 5.0**fs.d * size
+    ratio_bound = checked_pow(5.0, fs.d, "5") * size
     holds = size >= lower and doubled <= ratio_bound
     return IneqReport(
         part="bohr-growth",
@@ -252,36 +252,61 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
 def _shift_excess(group: GroupSpec, values: np.ndarray, coeffs: np.ndarray) -> float:
     """max over x, y of |f(x) - f(x - y)| - coeffs[y] f(x), with 0 * inf read as +inf.
 
-    Row z of a translate block holds f(x + z) = f(x - y) for y = -z, so the
-    rows run over range(N), one window copy per block on a cyclic group, with
-    the coefficients reindexed by negation.  Each block becomes its excess in
-    place: subtract f, abs, subtract coeff * f from one reused buffer, max.
-    Every element gets the floating-point operations of the direct formula.
+    Row z of a translate block holds f(x + z) = f(x - y) for y = -z.  The
+    coefficients must be symmetric, coeffs[y] == coeffs[-y] exactly, as
+    5 sinh(||y|| / delta) is on the integer norm numerators; an asymmetric
+    array is an InternalCheckError.  Then rows z and -z are read once:
 
-    Coefficients are >= 0.  An infinite one bounds a row by +inf where
-    f(x) >= 0 and by -inf where f(x) < 0, so its rows are decided without
-    the kernel: the excess is +inf if f dips below 0, and they add nothing
-    otherwise.
+    - element (x + z, -z) has the same float D = |f(x + z) - f(x)| as (x, z),
+      and the same coefficient c = coeffs[z] = coeffs[-z];
+    - fl(D - fl(c t)) does not increase with t for c >= 0, so the larger of
+      the two excesses is exactly fl(D - fl(c min(f(x), f(x + z)))).
+
+    So each representative z < -z becomes the pair's excess with the
+    coefficient times np.minimum(rows, f) as its bound, and a self-inverse
+    row (z = -z: z = 0, N/2 on an even cyclic group, every row on (Z/2)^n)
+    keeps the direct formula.
+    Both are computed in place over translate blocks, with one reused bound
+    buffer, and the result equals the whole-table maximum bit for bit.
+
+    An infinite coefficient bounds a row by +inf where f(x) >= 0 and by -inf
+    where f(x) < 0, so its rows are decided without the kernel: the excess
+    is +inf if f dips below 0, and they add nothing otherwise.
     """
-    row_coeffs = coeffs[neg_index(group)]
-    finite = np.isfinite(row_coeffs)
-    zs: Sequence[int] = range(group.order)
-    if not finite.all():
-        if (values < 0).any():
-            return math.inf
-        zs, row_coeffs = np.flatnonzero(finite), row_coeffs[finite]
+    neg = neg_index(group)
+    if not np.array_equal(coeffs, coeffs[neg]):
+        raise InternalCheckError("part v coefficients differ at some y and -y")
+    finite = np.isfinite(coeffs)
+    if not finite.all() and (values < 0).any():
+        return math.inf
+    z = np.arange(group.order)
     worst, scratch = -math.inf, None
     with np.errstate(over="ignore"):  # coeff * f(x) may overflow to +-inf, as in the formula
-        for lo, hi, rows in translate_blocks(group, values, zs):
-            if scratch is None:
-                scratch = np.empty_like(rows)
-            bound = scratch[: hi - lo]
-            rows -= values
-            np.abs(rows, out=rows)
-            np.multiply(row_coeffs[lo:hi, None], values, out=bound)
-            rows -= bound
-            worst = max(worst, float(rows.max()))
+        for paired, rows_of in ((True, z < neg), (False, z == neg)):
+            zs = np.flatnonzero(finite & rows_of)
+            row_coeffs = coeffs[zs, None]
+            for lo, hi, rows in translate_blocks(group, values, _as_range(zs)):
+                if scratch is None or len(scratch) < hi - lo:
+                    scratch = np.empty_like(rows)
+                bound = scratch[: hi - lo]
+                if paired:
+                    np.minimum(rows, values, out=bound)
+                    bound *= row_coeffs[lo:hi]
+                else:
+                    np.multiply(row_coeffs[lo:hi], values, out=bound)
+                rows -= values
+                np.abs(rows, out=rows)
+                rows -= bound
+                worst = max(worst, float(rows.max()))
+            rows = None  # frees the pass's block buffer before the next pass draws its own
     return worst
+
+
+def _as_range(indices: np.ndarray) -> Sequence[int]:
+    """indices as a range when they are consecutive, so a cyclic group copies one window."""
+    if indices.size and indices[-1] - indices[0] + 1 == indices.size:
+        return range(int(indices[0]), int(indices[-1]) + 1)
+    return indices
 
 
 def _char_minus_one_l1(psi: DenseFn, chi: Character) -> float:
@@ -483,7 +508,8 @@ def check_cutoff_property(
       iii  sup norm bound 3 / (delta^d N)
       iv   ||(chi - 1) psi||_1 <= tau for chi in Gamma (narrow-width hypothesis)
       v    |psi(x) - psi(x-y)| <= 5 sinh(||y||/delta) psi(x) for all x, y
-           (exhaustive, in place over blocks of translate rows: _shift_excess)
+           (exhaustive, each pair of translate rows {z, -z} read once, in
+           place over blocks: _shift_excess)
       vi   m-fold smoothing of psi^(1/2) by psi' stays within (2^m - 1) tau
       vii  ||psi * psi' - psi||_1 <= tau
       viii psi' nearly commutes with multiplication by psi^(1/2)

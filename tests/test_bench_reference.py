@@ -1,7 +1,9 @@
 """The benchmark's own jobs, run in process against its captured reference outputs.
 
 Each tiny job of every workload runs at variant 0: the library jobs through
-perfbench's warm call, the CLI jobs through `cli.main` with `--out`.  Each
+perfbench's warm call, the CLI jobs through `cli.main` with `--out`.  Every
+full-size `bohr-check` job of the cold workloads runs at every variant, so
+the exhaustive part v is pinned at the sizes the benchmark times.  Each
 output must pass `runner.check` against `perfbench/reference.json`, so a
 rename that breaks the benchmark's calls, or a report that drifts from the
 captured one, fails here.  Every full-size CLI argv must parse.  The toolkit
@@ -28,11 +30,13 @@ import workloads as wl  # noqa: E402
 MODS = SimpleNamespace(**{m: importlib.import_module(f"arithreg.{m}") for m in runner.MODULES})
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 TINY = [(w, job) for w, jobs in wl.WORKLOADS.items() for job in jobs("tiny")]
+FULL_BOHR = [(w, job, v) for w in sorted(wl.COLD) for job in wl.WORKLOADS[w]("full")
+             if job.op == "bohr_check" for v in range(wl.VARIANTS)]
 
 
-@pytest.mark.parametrize("workload, job", TINY, ids=[f"{w}/{j.name}" for w, j in TINY])
-def test_tiny_job_matches_reference(workload, job, tmp_path):
-    (prep,) = runner.prepare(workload, [job], [0], tmp_path)
+def check_job(size, workload, job, variant, tmp_path):
+    """The problems runner.check finds in one job's output at one variant."""
+    (prep,) = runner.prepare(workload, [job], [variant], tmp_path)
     if prep.argv is None:
         outcome = runner.run_warm(MODS, prep)
     else:
@@ -40,8 +44,20 @@ def test_tiny_job_matches_reference(workload, job, tmp_path):
         code = cli.main(prep.argv + ["--out", str(out)])
         payload = json.loads(out.read_text()) if code == 0 else None
         outcome = runner.Outcome(0.0, 0.0, payload, f"exit code {code}")
-    key = runner.reference_key("tiny", workload, job, 0)
-    assert runner.check(prep, outcome, REFERENCE, key) == []
+    return runner.check(prep, outcome, REFERENCE, runner.reference_key(size, workload, job, variant))
+
+
+@pytest.mark.parametrize("workload, job", TINY, ids=[f"{w}/{j.name}" for w, j in TINY])
+def test_tiny_job_matches_reference(workload, job, tmp_path):
+    assert check_job("tiny", workload, job, 0, tmp_path) == []
+
+
+# part v's paired translate rows on Z/1001 and Z/2001, where the last block is
+# partial, and on 5x5x3; about 0.5 s for all 20 reference entries
+@pytest.mark.parametrize("workload, job, variant", FULL_BOHR,
+                         ids=[f"{w}/{j.name}/{v}" for w, j, v in FULL_BOHR])
+def test_full_bohr_check_job_matches_reference(workload, job, variant, tmp_path):
+    assert check_job("full", workload, job, variant, tmp_path) == []
 
 
 @pytest.mark.parametrize("workload", sorted(wl.COLD))

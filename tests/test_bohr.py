@@ -266,6 +266,13 @@ class TestTailMass:
             eta = float(rng.uniform(0.0, 0.5))
             assert tail_mass(c, eta) <= tail_bound(c, eta) + 1e-12
 
+    def test_tail_bound_power_past_the_largest_float_is_a_domain_error(self, rng):
+        c = make_cutoff(random_frequency_set(make_group([1009]), 450, rng), 0.1)
+        with pytest.raises(DomainMismatchError, match="5\\^450 overflows"):
+            tail_bound(c, 0.4)
+        with pytest.raises(DomainMismatchError, match="5\\^450 overflows"):
+            check_bohr_growth(c.gamma, 0.1)
+
 
 class TestBohrGrowth:
     def test_empty_frequencies(self):

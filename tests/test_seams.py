@@ -31,10 +31,12 @@ wherever psi2 is uniform on ker R up to rounding, and sends only the rest
 through that kernel, so every decision it makes (counts, reduction,
 refinement step) is pinned to the state built on the exact profile, on fixed
 and on random pairs, and every value it screens to within its certified
-margin.  Cutoff part v turns blocks of translate rows into their excess in
-place and decides infinite coefficients in closed form, so its maximum is
-pinned bitwise to the whole-table oracle, where the last block is partial and
-where roundoff makes the report false, and its memory peak is bounded.  Parts
+margin.  Cutoff part v reads each pair of translate rows {z, -z} once, turns
+blocks of them into their excess in place and decides infinite coefficients
+in closed form, so its maximum is pinned bitwise to the whole-table oracle,
+also by a property over shapes with self-inverse rows, where the last block
+is partial and where roundoff makes the report false; coefficients that
+differ at y and -y raise, and its memory peak is bounded.  Parts
 vi-viii smooth with the finer cutoff's stored transform, so each lhs is
 pinned bitwise to fresh convolutions.
 """
@@ -69,6 +71,7 @@ from arithreg.bohr import (
     norm_numerators,
     random_frequency_set,
 )
+from arithreg.errors import InternalCheckError
 from arithreg.groups import (
     TRANSLATE_BLOCK_BYTES,
     _char_numerators,
@@ -708,21 +711,22 @@ def test_part_v_kernel_matches_the_whole_table_oracle(spec, rng):
     psi = make_cutoff(fs, 0.1).psi.values
     coeffs = _sinh_coeffs(fs, 0.1)
     assert _same_float(_shift_excess(g, psi, coeffs), _shift_violation(g, psi, coeffs))
-    # small coefficients: the maximum is a real excess
+    # small coefficients, equal at y and -y: the maximum is a real excess
     vals = rng.uniform(-0.5, 1.0, g.order)
     small = rng.uniform(0.0, 0.5, g.order)
+    small = np.minimum(small, small[neg_index(g)])
     got = _shift_excess(g, vals, small)
     assert got > 0 and _same_float(got, _shift_violation(g, vals, small))
 
 
 @pytest.mark.parametrize("n", [101, 2001])
 def test_part_v_kernel_takes_the_absolute_difference(n):
-    # a falling ramp on Z/n checked at y = 1 alone: its one large step,
-    # f(0) - f(-1), has f(x) above f(x - y)
+    # a falling ramp on Z/n checked at y = +-1 alone: its one large step,
+    # f(0) - f(-1), has f(x) above f(x - y) at y = 1
     g = parse_group(str(n))
     vals = 0.9 - 0.8 * np.arange(n) / n
     coeffs = np.full(n, 1e3)
-    coeffs[:2] = 0.0
+    coeffs[[0, 1, -1]] = 0.0
     got = _shift_excess(g, vals, coeffs)
     assert _same_float(got, _shift_violation(g, vals, coeffs))
     assert got == pytest.approx(0.8 * (n - 1) / n)
@@ -754,10 +758,65 @@ def test_part_v_infinite_coefficients(spec, negative, rng):
         vals[rng.choice(g.order, 3, replace=False)] = -1e-17
     coeffs = rng.uniform(0.0, 2.0, g.order)
     coeffs[rng.choice(g.order, g.order // 3, replace=False)] = np.inf
+    coeffs = np.maximum(coeffs, coeffs[neg_index(g)])  # infinite at y and -y alike
     got = _shift_excess(g, vals, coeffs)
     assert _same_float(got, _shift_violation(g, vals, coeffs))
     assert (got == np.inf) == negative
     coeffs[:] = np.inf  # every row decided in closed form
+    assert _same_float(_shift_excess(g, vals, coeffs), _shift_violation(g, vals, coeffs))
+
+
+@pytest.mark.parametrize("spec", ["101", "2^3x7"])
+def test_part_v_kernel_requires_coefficients_symmetric_under_negation(spec, rng):
+    # the kernel reads rows z and -z together, so one coefficient serves both
+    g = parse_group(spec)
+    fs = random_frequency_set(g, 2, rng)
+    vals = make_cutoff(fs, 0.1).psi.values
+    unpaired = np.flatnonzero(neg_index(g) != np.arange(g.order))
+    for y, ulp_off in [(unpaired[0], False), (unpaired[-1], True)]:
+        coeffs = _sinh_coeffs(fs, 0.1)
+        coeffs[y] = np.nextafter(coeffs[y], np.inf) if ulp_off else np.inf
+        with pytest.raises(InternalCheckError, match="differ at some y and -y"):
+            _shift_excess(g, vals, coeffs)
+
+
+# z = 32 is its own negative on Z/64, every row is on (Z/2)^6, and Z/2001
+# leaves a partial last block of paired rows
+PART_V_PROPERTY_SHAPES = ["64", "2^6", "2^3x7", "2x2x3", "2001"]
+
+
+@st.composite
+def part_v_cases(draw):
+    """(group, f, coeffs): coefficients a function of the norm numerators, with
+    zeros and infinities on numerator classes, and f a cutoff or a random
+    function, with a few entries of -1e-17 and 0."""
+    g = parse_group(draw(st.sampled_from(PART_V_PROPERTY_SHAPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = random_frequency_set(g, draw(st.sampled_from([0, 1, 2, 2])), rng)
+    delta = draw(st.sampled_from([1e-3, 0.05, 0.1, 0.5]))
+    nums = norm_numerators(fs)
+    coeffs = _sinh_coeffs(fs, delta) * draw(st.sampled_from([1.0, 1e-2, 1e-4]))
+    modulus = draw(st.integers(2, 5))
+    for value, odds in ((0.0, [False, True]), (np.inf, [False, False, False, True])):
+        if draw(st.sampled_from(odds)):
+            coeffs[nums % modulus == draw(st.integers(0, modulus - 1))] = value
+    # a cutoff is even, which would hide a kernel that bounds a pair by one
+    # side only; a random f does not
+    low = draw(st.sampled_from([None, 0.0, -0.5]))
+    if low is None:
+        vals = make_cutoff(fs, delta).psi.values.copy()
+    else:
+        vals = rng.uniform(low, 1.0, g.order)
+    for value in (-1e-17, 0.0):
+        vals[rng.choice(g.order, draw(st.sampled_from([0, 0, 1, 3])))] = value
+    return g, vals, coeffs
+
+
+# the oracle's whole table on Z/2001 is about 0.3 s an example
+@settings(max_examples=60, deadline=None)
+@given(part_v_cases())
+def test_part_v_kernel_is_the_whole_table_oracle_bit_for_bit(case):
+    g, vals, coeffs = case
     assert _same_float(_shift_excess(g, vals, coeffs), _shift_violation(g, vals, coeffs))
 
 
