@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DomainMismatchError, InternalCheckError, InvalidSpecError, UsageError, checked_pow,
+    checked_product,
 )
 from .groups import (
     Character,
@@ -33,7 +34,7 @@ from .groups import (
     neg_index,
     translate_blocks,
 )
-from .harmonic import DenseFn, Spectrum, convolve_spectra, dft, idft
+from .harmonic import DenseFn, Spectrum, _transform, convolve_spectra, dft
 from .reports import IneqReport
 
 MASS_TOL = 1e-12
@@ -72,7 +73,8 @@ def make_frequency_set(group: GroupSpec, chars: Sequence[Character] = ()) -> Fre
 def norm_numerators(fs: FrequencySet) -> np.ndarray:
     """Integer numerators of ||x||_Gamma over the denominator lcm(factors).
 
-    The empty set yields the zero vector (sup over the empty set is 0).
+    The maximum of the characters' cached rows (groups.char_norm_numerators);
+    the empty set yields the zero vector (sup over the empty set is 0).
     """
     check_enumerable(fs.group)
     out = np.zeros(fs.group.order, dtype=np.int64)
@@ -111,18 +113,10 @@ def bohr_set(fs: FrequencySet, delta: float) -> np.ndarray:
     return np.flatnonzero(norm_le_mask(fs, delta))
 
 
-def smoothed_indicator(fs: FrequencySet, delta: float) -> DenseFn:
-    """Unnormalized smoothed neighbourhood exp(-||x||_Gamma / delta)."""
-    if delta <= 0:
-        raise DomainMismatchError("width must be positive")
+def _smoothed_indicator(fs: FrequencySet, delta: float) -> np.ndarray:
+    """Unnormalized smoothed neighbourhood exp(-||x||_Gamma / delta), in a fresh array."""
     with np.errstate(over="ignore"):  # an underflowed delta sends ||x|| / delta to inf
-        return DenseFn(fs.group, np.exp(-norm_values(fs) / delta))
-
-
-def smoothed_beta(fs: FrequencySet, delta: float) -> DenseFn:
-    """L1-normalized smoothed cutoff beta_{Gamma,delta}."""
-    raw = smoothed_indicator(fs, delta).values
-    return DenseFn(fs.group, raw / raw.sum())
+        return np.exp(-norm_values(fs) / delta)
 
 
 def _sup_norm_bound(delta: float, d: int, n: int) -> float:
@@ -133,27 +127,43 @@ def _sup_norm_bound(delta: float, d: int, n: int) -> float:
 class BohrCutoff:
     """The pair (beta, psi = beta * beta) for one frequency set and width.
 
-    Immutable after construction.  psi is the inverse transform of beta's
-    transform squared, which is convolve(beta, beta) with one forward
-    transform fewer.  psi's transform is recomputed from the materialized
-    convolution so the nonnegative-spectrum invariant is an honest numerical
-    check, not true by construction.
+    Immutable after construction.  beta is the smoothed indicator divided by
+    its sum.  psi is the inverse transform of beta's transform squared, which
+    is convolve(beta, beta) with one forward transform fewer.  psi's
+    transform is recomputed from the materialized convolution so the
+    nonnegative-spectrum invariant is an honest numerical check, not true by
+    construction.  The three transforms run through harmonic._transform.
+
+    psi, psi_hat and psi_sqrt depend on the group and beta alone.  So when
+    beta is bitwise that of a cutoff in `held` on the same group (the same
+    factors, not only the same order), the new cutoff takes that cutoff's
+    four arrays instead of transforming again.  Either way it keeps its own
+    gamma and delta and runs its own checks on them.
     """
 
-    def __init__(self, gamma: FrequencySet, delta: float):
+    def __init__(self, gamma: FrequencySet, delta: float, held: Iterable["BohrCutoff"] = ()):
         if delta <= 0:
             raise DomainMismatchError("cutoff width must be positive")
         self.gamma = gamma
         self.delta = float(delta)
-        self.beta = smoothed_beta(gamma, delta)
-        spectrum = dft(self.beta).values
-        self.psi = idft(Spectrum(self.group, spectrum * spectrum))
-        self.psi_hat = dft(self.psi)
+        group = gamma.group
+        beta = _smoothed_indicator(gamma, delta)
+        beta /= beta.sum()
+        bits = beta.view(np.int64)  # compares every bit, as psi depends on every bit of beta
+        twin = next((c for c in held if c.group == group
+                     and np.array_equal(c.beta.values.view(np.int64), bits)), None)
+        if twin is None:
+            self.beta = DenseFn(group, beta)
+            spectrum = _transform(group, self.beta.values, inverse=False)
+            spectrum *= spectrum
+            psi = _transform(group, spectrum, inverse=True)
+            self.psi = DenseFn(group, np.ascontiguousarray(psi.real))
+            self.psi_hat = Spectrum(group, _transform(group, self.psi.values, inverse=False))
+            self.psi_sqrt = DenseFn(group, np.sqrt(np.clip(self.psi.values, 0.0, None)))
+        else:
+            self.beta, self.psi, self.psi_hat, self.psi_sqrt = (
+                twin.beta, twin.psi, twin.psi_hat, twin.psi_sqrt)
         self._validate()
-        raw = self.psi.values
-        if raw.min() < -MASS_TOL:
-            raise InternalCheckError(f"psi dips to {raw.min()}, beyond roundoff")
-        self.psi_sqrt = DenseFn(self.group, np.sqrt(np.clip(raw, 0.0, None)))
 
     @property
     def group(self) -> GroupSpec:
@@ -182,17 +192,35 @@ class BohrCutoff:
             bound = _sup_norm_bound(self.delta, self.d, self.group.order)
             if float(self.psi.values.max()) > bound * (1 + 1e-9) + 1e-15:
                 raise InternalCheckError("psi sup-norm bound violated")
+        if self.psi.values.min() < -MASS_TOL:
+            raise InternalCheckError(f"psi dips to {self.psi.values.min()}, beyond roundoff")
 
 
-@lru_cache(maxsize=2)
+_held: dict[tuple[FrequencySet, float], BohrCutoff] = {}  # make_cutoff's two, oldest first
+
+
 def make_cutoff(gamma: FrequencySet, delta: float) -> BohrCutoff:
     """The cutoff for (gamma, delta), shared with the last two distinct calls.
 
     A suite run asks for its main cutoff once per part and for at most one
     other cutoff beside it, so two entries build each one once; its arrays
-    are read-only.
+    are read-only.  A new cutoff takes the arrays of a held one whose beta is
+    bitwise its own: every narrow fine cutoff whose Bohr set is {0} (a point
+    mass), both widths at R = {} (uniform), faithful psi2 on an unchanged
+    ker R.  No array outlives the two cutoffs held.
+    make_cutoff.cache_clear() empties the cache.
     """
-    return BohrCutoff(gamma, delta)
+    key = (gamma, delta)
+    cutoff = _held.pop(key, None)
+    if cutoff is None:
+        cutoff = BohrCutoff(gamma, delta, _held.values())
+        if len(_held) == 2:
+            del _held[next(iter(_held))]
+    _held[key] = cutoff
+    return cutoff
+
+
+make_cutoff.cache_clear = _held.clear
 
 
 def smoothing_l1(coarse: BohrCutoff, fine: BohrCutoff) -> float:
@@ -214,7 +242,8 @@ def tail_mass(cutoff: BohrCutoff, eta: float) -> float:
 
 
 def tail_bound(cutoff: BohrCutoff, eta: float) -> float:
-    return 4.0 * checked_pow(5.0, cutoff.d, "5") * math.exp(-eta / (4.0 * cutoff.delta))
+    return checked_product(f"tail bound 4 * 5^{cutoff.d} * exp(-eta / 4 delta)", 4.0,
+                           checked_pow(5.0, cutoff.d, "5"), math.exp(-eta / (4.0 * cutoff.delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +257,9 @@ def check_bohr_growth(fs: FrequencySet, delta: float) -> IneqReport:
     n = fs.group.order
     size = int(norm_le_mask(fs, delta).sum())
     doubled = int(norm_le_mask(fs, 2.0 * delta).sum())
-    lower = checked_pow(delta, fs.d, "delta") * n
-    ratio_bound = checked_pow(5.0, fs.d, "5") * size
+    lower = checked_product(f"size bound delta^{fs.d} N", checked_pow(delta, fs.d, "delta"), n)
+    ratio_bound = checked_product(f"doubling bound 5^{fs.d} |B_delta|",
+                                  checked_pow(5.0, fs.d, "5"), size)
     holds = size >= lower and doubled <= ratio_bound
     return IneqReport(
         part="bohr-growth",

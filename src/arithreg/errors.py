@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the overflow-checked power that raises one."""
+"""Exception types shared across the package, and the overflow-checked power and product."""
+
+import math
 
 
 class InvalidSpecError(ValueError):
@@ -31,3 +33,11 @@ def checked_pow(base: float, exponent: float, name: str) -> float:
         return base**exponent
     except OverflowError:
         raise DomainMismatchError(f"{name}^{exponent} overflows at {name} = {base}") from None
+
+
+def checked_product(name: str, *factors: float) -> float:
+    """The factors' product, left to right, or a DomainMismatchError naming it when not finite."""
+    value = math.prod(factors)
+    if not math.isfinite(value):
+        raise DomainMismatchError(f"{name} overflows")
+    return value

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +31,7 @@ TRANSLATE_BLOCK_BYTES = 1 << 20  # bytes of float64 rows per block of translate_
 CHARACTER_TABLE_MAX_ORDER = 4096  # dense N x N character matrix
 BRUTE_FORCE_BUDGET = 20_000_000  # N^(k-1) tuples of the zero-sum oracle, `count`'s check too
 DUAL_SWEEP_MAX_DIM = 24  # spanning families are checked against all 2^d duals
+CHARACTER_ROW_BYTES = 1 << 24  # norm-numerator rows char_norm_numerators keeps, LRU
 
 
 def max_enumerable_order() -> int:
@@ -339,10 +341,46 @@ def char_values(group: GroupSpec, gamma: Character) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+class _RowCache:
+    """Read-only rows by key, least recently used first, evicted past a byte budget."""
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes, self.rows = budget, 0, OrderedDict()
+
+    def get(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The row kept for key, else build()'s.  A row over the whole budget empties the cache."""
+        row = self.rows.pop(key, None)
+        if row is None:
+            row = build()
+            row.setflags(write=False)
+            self.nbytes += row.nbytes
+        self.rows[key] = row
+        while self.nbytes > self.budget:
+            self.nbytes -= self.rows.popitem(last=False)[1].nbytes
+        return row
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.nbytes = 0
+
+
+_norm_rows = _RowCache(CHARACTER_ROW_BYTES)
+
+
 def char_norm_numerators(group: GroupSpec, gamma: Character) -> np.ndarray:
-    """Integer numerators of |arg gamma(x)|/2pi over the common denominator lcm."""
-    num = _char_numerators(group, gamma)
-    return np.minimum(num, group.exponent_lcm - num)
+    """Integer numerators of |arg gamma(x)|/2pi over the common denominator lcm.
+
+    The row is read-only and kept in an LRU of CHARACTER_ROW_BYTES, so the
+    frequency sets that share a character build its row once.
+    """
+    if gamma.group != group:
+        raise DomainMismatchError("character belongs to a different group")
+
+    def build() -> np.ndarray:
+        num = _char_numerators(group, gamma)
+        return np.minimum(num, group.exponent_lcm - num)
+
+    return _norm_rows.get(gamma, build)
 
 
 @lru_cache(maxsize=4)  # up to 256 MiB a table: the last four groups

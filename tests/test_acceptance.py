@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import all_subspaces, naive_dft, random_indicator
 from oracles import _shift_violation, subgroup_elements
-from test_bohr import simpson_smoothed_value
+from test_bohr import simpson_smoothed_value, smoothed_beta, smoothed_indicator
 
 from arithreg.applications import (
     IntegerSet,
@@ -35,8 +35,6 @@ from arithreg.bohr import (
     part_iv_width,
     part_ix_width,
     random_frequency_set,
-    smoothed_beta,
-    smoothed_indicator,
     tail_bound,
     tail_mass,
     tail_sum,

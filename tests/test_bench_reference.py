@@ -6,9 +6,11 @@ full-size `bohr-check` job of the cold workloads runs at every variant, so
 the exhaustive part v is pinned at the sizes the benchmark times.  Each
 output must pass `runner.check` against `perfbench/reference.json`, so a
 rename that breaks the benchmark's calls, or a report that drifts from the
-captured one, fails here.  Every full-size CLI argv must parse.  The toolkit
-is imported once, as the other tests import it; perfbench's own
-`import_toolkit` would empty `sys.modules`.
+captured one, fails here.  The full-size warm `cutoff-101` survey and
+`reg-2049-interval` run at every variant too, so the cutoffs they build, with
+their shared arrays, are pinned at the sizes the benchmark times.  Every
+full-size CLI argv must parse.  The toolkit is imported once, as the other
+tests import it; perfbench's own `import_toolkit` would empty `sys.modules`.
 """
 
 import importlib
@@ -32,6 +34,8 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 TINY = [(w, job) for w, jobs in wl.WORKLOADS.items() for job in jobs("tiny")]
 FULL_BOHR = [(w, job, v) for w in sorted(wl.COLD) for job in wl.WORKLOADS[w]("full")
              if job.op == "bohr_check" for v in range(wl.VARIANTS)]
+FULL_CUTOFFS = [("warm-sweep", job, v) for job in wl.WORKLOADS["warm-sweep"]("full")
+                if job.name in ("cutoff-101", "reg-2049-interval") for v in range(wl.VARIANTS)]
 
 
 def check_job(size, workload, job, variant, tmp_path):
@@ -57,6 +61,13 @@ def test_tiny_job_matches_reference(workload, job, tmp_path):
 @pytest.mark.parametrize("workload, job, variant", FULL_BOHR,
                          ids=[f"{w}/{j.name}/{v}" for w, j, v in FULL_BOHR])
 def test_full_bohr_check_job_matches_reference(workload, job, variant, tmp_path):
+    assert check_job("full", workload, job, variant, tmp_path) == []
+
+
+# 300 survey draws on Z/101 and a faithful regularization on Z/2049; about 1 s for all 8
+@pytest.mark.parametrize("workload, job, variant", FULL_CUTOFFS,
+                         ids=[f"{w}/{j.name}/{v}" for w, j, v in FULL_CUTOFFS])
+def test_full_cutoff_job_matches_reference(workload, job, variant, tmp_path):
     assert check_job("full", workload, job, variant, tmp_path) == []
 
 

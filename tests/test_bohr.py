@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from arithreg import bohr
+from arithreg import bohr, groups
 from arithreg.bohr import (
     bohr_set,
     check_bohr_growth,
@@ -15,15 +15,13 @@ from arithreg.bohr import (
     make_frequency_set,
     norm_values,
     random_frequency_set,
-    smoothed_beta,
-    smoothed_indicator,
     tail_bound,
     tail_mass,
     tail_sum,
 )
 from arithreg.cli import main as cli_main
 from arithreg.errors import DomainMismatchError, UsageError
-from arithreg.groups import make_group, neg_index
+from arithreg.groups import make_group, neg_index, parse_group
 from arithreg.harmonic import DenseFn, convolve
 
 
@@ -85,6 +83,16 @@ class TestBohrSet:
             assert 0 in ball
             negs = neg_index(g)
             assert all(int(negs[x]) in ball for x in ball)
+
+
+def smoothed_beta(fs, delta):
+    """beta_{Gamma,delta} as the cutoff stores it."""
+    return make_cutoff(fs, delta).beta
+
+
+def smoothed_indicator(fs, delta):
+    """exp(-||x||_Gamma / delta) for every x, from the cutoff's own helper."""
+    return DenseFn(fs.group, bohr._smoothed_indicator(fs, delta))
 
 
 class TestSmoothedBeta:
@@ -273,6 +281,16 @@ class TestTailMass:
         with pytest.raises(DomainMismatchError, match="5\\^450 overflows"):
             check_bohr_growth(c.gamma, 0.1)
 
+    def test_bound_product_past_the_largest_float_is_a_domain_error(self, rng):
+        # 5^441 = 1.8e308 is finite, but 4 * 5^441 and 5^441 |B_delta| are not
+        c = make_cutoff(random_frequency_set(make_group([1009]), 441, rng), 0.1)
+        with pytest.raises(DomainMismatchError, match=r"^tail bound 4 \* 5\^441 \* exp"):
+            tail_bound(c, 0.4)
+        with pytest.raises(DomainMismatchError, match=r"^doubling bound 5\^441 \|B_delta\|"):
+            check_bohr_growth(c.gamma, 0.5)
+        with pytest.raises(DomainMismatchError, match=r"^size bound delta\^1 N overflows"):
+            check_bohr_growth(make_frequency_set(c.group, c.gamma.chars[:1]), 1e307)
+
 
 class TestBohrGrowth:
     def test_empty_frequencies(self):
@@ -427,9 +445,9 @@ class TestCutoffCache:
         keys = []
         init = bohr.BohrCutoff.__init__
 
-        def counted(self, gamma, delta):
+        def counted(self, gamma, delta, *held):
             keys.append((gamma, delta))
-            init(self, gamma, delta)
+            init(self, gamma, delta, *held)
 
         bohr.make_cutoff.cache_clear()
         monkeypatch.setattr(bohr.BohrCutoff, "__init__", counted)
@@ -464,6 +482,21 @@ class TestCutoffCache:
             make_cutoff(make_frequency_set(g, [g.character_at(c)]), 0.1)
         assert bohr.norm_numerators.cache_info().currsize <= 4
 
+    def test_character_rows_stay_within_their_byte_budget(self):
+        # a row is N int64s, 8 MiB at 2^20: rows of five characters keep what the budget holds
+        g = make_group([2] * 20)
+        rows = groups._norm_rows
+        rows.clear()
+        try:
+            for c in range(1, 6):
+                assert not groups.char_norm_numerators(g, g.character_at(c)).flags.writeable
+            assert rows.nbytes == sum(r.nbytes for r in rows.rows.values())
+            assert rows.nbytes <= groups.CHARACTER_ROW_BYTES
+            assert len(rows.rows) == groups.CHARACTER_ROW_BYTES // (8 << 20)
+            assert list(rows.rows) == [g.character_at(c) for c in range(6 - len(rows.rows), 6)]
+        finally:
+            rows.clear()
+
     def test_cached_arrays_reject_writes(self, rng):
         fs = random_frequency_set(make_group([64]), 2, rng)
         cutoff = make_cutoff(fs, 0.1)
@@ -472,3 +505,94 @@ class TestCutoffCache:
                     cutoff.psi_sqrt.values):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+CORE = ("beta", "psi", "psi_hat", "psi_sqrt")
+
+
+def _bits(cutoff):
+    return [(getattr(cutoff, name).values.dtype, getattr(cutoff, name).values.tobytes())
+            for name in CORE]
+
+
+class TestSharedCores:
+    # point-mass widths (Bohr set {0}), R = {} (uniform at any width) and ordinary widths;
+    # Z/8 and (Z/2)^3 have the same order and the same point mass but never share
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["8", "2^3", "101", "2^3x7", "2^6"]),
+                              st.integers(0, 2), st.sampled_from([1e-9, 1e-4, 0.05, 0.3, 1.0])),
+                    min_size=2, max_size=6),
+           st.integers(0, 2**31))
+    def test_a_shared_core_is_the_fresh_build_bit_for_bit(self, draws, seed):
+        rng = np.random.default_rng(seed)
+        bohr.make_cutoff.cache_clear()
+        for spec, d, delta in draws:
+            fs = random_frequency_set(parse_group(spec), d, rng)
+            held = [c for key, c in bohr._held.items() if key != (fs, delta)]
+            cutoff = make_cutoff(fs, delta)
+            fresh = bohr.BohrCutoff(fs, delta)
+            assert _bits(cutoff) == _bits(fresh)
+            assert (cutoff.gamma, cutoff.delta) == (fs, delta)
+            twins = [c for c in held if c.psi is cutoff.psi]
+            same = [c for c in held if c.group == fs.group
+                    and c.beta.values.tobytes() == cutoff.beta.values.tobytes()]
+            assert bool(twins) == bool(same)
+            for c in twins:
+                assert c.group.factors == fs.group.factors
+                assert all(getattr(c, name) is getattr(cutoff, name) for name in CORE)
+        bohr.make_cutoff.cache_clear()
+
+    @pytest.mark.parametrize("width", [1e-9, 1.0])
+    def test_z8_and_z2_cubed_never_share(self, width):
+        # 1e-9: both point masses; 1.0 on R = {}: both uniform; their betas are bitwise equal
+        bohr.make_cutoff.cache_clear()
+        cyclic, cube = make_group([8]), make_group([2, 2, 2])
+        chars = {cyclic: [cyclic.character([1])],
+                 cube: [cube.character(f) for f in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]}
+        if width == 1.0:
+            chars = {cyclic: [], cube: []}
+        first = make_cutoff(make_frequency_set(cyclic, chars[cyclic]), width)
+        second = make_cutoff(make_frequency_set(cube, chars[cube]), width)
+        assert first.beta.values.tobytes() == second.beta.values.tobytes()
+        assert all(getattr(first, name) is not getattr(second, name) for name in CORE)
+        assert _bits(second) == _bits(bohr.BohrCutoff(second.gamma, width))
+        bohr.make_cutoff.cache_clear()
+
+    def test_a_shared_core_runs_its_own_checks(self, monkeypatch):
+        # the sup-norm bound of _validate depends on delta and d, not on the arrays alone
+        checked = []
+        validate = bohr.BohrCutoff._validate
+
+        def counted(self):
+            checked.append((self.gamma, self.delta))
+            validate(self)
+
+        monkeypatch.setattr(bohr.BohrCutoff, "_validate", counted)
+        bohr.make_cutoff.cache_clear()
+        g = make_group([101])
+        first = make_cutoff(make_frequency_set(g, [g.character_at(1)]), 1e-9)
+        second = make_cutoff(make_frequency_set(g, [g.character_at(2), g.character_at(3)]), 1e-8)
+        assert second.psi is first.psi
+        assert checked == [(first.gamma, 1e-9), (second.gamma, 1e-8)]
+        bohr.make_cutoff.cache_clear()
+
+    def test_clearing_the_cache_drops_every_shared_core(self, monkeypatch):
+        g = make_group([101])
+        bohr.make_cutoff.cache_clear()
+        first = make_cutoff(make_frequency_set(g, [g.character_at(1)]), 1e-9)
+        second = make_cutoff(make_frequency_set(g, [g.character_at(2)]), 1e-9)
+        assert second.psi is first.psi
+        bohr.make_cutoff.cache_clear()
+        assert bohr._held == {}
+        built = []
+        transform = bohr._transform
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(bohr, "_transform", counted)
+        third = make_cutoff(make_frequency_set(g, [g.character_at(3)]), 1e-9)
+        assert len(built) == 3 and third.psi is not first.psi
+        assert _bits(third) == _bits(first)
+        bohr.make_cutoff.cache_clear()

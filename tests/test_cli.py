@@ -547,6 +547,8 @@ class TestExitCodes:
         ["bohr-check", "--group", "101", "--tau", "1e308", "--parts", "iv"],
         ["bohr-check", "--group", "101", "--tau", "1e200", "--parts", "vii"],
         ["bohr-check", "--group", "1009", "--d", "450"],  # 5^450 in the doubling bound
+        ["bohr-check", "--group", "1009", "--d", "441", "--parts", "v"],  # 4 * 5^441, tail
+        ["bohr-check", "--group", "101", "--d", "1", "--delta", "1e307"],  # delta N, growth
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a.endswith(".txt")))
     def test_finite_number_out_of_range_is_exit_two(self, workdir, capsys, argv):
         # a float power or product overflows on these finite flags

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import random_indicator
 
-from arithreg import applications, cli, harmonic, reg_f2, reg_general
+from arithreg import applications, bohr, cli, harmonic, reg_f2, reg_general
 from arithreg.applications import IntegerSet, sum_free_decompose
 from arithreg.bohr import norm_numerators
 from arithreg.groups import f2_parity, make_group
@@ -214,6 +214,51 @@ def test_weighted_count_transforms_each_set_once(single_transforms, rng):
     single_transforms[1] = 0
     reg_general.weighted_T(As, pair, [3, 4, 94])
     assert single_transforms[1] == 6
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """[transforms run], counted from an empty make_cutoff cache on."""
+    count = [0]
+    transform = harmonic._transform
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return transform(*args, **kwargs)
+
+    for module in (harmonic, bohr):
+        monkeypatch.setattr(module, "_transform", counted)
+    bohr.make_cutoff.cache_clear()
+    yield count
+    bohr.make_cutoff.cache_clear()
+
+
+def test_nine_part_bohr_check_takes_thirteen_transforms(transforms, capsys):
+    # three for the main cutoff and three for part iv's point mass, whose
+    # arrays the point-mass fine cutoffs of parts vi-ix share; then part vi's
+    # smoothing 2, vii's 1 and viii's 4 (25 when every cutoff built its own)
+    parts = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
+    assert cli.main(["bohr-check", "--group", "2001", "--parts", *parts]) == 0
+    assert transforms[0] == 13
+
+
+@pytest.mark.parametrize("spec", [[2049], [2] * 11, [2] * 6 + [35]])
+def test_a_trivial_pair_takes_four_transforms(transforms, spec):
+    # at R = {} both widths are uniform: psi2 shares psi1's three, and the
+    # compatibility check takes one (7 when psi2 built its own)
+    reg_general.trivial_pair(make_group(spec), 3, 0.1)
+    assert transforms[0] == 4
+
+
+def test_a_survey_draw_takes_four_transforms(transforms, capsys):
+    # the main cutoff's three and part vii's smoothing; the point-mass fine
+    # cutoff shares the previous draw's, so only the first draw builds one
+    assert cli.main(["sweep", "cutoff-slack", "--group", "101", "--draws", "1"]) == 0
+    assert transforms[0] == 7
+    bohr.make_cutoff.cache_clear()
+    transforms[0] = 0
+    assert cli.main(["sweep", "cutoff-slack", "--group", "101", "--draws", "11"]) == 0
+    assert transforms[0] == 7 + 4 * 10
 
 
 def test_remove_triangles_f2_one_pass_per_visited_subgroup(calls, rng):
